@@ -16,7 +16,7 @@ from .catalog import (
     wavenumber_to_frequency,
 )
 from .absorption import AbsorptionSpectrum, absorption_coefficient
-from .geometry import LinkEndpoints, PathGeometry, build_path
+from .geometry import LinkEndpoints
 from .channel import AntennaConfig, WeatherConfig
 from .link import LinkBudget, TransceiverConfig
 from .scenario import Scenario, resolve
@@ -29,14 +29,12 @@ __all__ = [
     "LineCatalog",
     "LinkBudget",
     "LinkEndpoints",
-    "PathGeometry",
     "Scenario",
     "SpectralLine",
     "TransceiverConfig",
     "WeatherConfig",
     "absorption_coefficient",
     "build_layers",
-    "build_path",
     "load_catalog",
     "parse_line_record",
     "profile_at",

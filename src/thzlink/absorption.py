@@ -62,19 +62,6 @@ class LineShapeKind(enum.Enum):
     VOIGT = "voigt"
 
 
-class PressureShape(enum.Enum):
-    """Flavor of the collision-broadened shape used by the engine.
-
-    The asymmetric Van Vleck-Huber form is the default; the plain Lorentz
-    and Van Vleck-Weisskopf forms are close to it in this band and are kept
-    for comparison runs.
-    """
-
-    LORENTZ = "lorentz"
-    VAN_VLECK_WEISSKOPF = "vvw"
-    VAN_VLECK_HUBER = "vvh"
-
-
 def line_center(line: SpectralLine, p: float) -> float:
     """Pressure-shifted resonance frequency in Hz."""
     return (line.nu0 + line.delta_air * (p / STANDARD_PRESSURE)) * _WAVENUMBER_TO_HZ
@@ -151,26 +138,17 @@ def select_line_shape(alpha_l: float, alpha_d: float) -> LineShapeKind:
     return LineShapeKind.VOIGT
 
 
-def line_shape(line: SpectralLine, f, p: float, t: float, mu_i: float,
-               pressure_shape: PressureShape = PressureShape.VAN_VLECK_HUBER):
+def line_shape(line: SpectralLine, f, p: float, t: float, mu_i: float):
     """Evaluate the dynamically selected shape for one line, 1/Hz."""
     f_c = line_center(line, p)
     alpha_l = lorentz_halfwidth(line, p, t, mu_i)
     alpha_d = doppler_halfwidth(line, t)
     kind = select_line_shape(alpha_l, alpha_d)
     if kind is LineShapeKind.VAN_VLECK_HUBER:
-        return _pressure_broadened(pressure_shape, f, f_c, alpha_l, t)
+        return van_vleck_huber_shape(f, f_c, alpha_l, t)
     if kind is LineShapeKind.DOPPLER:
         return doppler_shape(f, f_c, alpha_d)
     return voigt_shape(f, f_c, alpha_l, alpha_d)
-
-
-def _pressure_broadened(flavor: PressureShape, f, f_c, alpha_l, t):
-    if flavor is PressureShape.LORENTZ:
-        return lorentz_shape(np.asarray(f, dtype=float) - f_c, alpha_l)
-    if flavor is PressureShape.VAN_VLECK_WEISSKOPF:
-        return van_vleck_weisskopf_shape(f, f_c, alpha_l)
-    return van_vleck_huber_shape(f, f_c, alpha_l, t)
 
 
 @lru_cache(maxsize=1)
@@ -262,7 +240,6 @@ def absorption_coefficient(
     state: AtmosphericState,
     grid,
     wing_cutoff: float = DEFAULT_WING_CUTOFF,
-    pressure_shape: PressureShape = PressureShape.VAN_VLECK_HUBER,
 ) -> AbsorptionSpectrum:
     """Summed absorption coefficient kappa(f) in 1/m over a frequency grid.
 
@@ -297,8 +274,7 @@ def absorption_coefficient(
         window = grid[lo:hi]
         kind = select_line_shape(alpha_l, alpha_d)
         if kind is LineShapeKind.VAN_VLECK_HUBER:
-            shape = _pressure_broadened(pressure_shape, window, f_c,
-                                        alpha_l, t)
+            shape = van_vleck_huber_shape(window, f_c, alpha_l, t)
         elif kind is LineShapeKind.DOPPLER:
             shape = doppler_shape(window, f_c, alpha_d)
         else:

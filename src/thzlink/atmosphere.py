@@ -92,13 +92,6 @@ class LayerStack:
     def __getitem__(self, index: int) -> Layer:
         return self.layers[index]
 
-    @property
-    def bottom_altitude(self) -> float:
-        return self.layers[0].lower
-
-    def boundaries(self) -> list[float]:
-        return [self.layers[0].lower] + [ly.upper for ly in self.layers]
-
 
 def _geopotential(z: float) -> float:
     return _R0_GEOPOT * z / (_R0_GEOPOT + z)

@@ -2,10 +2,11 @@
 
     thzlink run <config> [--out-dir DIR] [--dry-run] [--cache-dir DIR]
     thzlink sweep <config> --axis {frequency,altitude,elevation}
-            --from X --to Y --step Z [--out-dir DIR] [--threads N]
+            --from X --to Y --step Z [--out-dir DIR] [--cache-dir DIR]
 
-Sweep axis units: frequency in GHz, altitude in meters, elevation in
-degrees. Exit codes: 0 success, 2 configuration error, 3 computation error.
+``run`` evaluates the survey grid and the capacity band in one pass. Sweep
+axis units: frequency in GHz, altitude in meters, elevation in degrees.
+Exit codes: 0 success, 2 configuration error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None,
                      help="directory for cached layer spectra "
                           "(default: <out-dir>/.cache)")
-    run.add_argument("--threads", type=int, default=1,
-                     help="accepted for symmetry; a single run is one point")
 
     swp = sub.add_parser("sweep", help="sweep one axis and write a long CSV")
     swp.add_argument("config", help="scenario config file")
@@ -62,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--cache-dir", default=None,
                      help="directory for cached layer spectra "
                           "(default: <out-dir>/.cache)")
-    swp.add_argument("--threads", type=int, default=1,
-                     help="concurrent sweep points")
     return parser
 
 
@@ -90,7 +87,7 @@ def _cmd_sweep(args) -> int:
     scenario = parse_config(args.config)
     points, results = run_sweep(
         scenario, args.axis, args.start, args.stop, args.step,
-        cache=_cache_for(args), threads=max(1, args.threads))
+        cache=_cache_for(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "sweep.csv"

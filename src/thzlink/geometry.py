@@ -48,23 +48,6 @@ class LinkEndpoints:
             raise GeometryError(f"central angle out of [0, pi/2): {self.rho}")
 
 
-@dataclass(frozen=True)
-class PathGeometry:
-    """Resolved ray through a layer stack.
-
-    ``segments`` holds (layer_index, path_length_m) for every traversed
-    layer, ordered bottom to top.
-    """
-
-    r_as: float
-    psi: float
-    segments: tuple[tuple[int, float], ...]
-
-    @property
-    def in_atmosphere_length(self) -> float:
-        return sum(length for _, length in self.segments)
-
-
 def slant_range(ep: LinkEndpoints) -> float:
     """Terminal-to-terminal distance (m) by the law of cosines."""
     r1 = EARTH_RADIUS + ep.h_low
@@ -118,24 +101,35 @@ def layer_path_segments(
 ) -> tuple[tuple[int, float], ...]:
     """Per-layer path lengths along the ray from ``h_start`` to the stack top.
 
-    Each segment is the difference of :func:`atmospheric_path_length` taken
-    to the layer's upper and lower boundaries; at zenith every segment equals
-    the layer's (possibly partial) vertical extent exactly.
+    Each segment is the layer's :func:`shell_path_length`, the difference of
+    :func:`atmospheric_path_length` taken to its upper and lower boundaries;
+    at zenith every segment equals the layer's (possibly partial) vertical
+    extent exactly.
     """
     top = layers.top_altitude
     if h_start >= top:
         raise GeometryError(
             f"start altitude {h_start} m is above the stack top {top} m")
-    segments = []
-    for index, layer in enumerate(layers.layers):
-        if layer.upper <= h_start:
-            continue
-        lower = max(layer.lower, h_start)
-        to_upper = atmospheric_path_length(h_start, psi, layer.upper)
-        to_lower = (0.0 if lower <= h_start
-                    else atmospheric_path_length(h_start, psi, lower))
-        segments.append((index, to_upper - to_lower))
-    return tuple(segments)
+    return tuple(
+        (index, shell_path_length(h_start, psi, layer.lower, layer.upper))
+        for index, layer in enumerate(layers.layers)
+        if layer.upper > h_start)
+
+
+def shell_path_length(h_start: float, psi: float, lower: float,
+                      upper: float) -> float:
+    """Length (m) of the ray from ``h_start`` inside the shell [lower, upper].
+
+    The part of the shell below ``h_start`` is not on the ray; a shell
+    entirely below it, or an empty one, has length 0.
+    """
+    lower = max(lower, h_start)
+    if upper <= lower:
+        return 0.0
+    to_upper = atmospheric_path_length(h_start, psi, upper)
+    to_lower = (0.0 if lower <= h_start
+                else atmospheric_path_length(h_start, psi, lower))
+    return to_upper - to_lower
 
 
 def plane_parallel_segments(
@@ -159,17 +153,6 @@ def plane_parallel_segments(
         thickness = layer.upper - max(layer.lower, h_start)
         segments.append((index, thickness / sin_psi))
     return tuple(segments)
-
-
-def build_path(
-    h_low: float, h_high: float, rho: float, layers: LayerStack
-) -> PathGeometry:
-    """Resolve endpoints into slant range, elevation, and layer segments."""
-    ep = LinkEndpoints(h_low, h_high, rho)
-    r_as = slant_range(ep)
-    psi = elevation_angle(ep)
-    segments = layer_path_segments(h_low, psi, layers)
-    return PathGeometry(r_as, psi, segments)
 
 
 def central_angle_from_coords(

@@ -77,11 +77,9 @@ def brightness_temperature_rj(t_profile, tau_path):
     absorption-weighted mean path temperature times (1 - tau_total).
     """
     temps, taus, scalar_out = _normalize_sky(t_profile, tau_path)
-    seen_through = np.vstack([
-        np.ones((1, taus.shape[1])),
-        np.cumprod(taus, axis=0)[:-1],
-    ])
-    t_b = np.sum(temps[:, None] * (1.0 - taus) * seen_through, axis=0)
+    emitted = temps[:, None] * (1.0 - taus)
+    emitted[1:] *= np.cumprod(taus[:-1], axis=0)
+    t_b = np.sum(emitted, axis=0)
     return float(t_b[0]) if scalar_out else t_b
 
 

@@ -59,10 +59,10 @@ from .channel import (
 from .errors import ConfigError
 from .geometry import (
     LinkEndpoints,
-    atmospheric_path_length,
     central_angle_for_elevation,
     elevation_angle,
     layer_path_segments,
+    shell_path_length,
     slant_range,
 )
 from .link import (
@@ -189,6 +189,9 @@ def parse_config(path) -> Scenario:
             except ValueError:
                 raise ConfigError(f"not a number: {value!r}", field=key,
                                   line=lineno) from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"must be finite, got {value!r}",
+                                  field=key, line=lineno)
     return build_scenario(values, seen)
 
 
@@ -223,14 +226,10 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         fail("atmosphere_top_km",
              f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
 
-    if kind in ("A2S", "S2A") and not h_airplane < h_satellite:
-        fail("h_airplane_km", "airplane must be below the satellite")
-    if kind in ("E2A", "A2E") and not h_ground < h_airplane:
-        fail("h_airplane_km", "airplane must be above the ground terminal")
-    if kind in ("E2S", "S2E") and not h_ground < h_satellite:
-        fail("h_satellite_km", "satellite must be above the ground terminal")
-    if "A" in (kind[0], kind[2]) and h_airplane >= atmosphere_top:
-        fail("h_airplane_km", "airplane must be inside the atmosphere")
+    problem = terminal_problem(kind, h_airplane, h_satellite, h_ground,
+                               atmosphere_top)
+    if problem is not None:
+        fail(*problem)
 
     f_min = positive("f_min_ghz") * _GHZ
     f_max = positive("f_max_ghz") * _GHZ
@@ -314,6 +313,21 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     )
 
 
+def terminal_problem(kind: str, h_airplane: float, h_satellite: float,
+                     h_ground: float, atmosphere_top: float):
+    """(config key, message) if the terminals are out of order or the
+    airplane is outside the atmosphere; None when they are valid."""
+    if kind in ("A2S", "S2A") and not h_airplane < h_satellite:
+        return "h_airplane_km", "airplane must be below the satellite"
+    if kind in ("E2A", "A2E") and not h_ground < h_airplane:
+        return "h_airplane_km", "airplane must be above the ground terminal"
+    if kind in ("E2S", "S2E") and not h_ground < h_satellite:
+        return "h_satellite_km", "satellite must be above the ground terminal"
+    if "A" in (kind[0], kind[2]) and h_airplane >= atmosphere_top:
+        return "h_airplane_km", "airplane must be inside the atmosphere"
+    return None
+
+
 def make_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
     """Uniform frequency grid from f_min to at most f_max, inclusive."""
     count = int(math.floor((f_max - f_min) / f_step + 1e-9)) + 1
@@ -326,7 +340,9 @@ class SpectrumCache:
     Keys combine the catalog hash, the atmospheric state, the grid, and the
     engine options, so identical layers are computed once per sweep. With a
     directory the arrays persist on disk across runs; values are exact, so
-    caching never changes results.
+    caching never changes results. A disk entry that is not a finite,
+    non-negative float64 array of the grid's length is a miss: it is
+    computed again and rewritten.
     """
 
     def __init__(self, directory: Path | str | None = None):
@@ -348,7 +364,8 @@ class SpectrumCache:
             hasher.update(struct.pack("<d", state.mixing_ratios[name]))
         hasher.update(struct.pack("<d", wing_cutoff))
         hasher.update(grid.tobytes())
-        return hasher.hexdigest()
+        # the grid length ends the key so a loaded entry can be checked
+        return f"{hasher.hexdigest()}-{grid.size}"
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
         with self._lock:
@@ -357,8 +374,8 @@ class SpectrumCache:
         path = None
         if self.directory is not None:
             path = self.directory / f"{key}.npy"
-            if path.exists():
-                kappa = np.load(path)
+            kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
+            if kappa is not None:
                 with self._lock:
                     self._memory[key] = kappa
                 return kappa
@@ -372,6 +389,20 @@ class SpectrumCache:
             np.save(tmp, kappa)
             tmp.replace(path)
         return kappa
+
+
+def _load_spectrum(path: Path, size: int) -> np.ndarray | None:
+    """The kappa array cached at ``path`` if valid for ``size`` points."""
+    try:
+        with path.open("rb") as fh:
+            kappa = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (isinstance(kappa, np.ndarray) and kappa.dtype == np.float64
+            and kappa.shape == (size,) and np.all(np.isfinite(kappa))
+            and np.all(kappa >= 0.0)):
+        return kappa
+    return None
 
 
 @dataclass
@@ -422,21 +453,7 @@ def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
     return load_catalog(path, nu_min, nu_max)
 
 
-def _band_path_length(h_start: float, psi: float, lo: float, hi: float,
-                      top: float) -> float:
-    """Slant path length through the altitude band [lo, hi] from h_start."""
-    hi = min(hi, top)
-    lo = max(lo, h_start)
-    if hi <= lo:
-        return 0.0
-    to_hi = atmospheric_path_length(h_start, psi, hi)
-    to_lo = (0.0 if lo <= h_start
-             else atmospheric_path_length(h_start, psi, lo))
-    return to_hi - to_lo
-
-
-def _weather_paths(scenario: Scenario, h_low: float, h_high: float,
-                   psi: float) -> WeatherConfig:
+def _weather_paths(scenario: Scenario, psi: float) -> WeatherConfig:
     if scenario.kind == "A2A":
         h = scenario.h_airplane
         in_rain = (scenario.rain_thickness > 0.0
@@ -448,12 +465,13 @@ def _weather_paths(scenario: Scenario, h_low: float, h_high: float,
         rain_path = scenario.link_distance if in_rain else 0.0
         cloud_path = scenario.link_distance if in_cloud else 0.0
     else:
-        rain_path = _band_path_length(
+        h_low, h_high = scenario.endpoints()
+        rain_path = shell_path_length(
             h_low, psi, scenario.rain_base,
-            scenario.rain_base + scenario.rain_thickness, h_high)
-        cloud_path = _band_path_length(
+            min(scenario.rain_base + scenario.rain_thickness, h_high))
+        cloud_path = shell_path_length(
             h_low, psi, scenario.cloud_base,
-            scenario.cloud_base + scenario.cloud_thickness, h_high)
+            min(scenario.cloud_base + scenario.cloud_thickness, h_high))
     return WeatherConfig(
         rain_rate=scenario.rain_rate if scenario.rain_thickness > 0 else 0.0,
         rain_path=rain_path,
@@ -463,33 +481,30 @@ def _weather_paths(scenario: Scenario, h_low: float, h_high: float,
 
 
 def _weather_spectra(scenario: Scenario, weather: WeatherConfig,
-                     grid: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                Attenuation, Attenuation]:
+                     grid: np.ndarray, survey: np.ndarray):
+    """Rain and cloud dB on ``grid``, and each one's :class:`Attenuation`
+    (maximum, any point extrapolated) over the ``survey`` indices only."""
     cloud_mid = scenario.cloud_base + 0.5 * scenario.cloud_thickness
     cloud_t = profile_at(min(cloud_mid, scenario.atmosphere_top),
                          scenario.ground_humidity,
                          scenario.water_scale_height).temperature
-    rain_db = np.zeros_like(grid)
-    cloud_db = np.zeros_like(grid)
-    rain_any = Attenuation(0.0, False)
-    cloud_any = Attenuation(0.0, False)
+
+    def tabulate(attenuation):
+        per_point = [attenuation(float(f)) for f in grid]
+        db = np.array([att.db for att in per_point])
+        return db, Attenuation(
+            float(np.max(db[survey])),
+            any(per_point[i].extrapolated for i in survey))
+
+    rain_db, rain = np.zeros_like(grid), Attenuation(0.0, False)
+    cloud_db, cloud = np.zeros_like(grid), Attenuation(0.0, False)
     if weather.rain_rate > 0.0 and weather.rain_path > 0.0:
-        flags = False
-        for i, f in enumerate(grid):
-            att = rain_attenuation(float(f), weather.rain_rate,
-                                   weather.rain_path)
-            rain_db[i] = att.db
-            flags = flags or att.extrapolated
-        rain_any = Attenuation(float(np.max(rain_db)), flags)
+        rain_db, rain = tabulate(lambda f: rain_attenuation(
+            f, weather.rain_rate, weather.rain_path))
     if weather.cloud_density > 0.0 and weather.cloud_path > 0.0:
-        flags = False
-        for i, f in enumerate(grid):
-            att = cloud_attenuation(float(f), weather.cloud_density,
-                                    weather.cloud_path, cloud_t)
-            cloud_db[i] = att.db
-            flags = flags or att.extrapolated
-        cloud_any = Attenuation(float(np.max(cloud_db)), flags)
-    return rain_db, cloud_db, rain_any, cloud_any
+        cloud_db, cloud = tabulate(lambda f: cloud_attenuation(
+            f, weather.cloud_density, weather.cloud_path, cloud_t))
+    return rain_db, cloud_db, rain, cloud
 
 
 def _layer_spectra(
@@ -524,8 +539,9 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
         h = scenario.h_airplane
         state = profile_at(h, scenario.ground_humidity,
                            scenario.water_scale_height)
+        # one homogeneous layer stands in for the constant-altitude path
         spectrum = _layer_spectra(
-            catalog, LayerStack((_pseudo_layer(h, state),), h + 1.0), [0],
+            catalog, LayerStack((Layer(h, h + 1.0, state),), h + 1.0), [0],
             grid, scenario.wing_cutoff, cache)[0]
         r_as = scenario.link_distance
         psi = 0.0
@@ -553,18 +569,13 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     tau = transmittance(grid, segments, spectra)
 
     temps = np.array([stack[i].state.temperature for i, _ in segments])
-    layer_taus = np.vstack([
-        np.exp(-spectra[i].kappa * length) for i, length in segments
-    ])
+    layer_taus = np.empty((len(segments), grid.size))
+    for row, (i, length) in zip(layer_taus, segments):
+        np.exp(-spectra[i].kappa * length, out=row)
     if scenario.rx_altitude >= h_high:
         temps = temps[::-1]
         layer_taus = layer_taus[::-1]
     return r_as, psi, tau, temps, layer_taus
-
-
-def _pseudo_layer(h: float, state: AtmosphericState) -> Layer:
-    """Single homogeneous layer standing in for a constant-altitude path."""
-    return Layer(h, h + 1.0, state)
 
 
 def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
@@ -572,76 +583,65 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
             with_capacity: bool = True) -> ResolvedLink:
     """Compute the full link budget for a scenario.
 
-    ``with_capacity=False`` skips the band-capacity integral, which needs
-    its own fine frequency grid; comparisons that only want path loss
-    (crossover searches, sweeps of other metrics) run much faster without it.
+    The model runs once, on the survey grid merged with the 129-point
+    transceiver band, and each part is taken from it by index; every stage
+    is pointwise in frequency, so a part equals a run on its own grid.
+    ``with_capacity=False`` leaves the band out and the capacity NaN.
     """
-    grid = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
+    survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
     if catalog is None:
-        catalog = load_scenario_catalog(scenario, grid)
+        catalog = load_scenario_catalog(scenario, survey)
     catalog_sha = catalog.source_id.rsplit("sha256:", 1)[-1]
+    tx = scenario.transceiver
+    grid = survey
+    if with_capacity:
+        band = np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
+                           tx.center_frequency + tx.bandwidth / 2.0, 129)
+        grid = np.union1d(survey, band)
+    part = np.searchsorted(grid, survey)
 
     r_as, psi, tau, layer_temps, layer_taus = _path_quantities(
         scenario, catalog, grid, cache)
 
-    h_low, h_high = scenario.endpoints()
-    weather = _weather_paths(scenario, h_low, h_high, max(psi, 1e-9))
-    rain_db, cloud_db, rain, cloud = _weather_spectra(scenario, weather, grid)
+    weather = _weather_paths(scenario, max(psi, 1e-9))
+    rain_db, cloud_db, rain, cloud = _weather_spectra(scenario, weather, grid,
+                                                      part)
 
     g_tx = dish_gain(scenario.tx_antenna, grid)
     g_rx = dish_gain(scenario.rx_antenna, grid)
     path_loss = total_path_loss(grid, r_as, tau, g_tx, g_rx,
                                 rain_db=rain_db, cloud_db=cloud_db)
-    fspl_db = -10.0 * np.log10(spreading_loss(grid, r_as))
+    noise = total_noise_psd(grid, SkyPath(layer_temps, layer_taus), tx)
+    snr_values = compute_snr(grid, path_loss, noise, tx)
 
-    sky = SkyPath(layer_temps, layer_taus)
-    noise = total_noise_psd(grid, sky, scenario.transceiver)
-    snr_values = compute_snr(grid, path_loss, noise, scenario.transceiver)
-
-    band = (_band_budget(scenario, catalog, cache) if with_capacity
-            else float("nan"))
-    budget = LinkBudget(grid=grid, path_loss=path_loss, noise_psd=noise,
-                        snr=snr_values, capacity=band)
+    capacity = float("nan")
+    if with_capacity:
+        capacity = shannon_capacity(
+            band, snr_values[np.searchsorted(grid, band)])
+    path_loss, noise, snr_values = (path_loss[part], noise[part],
+                                    snr_values[part])
+    budget = LinkBudget(grid=survey, path_loss=path_loss, noise_psd=noise,
+                        snr=snr_values, capacity=capacity)
 
     return ResolvedLink(
         scenario=scenario,
-        grid=grid,
+        grid=survey,
         catalog_sha=catalog_sha,
         r_as=r_as,
         psi=psi,
-        tau=tau,
-        fspl_db=fspl_db,
+        tau=tau[part],
+        fspl_db=-10.0 * np.log10(spreading_loss(survey, r_as)),
         rain=rain,
         cloud=cloud,
-        rain_db=rain_db,
-        cloud_db=cloud_db,
+        rain_db=rain_db[part],
+        cloud_db=cloud_db[part],
         weather=weather,
         path_loss=path_loss,
-        sky=sky,
+        sky=SkyPath(layer_temps, layer_taus[:, part]),
         noise_psd=noise,
         snr=snr_values,
         budget=budget,
     )
-
-
-def _band_budget(scenario: Scenario, catalog: LineCatalog,
-                 cache: SpectrumCache | None) -> float:
-    """Capacity over the transceiver band around the center frequency."""
-    tx = scenario.transceiver
-    band = np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
-                       tx.center_frequency + tx.bandwidth / 2.0, 129)
-    r_as, psi, tau, layer_temps, layer_taus = _path_quantities(
-        scenario, catalog, band, cache)
-    h_low, h_high = scenario.endpoints()
-    weather = _weather_paths(scenario, h_low, h_high, max(psi, 1e-9))
-    rain_db, cloud_db, _, _ = _weather_spectra(scenario, weather, band)
-    g_tx = dish_gain(scenario.tx_antenna, band)
-    g_rx = dish_gain(scenario.rx_antenna, band)
-    path_loss = total_path_loss(band, r_as, tau, g_tx, g_rx,
-                                rain_db=rain_db, cloud_db=cloud_db)
-    noise = total_noise_psd(band, SkyPath(layer_temps, layer_taus), tx)
-    snr_values = compute_snr(band, path_loss, noise, tx)
-    return shannon_capacity(band, snr_values)
 
 
 def describe(scenario: Scenario) -> str:

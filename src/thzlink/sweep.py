@@ -2,14 +2,13 @@
 
 A sweep re-resolves the scenario at each axis point and emits one long-format
 CSV, ``axis_value,frequency_hz,metric,value``, with a deterministic row
-order (axis ascending, then metric name, then frequency). Sweep points are
-independent and may run on a thread pool; the shared spectrum cache makes
-altitude sweeps cheap because the layer states repeat across points.
+order (axis ascending, then metric name, then frequency). Sweep points run
+one after another; the shared spectrum cache makes altitude sweeps cheap
+because the layer states repeat across points.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from pathlib import Path
@@ -25,21 +24,21 @@ from .scenario import (
     load_scenario_catalog,
     make_grid,
     resolve,
+    terminal_problem,
 )
 
 AXES = ("frequency", "altitude", "elevation")
 
 
 def sweep_points(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"non-finite sweep bound in {start}, {stop}, {step}")
     if step <= 0.0:
         raise ConfigError("sweep step must be positive", field="step")
     if stop < start:
         raise ConfigError("sweep range is empty (stop < start)", field="to")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    points = [start + i * step for i in range(count)]
-    if not points:
-        raise ConfigError("sweep range is empty", field="to")
-    return points
+    return [start + i * step for i in range(count)]
 
 
 def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
@@ -48,6 +47,11 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
             raise ConfigError(
                 f"altitude sweep needs an airplane terminal, kind is "
                 f"{base.kind}", field="axis")
+        problem = terminal_problem(base.kind, value, base.h_satellite,
+                                   base.h_ground, base.atmosphere_top)
+        if problem is not None:
+            raise ConfigError(f"altitude {value:g} m: {problem[1]}",
+                              field="axis")
         return dataclasses.replace(base, h_airplane=value)
     if axis == "elevation":
         if base.kind == "A2A":
@@ -67,7 +71,6 @@ def run_sweep(
     stop: float,
     step: float,
     cache: SpectrumCache | None = None,
-    threads: int = 1,
 ) -> tuple[list[float], list[ResolvedLink]]:
     """Resolve the scenario across the axis range. Returns (points, results).
 
@@ -81,20 +84,12 @@ def run_sweep(
     if axis == "frequency":
         swept = dataclasses.replace(base, f_min=start * 1e9, f_max=stop * 1e9,
                                     f_step=step * 1e9)
-        grid = make_grid(swept.f_min, swept.f_max, swept.f_step)
-        catalog = load_scenario_catalog(swept, grid)
-        return points, [resolve(swept, cache, catalog)]
+        return points, [resolve(swept, cache)]
 
     scenarios = [_scenario_at(base, axis, value) for value in points]
     grid = make_grid(base.f_min, base.f_max, base.f_step)
     catalog = load_scenario_catalog(base, grid)
-    if threads <= 1:
-        results = [resolve(s, cache, catalog) for s in scenarios]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: resolve(s, cache, catalog), scenarios))
-    return points, results
+    return points, [resolve(s, cache, catalog) for s in scenarios]
 
 
 def write_sweep_csv(

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from thzlink.absorption import (
     LineShapeKind,
-    PressureShape,
     absorption_coefficient,
     doppler_halfwidth,
     doppler_shape,
@@ -378,18 +377,6 @@ class TestAbsorptionCoefficient:
         grid = np.linspace(100e9, 700e9, 200)
         spectrum = absorption_coefficient(mini_catalog, dry, grid)
         assert np.all(spectrum.kappa == 0.0)
-
-    def test_pressure_shape_flavors_close_in_band(self, mini_catalog):
-        state = profile_at(0.0)
-        grid = np.linspace(200e9, 400e9, 50)
-        flavors = {
-            flavor: absorption_coefficient(mini_catalog, state, grid,
-                                           pressure_shape=flavor).kappa
-            for flavor in PressureShape
-        }
-        vvh = flavors[PressureShape.VAN_VLECK_HUBER]
-        vvw = flavors[PressureShape.VAN_VLECK_WEISSKOPF]
-        assert np.max(np.abs(vvw - vvh) / vvh) < 0.05
 
     def test_temperature_out_of_fit_propagates(self, sample_line):
         cat = LineCatalog((sample_line,), "one-line")

@@ -1,10 +1,12 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thzlink.catalog import bundled_catalog_path
 from thzlink.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from thzlink.scenario import _DEFAULTS
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data" / "configs"
 
@@ -21,6 +23,23 @@ def quick_config(tmp_path):
         "f_step_ghz = 1\n"
     )
     return path
+
+
+@pytest.fixture()
+def coarse_config(tmp_path):
+    path = tmp_path / "coarse.cfg"
+    path.write_text(
+        "kind = E2A\n"
+        "elevation_deg = 50\n"
+        "layer_resolution_m = 2000\n"
+        "f_min_ghz = 298\n"
+        "f_max_ghz = 302\n"
+        "f_step_ghz = 1\n"
+    )
+    return path
+
+
+NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in ("kind", "catalog_path"))
 
 
 def file_hashes(directory):
@@ -115,12 +134,53 @@ class TestRunCommand:
         assert file_hashes(out1) == file_hashes(out2)
 
 
+    @pytest.mark.parametrize("corruption",
+                             ["text", "pickled", "wrong_length", "nan"])
+    def test_corrupt_cache_entry_is_recomputed(self, coarse_config, tmp_path,
+                                               corruption):
+        cache = tmp_path / "cache"
+        runs = {}
+        for name in ("clean", "rerun"):
+            out = tmp_path / name
+            code = main(["run", str(coarse_config), "--out-dir", str(out),
+                         "--cache-dir", str(cache)])
+            assert code == EXIT_OK
+            runs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.is_file()}
+            if name == "clean":
+                entry = sorted(cache.glob("*.npy"))[0]
+                good = np.load(entry)
+                if corruption == "text":
+                    entry.write_text("not an array\n")
+                elif corruption == "pickled":
+                    np.save(entry, np.array([{"kappa": good}], dtype=object),
+                            allow_pickle=True)
+                elif corruption == "wrong_length":
+                    np.save(entry, good[:-1])
+                else:
+                    np.save(entry, np.where(good == good.max(), np.nan, good))
+        assert runs["rerun"] == runs["clean"]
+        np.testing.assert_array_equal(np.load(entry, allow_pickle=False),
+                                      good)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key,
+                                              value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = A2S\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert f"line 2: field {key!r}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_altitude_sweep_csv(self, quick_config, tmp_path):
         out = tmp_path / "out"
         code = main(["sweep", str(quick_config), "--axis", "altitude",
                      "--from", "0", "--to", "4000", "--step", "2000",
-                     "--out-dir", str(out), "--threads", "2"])
+                     "--out-dir", str(out)])
         assert code == EXIT_OK
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1] == "axis_value,frequency_hz,metric,value"
@@ -152,3 +212,26 @@ class TestSweepCommand:
                          "--out-dir", str(out)]) == EXIT_OK
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind, expected",
+                             [("A2E", EXIT_CONFIG), ("E2A", EXIT_CONFIG),
+                              ("A2S", EXIT_OK)])
+    def test_altitude_points_obey_config_rules(self, coarse_config, tmp_path,
+                                               capsys, kind, expected):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(coarse_config.read_text().replace("E2A", kind))
+        code = main(["sweep", str(cfg), "--axis", "altitude", "--from", "0",
+                     "--to", "0", "--step", "500",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == expected
+        if expected == EXIT_CONFIG:
+            assert "altitude 0 m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["--from", "--to", "--step"])
+    def test_non_finite_sweep_bound_is_config_error(self, quick_config,
+                                                    tmp_path, bound):
+        argv = {"--from": "0", "--to": "1000", "--step": "500", bound: "nan"}
+        code = main(["sweep", str(quick_config), "--axis", "altitude",
+                     *(x for pair in argv.items() for x in pair),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG

@@ -10,7 +10,6 @@ from thzlink.errors import DegenerateGeometry, GeometryError, ZeroElevation
 from thzlink.geometry import (
     LinkEndpoints,
     atmospheric_path_length,
-    build_path,
     central_angle_for_elevation,
     central_angle_from_coords,
     elevation_angle,
@@ -194,12 +193,6 @@ class TestPlaneParallel:
 
 
 class TestHelpers:
-    def test_build_path(self, thin_stack):
-        path = build_path(0.0, 5_000.0, 0.0, thin_stack)
-        assert path.r_as == pytest.approx(5_000.0)
-        assert path.psi == math.pi / 2
-        assert path.in_atmosphere_length == pytest.approx(5_000.0, rel=1e-9)
-
     def test_central_angle_from_coords(self):
         quarter = central_angle_from_coords(0.0, 0.0, 0.0, math.pi / 2)
         assert quarter == pytest.approx(math.pi / 2)

@@ -240,17 +240,6 @@ class TestSweep:
         losses = [float(r.path_loss_db[1]) for r in results]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
-    def test_threaded_sweep_matches_serial(self, default_scenario, tmp_path):
-        base = dataclasses.replace(default_scenario, kind="A2A", f_min=299e9,
-                                   f_max=301e9, f_step=1e9)
-        _, serial = run_sweep(base, "altitude", 0.0, 8_000.0, 2_000.0,
-                              cache=SpectrumCache())
-        _, threaded = run_sweep(base, "altitude", 0.0, 8_000.0, 2_000.0,
-                                cache=SpectrumCache(), threads=3)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.path_loss, b.path_loss)
-            np.testing.assert_array_equal(a.noise_psd, b.noise_psd)
-
     def test_axis_applicability(self, default_scenario):
         e2s = dataclasses.replace(default_scenario, kind="E2S")
         with pytest.raises(ConfigError):
