@@ -27,7 +27,6 @@ from .atmosphere import AtmosphericState
 from .catalog import (
     LineCatalog,
     MOLAR_MASSES_U,
-    MOLECULE_IDS,
     MOLECULE_NAMES,
     SpectralLine,
 )
@@ -218,22 +217,6 @@ class AbsorptionSpectrum:
     kappa: np.ndarray    # 1/m, nonnegative
     state: AtmosphericState
 
-    def to_csv(self, file, provenance: str | None = None) -> None:
-        """Write ``frequency_hz,kappa_per_m`` rows, with a provenance comment."""
-        close = False
-        if isinstance(file, (str, Path)):
-            file = open(file, "w", newline="")
-            close = True
-        try:
-            if provenance:
-                file.write(f"# {provenance}\n")
-            file.write("frequency_hz,kappa_per_m\n")
-            for f, k in zip(self.grid, self.kappa):
-                file.write(f"{f:.10g},{k:.10g}\n")
-        finally:
-            if close:
-                file.close()
-
 
 def absorption_coefficient(
     catalog: LineCatalog,
@@ -281,11 +264,3 @@ def absorption_coefficient(
             shape = voigt_shape(window, f_c, alpha_l, alpha_d)
         kappa[lo:hi] += strength * shape
     return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
-
-
-def molecule_id(species: str) -> int:
-    """Molecule id for a species name such as ``"H2O"``."""
-    try:
-        return MOLECULE_IDS[species]
-    except KeyError:
-        raise UnknownSpecies(f"unknown species name {species!r}") from None

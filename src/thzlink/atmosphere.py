@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import AltitudeOutOfRange, InvalidRange
 
@@ -196,7 +196,6 @@ def build_layers(
     h_bottom: float,
     h_top: float,
     resolution: float = DEFAULT_LAYER_RESOLUTION,
-    profile: Callable[[float], AtmosphericState] | None = None,
     ground_humidity: float | None = None,
     water_scale_height: float = DEFAULT_WATER_SCALE_HEIGHT,
 ) -> LayerStack:
@@ -204,76 +203,17 @@ def build_layers(
 
     ceil((h_top - h_bottom)/resolution) layers are produced; the last one is
     truncated at ``h_top``. Each layer's state is sampled at its midpoint,
-    second-order accurate for smooth profiles. A custom ``profile`` callable
-    replaces the standard atmosphere when given.
+    second-order accurate for smooth profiles.
     """
     if not h_bottom < h_top:
         raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
     if resolution <= 0:
         raise InvalidRange(f"resolution must be positive, got {resolution}")
-    if profile is None:
-        def profile(z):
-            return profile_at(z, ground_humidity, water_scale_height)
-
     count = math.ceil((h_top - h_bottom) / resolution)
     layers = []
     for i in range(count):
         lower = h_bottom + i * resolution
         upper = min(h_bottom + (i + 1) * resolution, h_top)
-        layers.append(Layer(lower, upper, profile(0.5 * (lower + upper))))
+        layers.append(Layer(lower, upper, profile_at(
+            0.5 * (lower + upper), ground_humidity, water_scale_height)))
     return LayerStack(tuple(layers), layers[-1].upper)
-
-
-def load_profile_table(path) -> Callable[[float], AtmosphericState]:
-    """Load a custom atmosphere from a structured-text override file.
-
-    Schema (whitespace separated, one sample per line, '#' comments):
-
-        altitude_m  pressure_pa  temperature_k  SPECIES=vmr [SPECIES=vmr ...]
-
-    Returns a profile callable interpolating linearly in temperature and
-    mixing ratios and linearly in log pressure. Altitudes outside the
-    tabulated range raise :class:`AltitudeOutOfRange`.
-    """
-    samples: list[tuple[float, float, float, dict[str, float]]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) < 4:
-            raise InvalidRange(
-                f"{path}:{lineno}: need altitude, pressure, temperature, "
-                f"and at least one SPECIES=vmr entry")
-        alt, pres, temp = (float(parts[0]), float(parts[1]), float(parts[2]))
-        ratios = {}
-        for item in parts[3:]:
-            name, _, value = item.partition("=")
-            if not value:
-                raise InvalidRange(f"{path}:{lineno}: bad entry {item!r}")
-            ratios[name] = float(value)
-        samples.append((alt, pres, temp, ratios))
-    if len(samples) < 2:
-        raise InvalidRange(f"{path}: need at least two altitude samples")
-    samples.sort()
-    species = sorted({name for _, _, _, r in samples for name in r})
-
-    def profile(z: float) -> AtmosphericState:
-        if not samples[0][0] <= z <= samples[-1][0]:
-            raise AltitudeOutOfRange(
-                f"altitude {z} m outside tabulated range "
-                f"[{samples[0][0]}, {samples[-1][0]}] m")
-        for lo, hi in zip(samples, samples[1:]):
-            if lo[0] <= z <= hi[0]:
-                w = 0.0 if hi[0] == lo[0] else (z - lo[0]) / (hi[0] - lo[0])
-                p = math.exp(math.log(lo[1]) * (1 - w) + math.log(hi[1]) * w)
-                t = lo[2] * (1 - w) + hi[2] * w
-                ratios = {
-                    name: lo[3].get(name, 0.0) * (1 - w)
-                    + hi[3].get(name, 0.0) * w
-                    for name in species
-                }
-                return AtmosphericState(z, p, t, ratios)
-        raise AltitudeOutOfRange(f"altitude {z} m not bracketed")
-
-    return profile

@@ -14,7 +14,7 @@ import hashlib
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .constants import SPEED_OF_LIGHT
 from .errors import (
@@ -37,7 +37,6 @@ MOLECULE_NAMES = {
     7: "O2",
     22: "N2",
 }
-MOLECULE_IDS = {name: mid for mid, name in MOLECULE_NAMES.items()}
 
 # Molar mass of the principal isotopologue, unified atomic mass units.
 MOLAR_MASSES_U = {
@@ -152,12 +151,6 @@ class RecordFormat:
     record_length: int
     fields: tuple[FieldSpec, ...]
 
-    def spec(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 # The 2004+ 160-character record layout (column offsets are 0-based here;
 # the README documents the same table 1-based).
@@ -187,23 +180,19 @@ PAR_2004 = RecordFormat(
 )
 
 
-def parse_line_record(
-    record: str,
-    fmt: RecordFormat = PAR_2004,
-    abundances: Mapping[tuple[int, int], float] | None = None,
-) -> SpectralLine:
-    """Parse one fixed-width catalog record into a :class:`SpectralLine`.
+def parse_line_record(record: str) -> SpectralLine:
+    """Parse one :data:`PAR_2004` record into a :class:`SpectralLine`.
 
-    ``abundances`` overrides the built-in isotopologue abundance table.
-    Raises :class:`WrongRecordLength`, :class:`UnparseableField`, or
+    The abundance comes from :data:`ISOTOPOLOGUE_ABUNDANCES`. Raises
+    :class:`WrongRecordLength`, :class:`UnparseableField`, or
     :class:`UnknownIsotopologue`.
     """
     record = record.rstrip("\r\n")
-    if len(record) != fmt.record_length:
-        raise WrongRecordLength(fmt.record_length, len(record))
+    if len(record) != PAR_2004.record_length:
+        raise WrongRecordLength(PAR_2004.record_length, len(record))
 
     values: dict[str, float | int] = {}
-    for f in fmt.fields:
+    for f in PAR_2004.fields:
         raw = record[f.start:f.stop]
         text = raw.strip()
         if f.kind == "text":
@@ -217,13 +206,13 @@ def parse_line_record(
         if f.keep:
             values[f.name] = parsed
 
-    table = ISOTOPOLOGUE_ABUNDANCES if abundances is None else abundances
     key = (values["molecule_id"], values["isotopologue_id"])
-    if key not in table:
+    if key not in ISOTOPOLOGUE_ABUNDANCES:
         raise UnknownIsotopologue(*key)
 
     try:
-        return SpectralLine(abundance=table[key], **values)  # type: ignore[arg-type]
+        return SpectralLine(abundance=ISOTOPOLOGUE_ABUNDANCES[key],
+                            **values)  # type: ignore[arg-type]
     except ValueError as exc:
         raise CatalogError(f"record violates line invariants: {exc}") from None
 
@@ -238,8 +227,8 @@ def _fixed_width_float(value: float, width: int, decimals: int) -> str:
     return out.rjust(width)
 
 
-def format_line_record(line: SpectralLine, fmt: RecordFormat = PAR_2004) -> str:
-    """Render a :class:`SpectralLine` back into a fixed-width record.
+def format_line_record(line: SpectralLine) -> str:
+    """Render a :class:`SpectralLine` back into a :data:`PAR_2004` record.
 
     Inverse of :func:`parse_line_record` for every retained field within
     the column precision of the layout.
@@ -250,7 +239,7 @@ def format_line_record(line: SpectralLine, fmt: RecordFormat = PAR_2004) -> str:
         "g_upper": 1, "g_lower": 1,
     }
     parts = []
-    for f in fmt.fields:
+    for f in PAR_2004.fields:
         width = f.stop - f.start
         if f.kind == "int":
             parts.append(f"{getattr(line, f.name):{width}d}")
@@ -263,7 +252,7 @@ def format_line_record(line: SpectralLine, fmt: RecordFormat = PAR_2004) -> str:
         else:
             parts.append(" " * width)
     record = "".join(parts)
-    assert len(record) == fmt.record_length
+    assert len(record) == PAR_2004.record_length
     return record
 
 
@@ -291,25 +280,6 @@ class LineCatalog:
     def __iter__(self) -> Iterator[SpectralLine]:
         return iter(self.lines)
 
-    @property
-    def species_present(self) -> frozenset[int]:
-        return frozenset(line.molecule_id for line in self.lines)
-
-    def filter(
-        self,
-        nu_min: float,
-        nu_max: float,
-        species: Iterable[int] | None = None,
-    ) -> "LineCatalog":
-        """Return a catalog restricted to a wavenumber window and species set."""
-        wanted = None if species is None else set(species)
-        kept = tuple(
-            ln for ln in self.lines
-            if nu_min <= ln.nu0 <= nu_max
-            and (wanted is None or ln.molecule_id in wanted)
-        )
-        return LineCatalog(kept, self.source_id, self.parse_errors)
-
 
 def _read_stream(source) -> tuple[bytes, str]:
     if isinstance(source, (str, Path)):
@@ -331,21 +301,13 @@ def _read_stream(source) -> tuple[bytes, str]:
     return data, str(name)
 
 
-def load_catalog(
-    source,
-    nu_min: float,
-    nu_max: float,
-    species: Iterable[int] | None = None,
-    fmt: RecordFormat = PAR_2004,
-    abundances: Mapping[tuple[int, int], float] | None = None,
-) -> LineCatalog:
+def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
     """Load and filter a fixed-width catalog from a path, bytes, or stream.
 
-    Keeps lines with ``nu_min <= nu0 <= nu_max`` whose molecule is in
-    ``species`` (all molecules when None). Zero-intensity lines are dropped;
-    they cannot contribute to absorption. Records that fail to parse are
-    collected on ``LineCatalog.parse_errors`` rather than silently skipped.
-    Warns :class:`EmptyCatalogWarning` when nothing matches.
+    Keeps lines with ``nu_min <= nu0 <= nu_max``. Zero-intensity lines are
+    dropped; they cannot contribute to absorption. Records that fail to
+    parse are collected on ``LineCatalog.parse_errors`` rather than silently
+    skipped. Warns :class:`EmptyCatalogWarning` when nothing matches.
     """
     if not nu_min < nu_max:
         raise ValueError(f"nu_min ({nu_min}) must be < nu_max ({nu_max})")
@@ -356,22 +318,19 @@ def load_catalog(
         raise IoFailure(f"{name} is not ASCII text: {exc}") from exc
 
     digest = hashlib.sha256(data).hexdigest()
-    wanted = None if species is None else set(species)
     kept: list[SpectralLine] = []
     issues: list[ParseIssue] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            line = parse_line_record(raw, fmt, abundances)
+            line = parse_line_record(raw)
         except CatalogError as exc:
             issues.append(ParseIssue(lineno, str(exc)))
             continue
         if line.S0_ref == 0.0:
             continue
         if not nu_min <= line.nu0 <= nu_max:
-            continue
-        if wanted is not None and line.molecule_id not in wanted:
             continue
         kept.append(line)
 
@@ -383,12 +342,6 @@ def load_catalog(
             stacklevel=2,
         )
     return LineCatalog(tuple(kept), f"{name}#sha256:{digest}", tuple(issues))
-
-
-def catalog_sha256(source) -> str:
-    """SHA-256 of the raw catalog bytes, used for output provenance."""
-    data, _ = _read_stream(source)
-    return hashlib.sha256(data).hexdigest()
 
 
 def wavenumber_to_frequency(nu):

@@ -191,37 +191,3 @@ def total_path_loss(
     with np.errstate(divide="ignore"):
         return weather / (spreading_loss(grid, r) * np.asarray(tau)
                           * np.asarray(g_tx) * np.asarray(g_rx))
-
-
-def write_path_loss_csv(
-    file,
-    grid,
-    path_loss_db,
-    tau,
-    fspl_db,
-    rain_db=0.0,
-    cloud_db=0.0,
-    provenance: str | None = None,
-) -> None:
-    """CSV export: frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db.
-
-    Rain and cloud columns accept scalars or per-frequency arrays.
-    """
-    grid = np.asarray(grid, dtype=float)
-    rain_db = np.broadcast_to(np.asarray(rain_db, dtype=float), grid.shape)
-    cloud_db = np.broadcast_to(np.asarray(cloud_db, dtype=float), grid.shape)
-    close = False
-    if isinstance(file, (str, Path)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        if provenance:
-            file.write(f"# {provenance}\n")
-        file.write("frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db\n")
-        for f, pl, t_, fs, rn, cl in zip(grid, path_loss_db, tau, fspl_db,
-                                         rain_db, cloud_db):
-            file.write(f"{f:.10g},{pl:.10g},{t_:.10g},{fs:.10g},"
-                       f"{rn:.10g},{cl:.10g}\n")
-    finally:
-        if close:
-            file.close()

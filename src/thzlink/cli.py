@@ -91,8 +91,7 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "sweep.csv"
-    write_sweep_csv(out_csv, args.axis, points, results,
-                    provenance=results[0].provenance)
+    write_sweep_csv(out_csv, args.axis, points, results)
     print(out_csv)
     return EXIT_OK
 

@@ -155,15 +155,6 @@ def plane_parallel_segments(
     return tuple(segments)
 
 
-def central_angle_from_coords(
-    lat1: float, lon1: float, lat2: float, lon2: float
-) -> float:
-    """Great-circle central angle (rad) between two lat/lon points (rad)."""
-    s = (math.sin(0.5 * (lat2 - lat1)) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin(0.5 * (lon2 - lon1)) ** 2)
-    return 2.0 * math.asin(min(1.0, math.sqrt(s)))
-
-
 def central_angle_for_elevation(
     h_low: float, h_high: float, psi: float
 ) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erfc
@@ -169,25 +168,6 @@ class LinkBudget:
     noise_psd: np.ndarray   # W/Hz
     snr: np.ndarray         # linear
     capacity: float         # bit/s
-
-    def to_csv(self, file, provenance: str | None = None) -> None:
-        """Write ``frequency_hz,snr_db,noise_psd_dbw_hz`` rows."""
-        close = False
-        if isinstance(file, (str, Path)):
-            file = open(file, "w", newline="")
-            close = True
-        try:
-            if provenance:
-                file.write(f"# {provenance}\n")
-            file.write("frequency_hz,snr_db,noise_psd_dbw_hz\n")
-            with np.errstate(divide="ignore"):
-                snr_db = 10.0 * np.log10(self.snr)
-                noise_db = 10.0 * np.log10(self.noise_psd)
-            for f, s, n in zip(self.grid, snr_db, noise_db):
-                file.write(f"{f:.10g},{s:.10g},{n:.10g}\n")
-        finally:
-            if close:
-                file.close()
 
 
 def _q_function(x):

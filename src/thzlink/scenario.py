@@ -54,7 +54,6 @@ from .channel import (
     spreading_loss,
     total_path_loss,
     transmittance,
-    write_path_loss_csv,
 )
 from .errors import ConfigError
 from .geometry import (
@@ -79,6 +78,12 @@ KINDS = ("A2S", "S2A", "E2A", "A2E", "E2S", "S2E", "A2A")
 
 _GHZ = 1e9
 _KM = 1e3
+# SI factor of each unit suffix a config key can end in; the others are SI
+_SI_SCALE = {"km": _KM, "ghz": _GHZ, "mw": 1e-3}
+
+# Survey grids with more points are refused before any allocation.
+MAX_GRID_POINTS = 100_000
+BAND_POINTS = 129
 
 
 @dataclass(frozen=True)
@@ -206,22 +211,30 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     if kind not in KINDS:
         fail("kind", f"must be one of {', '.join(KINDS)}")
 
+    def si(field: str, v: float) -> float:
+        v *= _SI_SCALE.get(field.rsplit("_", 1)[1], 1.0)
+        if not math.isfinite(v):
+            fail(field, f"must be finite in SI units, got {values[field]}")
+        return v
+
     def positive(field: str) -> float:
+        """The value of ``field`` in SI units, checked positive."""
         v = float(values[field])
         if v <= 0.0:
             fail(field, f"must be positive, got {v}")
-        return v
+        return si(field, v)
 
     def nonnegative(field: str) -> float:
+        """The value of ``field`` in SI units, checked nonnegative."""
         v = float(values[field])
         if v < 0.0:
             fail(field, f"must be nonnegative, got {v}")
-        return v
+        return si(field, v)
 
-    h_airplane = nonnegative("h_airplane_km") * _KM
-    h_satellite = positive("h_satellite_km") * _KM
+    h_airplane = nonnegative("h_airplane_km")
+    h_satellite = positive("h_satellite_km")
     h_ground = nonnegative("h_ground_m")
-    atmosphere_top = positive("atmosphere_top_km") * _KM
+    atmosphere_top = positive("atmosphere_top_km")
     if atmosphere_top > MAX_ALTITUDE:
         fail("atmosphere_top_km",
              f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
@@ -231,14 +244,14 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     if problem is not None:
         fail(*problem)
 
-    f_min = positive("f_min_ghz") * _GHZ
-    f_max = positive("f_max_ghz") * _GHZ
-    f_step = positive("f_step_ghz") * _GHZ
+    f_min = positive("f_min_ghz")
+    f_max = positive("f_max_ghz")
+    f_step = positive("f_step_ghz")
     if not f_min < f_max:
         fail("f_min_ghz", "must be below f_max_ghz")
 
-    bandwidth = positive("bandwidth_ghz") * _GHZ
-    center = positive("center_frequency_ghz") * _GHZ
+    bandwidth = positive("bandwidth_ghz")
+    center = positive("center_frequency_ghz")
     if center - bandwidth / 2.0 <= 0.0:
         fail("center_frequency_ghz", "band must not extend below 0 Hz")
 
@@ -273,11 +286,17 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     except ValueError as exc:
         fail("rx_dish_efficiency", str(exc))
 
+    noise_figure = float(values["noise_figure_db"])
+    try:
+        10.0 ** (noise_figure / 10.0)
+    except OverflowError:
+        fail("noise_figure_db",
+             f"must be finite as a linear factor, got {noise_figure}")
     transceiver = TransceiverConfig(
-        tx_power=positive("tx_power_mw") * 1e-3,
+        tx_power=positive("tx_power_mw"),
         bandwidth=bandwidth,
         center_frequency=center,
-        noise_figure=float(values["noise_figure_db"]),
+        noise_figure=noise_figure,
         rx_temperature=positive("rx_temperature_k"),
     )
 
@@ -296,11 +315,11 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         rx_antenna=rx_antenna,
         transceiver=transceiver,
         rain_rate=nonnegative("rain_rate_mm_h"),
-        rain_base=nonnegative("rain_base_km") * _KM,
-        rain_thickness=nonnegative("rain_thickness_km") * _KM,
+        rain_base=nonnegative("rain_base_km"),
+        rain_thickness=nonnegative("rain_thickness_km"),
         cloud_density=nonnegative("cloud_density_g_m3"),
-        cloud_base=nonnegative("cloud_base_km") * _KM,
-        cloud_thickness=nonnegative("cloud_thickness_km") * _KM,
+        cloud_base=nonnegative("cloud_base_km"),
+        cloud_thickness=nonnegative("cloud_thickness_km"),
         layer_resolution=positive("layer_resolution_m"),
         atmosphere_top=atmosphere_top,
         ground_humidity=humidity,
@@ -309,7 +328,7 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         f_max=f_max,
         f_step=f_step,
         catalog_path=str(values["catalog_path"]),
-        wing_cutoff=positive("wing_cutoff_ghz") * _GHZ,
+        wing_cutoff=positive("wing_cutoff_ghz"),
     )
 
 
@@ -329,9 +348,33 @@ def terminal_problem(kind: str, h_airplane: float, h_satellite: float,
 
 
 def make_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
-    """Uniform frequency grid from f_min to at most f_max, inclusive."""
-    count = int(math.floor((f_max - f_min) / f_step + 1e-9)) + 1
-    return f_min + f_step * np.arange(count)
+    """Uniform frequency grid from f_min to at most f_max, inclusive.
+
+    Raises :class:`ConfigError` before allocating when the grid would have
+    more than :data:`MAX_GRID_POINTS` points.
+    """
+    span = (f_max - f_min) / f_step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid of more than {MAX_GRID_POINTS} points "
+            f"({f_min:g} to {f_max:g} Hz in steps of {f_step:g} Hz)",
+            field="f_step_ghz")
+    return f_min + f_step * np.arange(int(math.floor(span)) + 1)
+
+
+def capacity_band(tx: TransceiverConfig) -> np.ndarray:
+    """The :data:`BAND_POINTS` frequencies the capacity integral runs over.
+
+    Raises :class:`ConfigError` when the bandwidth is too narrow for them
+    to be distinct.
+    """
+    band = np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
+                       tx.center_frequency + tx.bandwidth / 2.0, BAND_POINTS)
+    if not np.all(np.diff(band) > 0.0):
+        raise ConfigError(
+            f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does not "
+            f"hold {BAND_POINTS} distinct frequencies", field="bandwidth_ghz")
+    return band
 
 
 class SpectrumCache:
@@ -407,7 +450,7 @@ def _load_spectrum(path: Path, size: int) -> np.ndarray | None:
 
 @dataclass
 class ResolvedLink:
-    """All computed artifacts for one scenario on its survey grid."""
+    """What the outputs report for one scenario on its survey grid."""
 
     scenario: Scenario
     grid: np.ndarray
@@ -422,7 +465,6 @@ class ResolvedLink:
     cloud_db: np.ndarray
     weather: WeatherConfig
     path_loss: np.ndarray       # linear
-    sky: SkyPath
     noise_psd: np.ndarray
     snr: np.ndarray
     budget: LinkBudget
@@ -445,9 +487,9 @@ def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
     path = scenario.catalog_path
     if path == "bundled":
         path = bundled_catalog_path()
-    tx = scenario.transceiver
-    f_low = min(float(grid[0]), tx.center_frequency - tx.bandwidth / 2.0)
-    f_high = max(float(grid[-1]), tx.center_frequency + tx.bandwidth / 2.0)
+    band = capacity_band(scenario.transceiver)
+    f_low = min(float(grid[0]), float(band[0]))
+    f_high = max(float(grid[-1]), float(band[-1]))
     nu_min = max(frequency_to_wavenumber(f_low - scenario.wing_cutoff), 0.0)
     nu_max = frequency_to_wavenumber(f_high + scenario.wing_cutoff)
     return load_catalog(path, nu_min, nu_max)
@@ -583,9 +625,9 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
             with_capacity: bool = True) -> ResolvedLink:
     """Compute the full link budget for a scenario.
 
-    The model runs once, on the survey grid merged with the 129-point
-    transceiver band, and each part is taken from it by index; every stage
-    is pointwise in frequency, so a part equals a run on its own grid.
+    The model runs once, on the survey grid merged with the capacity band,
+    and each part is taken from it by index; every stage is pointwise in
+    frequency, so a part equals a run on its own grid.
     ``with_capacity=False`` leaves the band out and the capacity NaN.
     """
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
@@ -595,8 +637,7 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     tx = scenario.transceiver
     grid = survey
     if with_capacity:
-        band = np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
-                           tx.center_frequency + tx.bandwidth / 2.0, 129)
+        band = capacity_band(tx)
         grid = np.union1d(survey, band)
     part = np.searchsorted(grid, survey)
 
@@ -637,7 +678,6 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         cloud_db=cloud_db[part],
         weather=weather,
         path_loss=path_loss,
-        sky=SkyPath(layer_temps, layer_taus[:, part]),
         noise_psd=noise,
         snr=snr_values,
         budget=budget,
@@ -653,40 +693,49 @@ def describe(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
+def _write_csv(path: Path, provenance: str, header: str, rows) -> None:
+    """Write a ``# provenance`` comment, the header row, then ``rows``, each
+    already formatted and ending in a newline."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {provenance}\n{header}\n")
+        fh.writelines(rows)
+
+
 def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     """Write path-loss, SNR, and capacity CSVs plus a summary. Returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = resolved.provenance
     scenario = resolved.scenario
+    paths = [out_dir / name for name in ("path_loss.csv", "snr.csv",
+                                         "capacity.csv", "summary.txt")]
 
-    paths = []
-    path_loss_csv = out_dir / "path_loss.csv"
-    write_path_loss_csv(path_loss_csv, resolved.grid, resolved.path_loss_db,
-                        resolved.tau, resolved.fspl_db, resolved.rain_db,
-                        resolved.cloud_db, provenance=prov)
-    paths.append(path_loss_csv)
+    _write_csv(paths[0], prov,
+               "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db",
+               (f"{f:.10g},{pl:.10g},{t:.10g},{fs:.10g},{rn:.10g},{cl:.10g}\n"
+                for f, pl, t, fs, rn, cl in zip(
+                    resolved.grid, resolved.path_loss_db, resolved.tau,
+                    resolved.fspl_db, resolved.rain_db, resolved.cloud_db)))
 
-    snr_csv = out_dir / "snr.csv"
-    resolved.budget.to_csv(snr_csv, provenance=prov)
-    paths.append(snr_csv)
+    with np.errstate(divide="ignore"):
+        snr_db = 10.0 * np.log10(resolved.snr)
+        noise_db = 10.0 * np.log10(resolved.noise_psd)
+    _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
+               (f"{f:.10g},{s:.10g},{n:.10g}\n"
+                for f, s, n in zip(resolved.grid, snr_db, noise_db)))
 
-    capacity_csv = out_dir / "capacity.csv"
     tx = scenario.transceiver
     bpsk = modulation_threshold("BPSK", 1e-6)
     qam16 = modulation_threshold("16QAM", 1e-6)
-    with capacity_csv.open("w", newline="") as fh:
-        fh.write(f"# {prov}\n")
-        fh.write("quantity,value\n")
-        fh.write(f"capacity_bit_s,{resolved.budget.capacity:.10g}\n")
-        fh.write(f"center_frequency_hz,{tx.center_frequency:.10g}\n")
-        fh.write(f"bandwidth_hz,{tx.bandwidth:.10g}\n")
-        fh.write(f"bpsk_snr_db_for_bep_1e-6,{10 * math.log10(bpsk):.10g}\n")
-        fh.write(f"qam16_snr_db_for_bep_1e-6,{10 * math.log10(qam16):.10g}\n")
-    paths.append(capacity_csv)
+    _write_csv(paths[2], prov, "quantity,value", [
+        f"capacity_bit_s,{resolved.budget.capacity:.10g}\n",
+        f"center_frequency_hz,{tx.center_frequency:.10g}\n",
+        f"bandwidth_hz,{tx.bandwidth:.10g}\n",
+        f"bpsk_snr_db_for_bep_1e-6,{10 * math.log10(bpsk):.10g}\n",
+        f"qam16_snr_db_for_bep_1e-6,{10 * math.log10(qam16):.10g}\n",
+    ])
 
-    summary = out_dir / "summary.txt"
-    with summary.open("w") as fh:
+    with paths[3].open("w") as fh:
         fh.write(f"{prov}\n\n{describe(scenario)}\n\n")
         fh.write(f"slant range: {resolved.r_as:.3f} m\n")
         fh.write(f"elevation angle: {math.degrees(resolved.psi):.4f} deg\n")
@@ -699,5 +748,4 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
         fh.write(f"path loss over grid: min {pl_db.min():.2f} dB, "
                  f"max {pl_db.max():.2f} dB\n")
         fh.write(f"band capacity: {resolved.budget.capacity / 1e9:.3f} Gbit/s\n")
-    paths.append(summary)
     return paths

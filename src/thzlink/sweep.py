@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 from typing import Iterable
-
 
 from .errors import ConfigError
 from .geometry import central_angle_for_elevation
@@ -21,6 +19,7 @@ from .scenario import (
     ResolvedLink,
     Scenario,
     SpectrumCache,
+    _write_csv,
     load_scenario_catalog,
     make_grid,
     resolve,
@@ -57,9 +56,12 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
         if base.kind == "A2A":
             raise ConfigError("elevation sweep is not applicable to A2A",
                               field="axis")
+        psi = math.radians(value)
+        if not 0.0 < psi <= math.pi / 2:
+            raise ConfigError(f"elevation {value:g} deg: must be in (0, 90]",
+                              field="axis")
         h_low, h_high = base.endpoints()
-        rho = central_angle_for_elevation(h_low, h_high,
-                                          math.radians(value))
+        rho = central_angle_for_elevation(h_low, h_high, psi)
         return dataclasses.replace(base, central_angle=rho)
     raise ConfigError(f"unknown sweep axis {axis!r}", field="axis")
 
@@ -92,50 +94,36 @@ def run_sweep(
     return points, [resolve(s, cache, catalog) for s in scenarios]
 
 
-def write_sweep_csv(
-    file,
-    axis: str,
-    points: Iterable[float],
-    results: list[ResolvedLink],
-    provenance: str | None = None,
-) -> None:
-    """Long-format CSV: axis_value,frequency_hz,metric,value."""
-    close = False
-    if isinstance(file, (str, Path)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        if provenance:
-            file.write(f"# {provenance}\n")
-        file.write("axis_value,frequency_hz,metric,value\n")
-        if axis == "frequency":
-            resolved = results[0]
-            rows = []
-            for f, pl, s in zip(resolved.grid, resolved.path_loss_db,
-                                resolved.snr):
-                rows.append((f / 1e9, f, "path_loss_db", pl))
-                rows.append((f / 1e9, f, "snr_db",
-                             10.0 * math.log10(s) if s > 0 else -math.inf))
-            for value, f, metric, v in sorted(
-                    rows, key=lambda r: (r[0], r[2], r[1])):
-                file.write(f"{value:.10g},{f:.10g},{metric},{v:.10g}\n")
-            return
+def write_sweep_csv(path, axis: str, points: Iterable[float],
+                    results: list[ResolvedLink]) -> None:
+    """Long-format CSV: axis_value,frequency_hz,metric,value.
+
+    A frequency sweep is one result whose rows take their frequency in GHz
+    as the axis value, and it has no capacity row.
+    """
+    by_frequency = axis == "frequency"
+
+    def rows():
         for value, resolved in zip(points, results):
-            rows = []
-            center = resolved.scenario.transceiver.center_frequency
-            rows.append((value, center, "capacity_bit_s",
-                         resolved.budget.capacity))
+            point = []
+            if not by_frequency:
+                point.append((value,
+                              resolved.scenario.transceiver.center_frequency,
+                              "capacity_bit_s", resolved.budget.capacity))
             for f, pl, s in zip(resolved.grid, resolved.path_loss_db,
                                 resolved.snr):
-                rows.append((value, f, "path_loss_db", pl))
-                rows.append((value, f, "snr_db",
-                             10.0 * math.log10(s) if s > 0 else -math.inf))
+                v0 = f / 1e9 if by_frequency else value
+                point.append((v0, f, "path_loss_db", pl))
+                point.append((v0, f, "snr_db",
+                              10.0 * math.log10(s) if s > 0 else -math.inf))
+            # rows run by axis value, metric, then frequency; in a frequency
+            # sweep distinct frequencies can share one GHz axis value
             for v0, f, metric, v in sorted(
-                    rows, key=lambda r: (r[0], r[2], r[1])):
-                file.write(f"{v0:.10g},{f:.10g},{metric},{v:.10g}\n")
-    finally:
-        if close:
-            file.close()
+                    point, key=lambda r: (r[0], r[2], r[1])):
+                yield f"{v0:.10g},{f:.10g},{metric},{v:.10g}\n"
+
+    _write_csv(path, results[0].provenance,
+               "axis_value,frequency_hz,metric,value", rows())
 
 
 def crossover_altitude(

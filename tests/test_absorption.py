@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -389,14 +388,3 @@ class TestAbsorptionCoefficient:
         with pytest.raises(ValueError):
             absorption_coefficient(mini_catalog, state,
                                    np.array([2e11, 1e11]))
-
-    def test_csv_export(self, mini_catalog):
-        state = profile_at(0.0)
-        grid = np.linspace(100e9, 110e9, 3)
-        spectrum = absorption_coefficient(mini_catalog, state, grid)
-        buffer = io.StringIO()
-        spectrum.to_csv(buffer, provenance="test run")
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "# test run"
-        assert lines[1] == "frequency_hz,kappa_per_m"
-        assert len(lines) == 5

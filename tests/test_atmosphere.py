@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from thzlink.atmosphere import (
-    AtmosphericState,
     build_layers,
-    load_profile_table,
     profile_at,
     water_vapor_vmr,
 )
@@ -106,38 +104,3 @@ class TestBuildLayers:
             build_layers(1_000.0, 1_000.0, 500.0)
         with pytest.raises(InvalidRange):
             build_layers(0.0, 1_000.0, 0.0)
-
-
-class TestProfileTable:
-    def test_override_file_round_trip(self, tmp_path):
-        table = tmp_path / "profile.txt"
-        table.write_text(
-            "# altitude_m pressure_pa temperature_k species=vmr...\n"
-            "0     100000  290.0  H2O=0.01 N2=0.78 O2=0.21\n"
-            "10000 25000   220.0  H2O=0.001 N2=0.78 O2=0.21\n"
-        )
-        profile = load_profile_table(table)
-        mid = profile(5_000.0)
-        assert isinstance(mid, AtmosphericState)
-        assert mid.temperature == pytest.approx(255.0)
-        assert mid.pressure == pytest.approx(50_000.0, rel=1e-9)
-        assert mid.mixing_ratios["H2O"] == pytest.approx(0.0055)
-        with pytest.raises(AltitudeOutOfRange):
-            profile(20_000.0)
-
-    def test_override_in_layers(self, tmp_path):
-        table = tmp_path / "profile.txt"
-        table.write_text(
-            "0     100000  290.0  H2O=0.01\n"
-            "10000 25000   220.0  H2O=0.001\n"
-        )
-        stack = build_layers(0.0, 10_000.0, 5_000.0,
-                             profile=load_profile_table(table))
-        assert stack[0].state.altitude == 2_500.0
-        assert stack[0].state.temperature == pytest.approx(272.5)
-
-    def test_bad_rows_rejected(self, tmp_path):
-        table = tmp_path / "profile.txt"
-        table.write_text("0 100000 290.0\n")
-        with pytest.raises(InvalidRange):
-            load_profile_table(table)

@@ -70,10 +70,6 @@ class TestParseLineRecord:
         parsed = parse_line_record(make_record() + "\n")
         assert parsed.nu0 == pytest.approx(18.577)
 
-    def test_abundance_override(self):
-        parsed = parse_line_record(make_record(), abundances={(1, 1): 1.0})
-        assert parsed.abundance == 1.0
-
 
 class TestRoundTrip:
     PRECISION = {
@@ -121,14 +117,10 @@ class TestLoadCatalog:
         assert [ln.nu0 for ln in cat] == sorted(ln.nu0 for ln in cat)
         assert not cat.parse_errors
 
-    def test_window_filter_and_species_filter(self):
+    def test_window_filter(self):
         records = [make_record(nu0=5.0), make_record(nu0=20.0)]
         cat = load_catalog("\n".join(records).encode(), 10.0, 30.0)
         assert [ln.nu0 for ln in cat] == [20.0]
-        with pytest.warns(EmptyCatalogWarning):
-            empty = load_catalog("\n".join(records).encode(), 0.0, 50.0,
-                                 species={7})
-        assert len(empty) == 0
 
     def test_empty_window_warns(self):
         with pytest.warns(EmptyCatalogWarning):
@@ -163,11 +155,6 @@ class TestLoadCatalog:
         cat = load_catalog((record + "\n" + record).encode(), 0.0, 50.0)
         assert len(cat) == 2
 
-    def test_refilter_idempotent(self, mini_catalog):
-        once = mini_catalog.filter(0.0, 50.0)
-        twice = once.filter(0.0, 50.0)
-        assert once.lines == twice.lines == mini_catalog.lines
-
     def test_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             load_catalog(tmp_path / "missing.par", 0.0, 50.0)
@@ -180,7 +167,7 @@ class TestLoadCatalog:
     def test_bundled_catalog_loads_cleanly(self, mini_catalog):
         assert len(mini_catalog) == 50
         assert not mini_catalog.parse_errors
-        assert mini_catalog.species_present == {1, 7}
+        assert {ln.molecule_id for ln in mini_catalog} == {1, 7}
         assert "sha256:" in mini_catalog.source_id
 
 

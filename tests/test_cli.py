@@ -40,6 +40,10 @@ def coarse_config(tmp_path):
 
 
 NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in ("kind", "catalog_path"))
+# finite as written, but not in SI units or, for the noise figure, as a
+# linear factor
+OVERFLOWING = [("noise_figure_db", "1e6"), ("f_max_ghz", "1e300"),
+               ("center_frequency_ghz", "1e300")]
 
 
 def file_hashes(directory):
@@ -163,8 +167,10 @@ class TestRunCommand:
         np.testing.assert_array_equal(np.load(entry, allow_pickle=False),
                                       good)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for value in ("nan", "inf", "-inf")
+         for key in NUMERIC_KEYS] + OVERFLOWING)
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, key,
                                               value):
         cfg = tmp_path / "bad.cfg"
@@ -173,6 +179,23 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
         assert f"line 2: field {key!r}: must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_over_maximum_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text("kind = A2A\nf_step_ghz = 1e-9\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "field 'f_step_ghz'" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_collapsed_capacity_band_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("kind = A2A\nf_min_ghz = 298\nf_max_ghz = 302\n"
+                       "bandwidth_ghz = 1e-300\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "field 'bandwidth_ghz'" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 class TestSweepCommand:
@@ -226,6 +249,18 @@ class TestSweepCommand:
         assert code == expected
         if expected == EXIT_CONFIG:
             assert "altitude 0 m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected",
+                             [("0", EXIT_CONFIG), ("-10", EXIT_CONFIG),
+                              ("91", EXIT_CONFIG), ("90", EXIT_OK)])
+    def test_elevation_points_obey_config_rules(self, coarse_config, tmp_path,
+                                                capsys, value, expected):
+        code = main(["sweep", str(coarse_config), "--axis", "elevation",
+                     "--from", value, "--to", value, "--step", "1",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == expected
+        if expected == EXIT_CONFIG:
+            assert f"elevation {value} deg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bound", ["--from", "--to", "--step"])
     def test_non_finite_sweep_bound_is_config_error(self, quick_config,

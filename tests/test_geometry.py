@@ -11,7 +11,6 @@ from thzlink.geometry import (
     LinkEndpoints,
     atmospheric_path_length,
     central_angle_for_elevation,
-    central_angle_from_coords,
     elevation_angle,
     layer_path_segments,
     plane_parallel_segments,
@@ -193,10 +192,6 @@ class TestPlaneParallel:
 
 
 class TestHelpers:
-    def test_central_angle_from_coords(self):
-        quarter = central_angle_from_coords(0.0, 0.0, 0.0, math.pi / 2)
-        assert quarter == pytest.approx(math.pi / 2)
-
     def test_central_angle_for_elevation_round_trip(self):
         for psi_deg in (5.0, 38.2, 60.0, 89.0):
             psi = math.radians(psi_deg)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from thzlink.constants import BOLTZMANN, PLANCK
 from thzlink.errors import UnsupportedScheme
 from thzlink.link import (
-    LinkBudget,
     SkyPath,
     TransceiverConfig,
     bit_error_probability,
@@ -195,17 +193,6 @@ class TestSnrAndCapacity:
     def test_zero_snr_zero_capacity(self):
         grid = np.linspace(297.5e9, 302.5e9, 129)
         assert capacity(grid, np.zeros(129)) == 0.0
-
-    def test_budget_csv_format(self):
-        grid = np.linspace(1e11, 1.1e11, 3)
-        budget = LinkBudget(grid, np.full(3, 1e20), np.full(3, 1e-20),
-                            np.full(3, 2.0), 1e9)
-        buffer = io.StringIO()
-        budget.to_csv(buffer, provenance="check")
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "# check"
-        assert lines[1] == "frequency_hz,snr_db,noise_psd_dbw_hz"
-        assert len(lines) == 5
 
 
 class TestModulationThresholds:

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thzlink import scenario as scenario_module
 from thzlink.errors import ConfigError
+from thzlink.link import total_noise_psd
 from thzlink.scenario import (
     _DEFAULTS,
     Scenario,
@@ -166,12 +168,19 @@ class TestResolve:
         assert np.all(resolved.tau > 0.999)  # 100 m at 11 km is nearly clear
 
     def test_e2a_truncates_path_at_airplane(self, default_scenario,
-                                            spectrum_cache):
+                                            spectrum_cache, monkeypatch):
+        skies = []
+
+        def noise_spy(f, sky, rx):
+            skies.append(sky)
+            return total_noise_psd(f, sky, rx)
+
+        monkeypatch.setattr(scenario_module, "total_noise_psd", noise_spy)
         scenario = dataclasses.replace(default_scenario, kind="E2A",
                                        f_min=299e9, f_max=301e9, f_step=1e9)
         resolved = resolve(scenario, spectrum_cache)
         assert resolved.r_as == pytest.approx(11_000.0)
-        assert resolved.sky.transmittances.shape[0] == 22  # 11 km / 500 m
+        assert skies[0].transmittances.shape[0] == 22  # 11 km / 500 m
 
     def test_rain_affects_only_low_links(self, default_scenario,
                                          spectrum_cache):
@@ -255,9 +264,9 @@ class TestSweep:
         points, results = run_sweep(base, "altitude", 0.0, 2_000.0, 2_000.0,
                                     cache=spectrum_cache)
         out = tmp_path / "sweep.csv"
-        write_sweep_csv(out, "altitude", points, results, provenance="p")
+        write_sweep_csv(out, "altitude", points, results)
         lines = out.read_text().splitlines()
-        assert lines[0] == "# p"
+        assert lines[0] == f"# {results[0].provenance}"
         assert lines[1] == "axis_value,frequency_hz,metric,value"
         # 2 points x (3 freq x 2 metrics + 1 capacity row)
         assert len(lines) == 2 + 2 * 7
