@@ -229,9 +229,8 @@ def absorption_coefficient(
     Each line contributes N_i S_i(T) F_i(f) inside ``wing_cutoff`` of its
     center, where N_i is the ideal-gas number density of the species scaled
     by the isotopologue abundance. Lines of species absent from the state's
-    mixing ratios contribute nothing. Safe to call concurrently for
-    different (state, grid) pairs sharing one catalog; summation order over
-    lines is fixed by the catalog ordering.
+    mixing ratios contribute nothing. The catalog is only read, and the
+    summation order over lines is fixed by the catalog ordering.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -266,8 +266,7 @@ class ParseIssue:
 class LineCatalog:
     """Immutable, wavenumber-sorted collection of spectral lines.
 
-    Safe to share read-only across concurrent workers. ``parse_errors``
-    reports records that failed to parse during loading.
+    ``parse_errors`` reports records that failed to parse during loading.
     """
 
     lines: tuple[SpectralLine, ...]

@@ -118,5 +118,6 @@ class ConfigError(ThzLinkError):
         if field is not None:
             where += f"field {field!r}: "
         super().__init__(where + message)
+        self.message = message
         self.field = field
         self.line = line

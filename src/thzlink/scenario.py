@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import math
 import struct
-import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,11 +83,19 @@ _SI_SCALE = {"km": _KM, "ghz": _GHZ, "mw": 1e-3}
 # Survey grids with more points are refused before any allocation.
 MAX_GRID_POINTS = 100_000
 BAND_POINTS = 129
+# Layers times frequencies (survey plus band) sizes every per-layer array;
+# E2S on the default config, the largest in use, needs 1,000 x 430.
+MAX_LAYER_POINTS = 20_000_000
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated scenario, all quantities in SI units."""
+    """A valid scenario, all quantities in SI units.
+
+    Construction checks the rules about the scenario as a whole and about
+    the fields that sweeps and the geometry depend on, and raises
+    :class:`ConfigError` naming the config key at fault.
+    """
 
     kind: str
     h_airplane: float
@@ -114,6 +121,87 @@ class Scenario:
     f_step: float                 # Hz
     catalog_path: str             # "bundled" or a filesystem path
     wing_cutoff: float            # Hz
+
+    def __post_init__(self):
+        def require(ok: bool, key: str, message: str) -> None:
+            if not ok:
+                raise ConfigError(message, field=key)
+
+        kind = self.kind
+        require(kind in KINDS, "kind", f"must be one of {', '.join(KINDS)}")
+        # the comparisons are false for NaN, so they also reject it
+        for key, value in (("h_airplane_km", self.h_airplane),
+                           ("h_ground_m", self.h_ground)):
+            require(0.0 <= value < math.inf, key, f"must be nonnegative "
+                    f"and finite in SI units, got {value:g}")
+        for key, value in (("h_satellite_km", self.h_satellite),
+                           ("f_min_ghz", self.f_min),
+                           ("f_max_ghz", self.f_max),
+                           ("f_step_ghz", self.f_step),
+                           ("atmosphere_top_km", self.atmosphere_top),
+                           ("layer_resolution_m", self.layer_resolution)):
+            require(0.0 < value < math.inf, key, f"must be positive and "
+                    f"finite in SI units, got {value:g}")
+        require(self.atmosphere_top <= MAX_ALTITUDE, "atmosphere_top_km",
+                f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
+
+        if kind in ("A2S", "S2A"):
+            require(self.h_airplane < self.h_satellite, "h_airplane_km",
+                    "airplane must be below the satellite")
+        elif kind in ("E2A", "A2E"):
+            require(self.h_ground < self.h_airplane, "h_airplane_km",
+                    "airplane must be above the ground terminal")
+        elif kind in ("E2S", "S2E"):
+            require(self.h_ground < self.h_satellite, "h_satellite_km",
+                    "satellite must be above the ground terminal")
+        if "A" in (kind[0], kind[2]):
+            require(self.h_airplane < self.atmosphere_top, "h_airplane_km",
+                    "airplane must be inside the atmosphere")
+        require(0.0 <= self.central_angle < math.pi / 2, "central_angle_deg",
+                f"must be in [0, 90), got "
+                f"{math.degrees(self.central_angle):g} deg")
+
+        require(self.f_min < self.f_max, "f_min_ghz",
+                "must be below f_max_ghz")
+        span = _grid_span(self.f_min, self.f_max, self.f_step)
+        require(span < MAX_GRID_POINTS, "f_step_ghz",
+                f"grid of more than {MAX_GRID_POINTS} points ({self.f_min:g} "
+                f"to {self.f_max:g} Hz in steps of {self.f_step:g} Hz)")
+        tx = self.transceiver
+        require(tx.center_frequency - tx.bandwidth / 2.0 > 0.0,
+                "center_frequency_ghz", "band must not extend below 0 Hz")
+        require(np.all(np.diff(capacity_band(tx)) > 0.0), "bandwidth_ghz",
+                f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does "
+                f"not hold {BAND_POINTS} distinct frequencies")
+
+        if kind != "A2A":
+            h_low, h_high = self.endpoints()
+            psi = elevation_angle(LinkEndpoints(h_low, h_high,
+                                                self.central_angle))
+            require(psi > 0.0, "central_angle_deg",
+                    f"geometry gives a non-positive elevation angle "
+                    f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
+            # build_layers makes ceil(stack top / resolution) layers
+            layers = min(self.atmosphere_top, h_high) / self.layer_resolution
+            if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
+                layers = math.ceil(layers)
+            points = math.floor(span) + 1 + BAND_POINTS
+            require(layers * points <= MAX_LAYER_POINTS, "layer_resolution_m",
+                    f"{layers:,} layers on {points:,} frequencies exceed "
+                    f"{MAX_LAYER_POINTS:,} layer-frequency points")
+
+    def at_elevation(self, degrees: float) -> Scenario:
+        """This scenario with the central angle at which the line of sight
+        leaves the lower terminal at ``degrees`` of elevation, in (0, 90]."""
+        if self.kind == "A2A":
+            raise ConfigError("not applicable to A2A links",
+                              field="elevation_deg")
+        psi = math.radians(degrees)
+        if not 0.0 < psi <= math.pi / 2:
+            raise ConfigError(f"must be in (0, 90], got {degrees:g}",
+                              field="elevation_deg")
+        rho = central_angle_for_elevation(*self.endpoints(), psi)
+        return dataclasses.replace(self, central_angle=rho)
 
     def endpoints(self) -> tuple[float, float]:
         """(h_low, h_high) of the two terminals, lower first."""
@@ -201,18 +289,21 @@ def parse_config(path) -> Scenario:
 
 
 def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario:
-    """Validate raw config values and construct a :class:`Scenario`."""
+    """Construct a :class:`Scenario` from raw config values.
+
+    Checks here are per key: the sign of each key the scenario does not
+    check, in config units; finiteness in SI units; the antennas, the noise
+    figure and ``elevation_deg``. An error from the scenario's own rules
+    gains the line of the key it names.
+    """
     seen = seen or {}
 
     def fail(field: str, message: str):
         raise ConfigError(message, field=field, line=seen.get(field))
 
-    kind = str(values["kind"]).upper()
-    if kind not in KINDS:
-        fail("kind", f"must be one of {', '.join(KINDS)}")
-
-    def si(field: str, v: float) -> float:
-        v *= _SI_SCALE.get(field.rsplit("_", 1)[1], 1.0)
+    def si(field: str) -> float:
+        """The value of ``field`` in SI units, checked finite."""
+        v = float(values[field]) * _SI_SCALE.get(field.rsplit("_", 1)[1], 1.0)
         if not math.isfinite(v):
             fail(field, f"must be finite in SI units, got {values[field]}")
         return v
@@ -222,69 +313,23 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         v = float(values[field])
         if v <= 0.0:
             fail(field, f"must be positive, got {v}")
-        return si(field, v)
+        return si(field)
 
     def nonnegative(field: str) -> float:
         """The value of ``field`` in SI units, checked nonnegative."""
         v = float(values[field])
         if v < 0.0:
             fail(field, f"must be nonnegative, got {v}")
-        return si(field, v)
+        return si(field)
 
-    h_airplane = nonnegative("h_airplane_km")
-    h_satellite = positive("h_satellite_km")
-    h_ground = nonnegative("h_ground_m")
-    atmosphere_top = positive("atmosphere_top_km")
-    if atmosphere_top > MAX_ALTITUDE:
-        fail("atmosphere_top_km",
-             f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
-
-    problem = terminal_problem(kind, h_airplane, h_satellite, h_ground,
-                               atmosphere_top)
-    if problem is not None:
-        fail(*problem)
-
-    f_min = positive("f_min_ghz")
-    f_max = positive("f_max_ghz")
-    f_step = positive("f_step_ghz")
-    if not f_min < f_max:
-        fail("f_min_ghz", "must be below f_max_ghz")
-
-    bandwidth = positive("bandwidth_ghz")
-    center = positive("center_frequency_ghz")
-    if center - bandwidth / 2.0 <= 0.0:
-        fail("center_frequency_ghz", "band must not extend below 0 Hz")
-
-    elevation = values.get("elevation_deg")
-    central = float(values["central_angle_deg"])
-    if elevation is not None:
-        if "central_angle_deg" in seen:
-            fail("elevation_deg",
-                 "give either elevation_deg or central_angle_deg, not both")
-        if kind == "A2A":
-            fail("elevation_deg", "not applicable to A2A links")
-        psi = math.radians(float(elevation))
-        if not 0.0 < psi <= math.pi / 2:
-            fail("elevation_deg", "must be in (0, 90]")
-        by_letter = {"A": h_airplane, "S": h_satellite, "E": h_ground}
-        h_low = min(by_letter[kind[0]], by_letter[kind[2]])
-        h_high = max(by_letter[kind[0]], by_letter[kind[2]])
-        central_angle = central_angle_for_elevation(h_low, h_high, psi)
-    else:
-        central_angle = math.radians(central)
-        if not 0.0 <= central_angle < math.pi / 2:
-            fail("central_angle_deg", "must be in [0, 90)")
-
-    try:
-        tx_antenna = AntennaConfig(positive("tx_dish_diameter_m"),
-                                   float(values["tx_dish_efficiency"]))
-    except ValueError as exc:
-        fail("tx_dish_efficiency", str(exc))
-    try:
-        rx_antenna = AntennaConfig(positive("rx_dish_diameter_m"),
-                                   float(values["rx_dish_efficiency"]))
-    except ValueError as exc:
-        fail("rx_dish_efficiency", str(exc))
+    antennas = {}
+    for end in ("tx", "rx"):
+        try:
+            antennas[end] = AntennaConfig(
+                positive(f"{end}_dish_diameter_m"),
+                float(values[f"{end}_dish_efficiency"]))
+        except ValueError as exc:
+            fail(f"{end}_dish_efficiency", str(exc))
 
     noise_figure = float(values["noise_figure_db"])
     try:
@@ -294,8 +339,8 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
              f"must be finite as a linear factor, got {noise_figure}")
     transceiver = TransceiverConfig(
         tx_power=positive("tx_power_mw"),
-        bandwidth=bandwidth,
-        center_frequency=center,
+        bandwidth=positive("bandwidth_ghz"),
+        center_frequency=positive("center_frequency_ghz"),
         noise_figure=noise_figure,
         rx_temperature=positive("rx_temperature_k"),
     )
@@ -304,15 +349,21 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     if humidity >= 1.0:
         fail("ground_humidity_vmr", "is a volume mixing ratio, must be < 1")
 
-    return Scenario(
-        kind=kind,
-        h_airplane=h_airplane,
-        h_satellite=h_satellite,
-        h_ground=h_ground,
-        central_angle=central_angle,
+    elevation = values.get("elevation_deg")
+    if elevation is not None and "central_angle_deg" in seen:
+        fail("elevation_deg",
+             "give either elevation_deg or central_angle_deg, not both")
+
+    fields = dict(
+        kind=str(values["kind"]).upper(),
+        h_airplane=si("h_airplane_km"),
+        h_satellite=si("h_satellite_km"),
+        h_ground=si("h_ground_m"),
+        central_angle=0.0 if elevation is not None
+        else math.radians(float(values["central_angle_deg"])),
         link_distance=positive("link_distance_m"),
-        tx_antenna=tx_antenna,
-        rx_antenna=rx_antenna,
+        tx_antenna=antennas["tx"],
+        rx_antenna=antennas["rx"],
         transceiver=transceiver,
         rain_rate=nonnegative("rain_rate_mm_h"),
         rain_base=nonnegative("rain_base_km"),
@@ -320,65 +371,44 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         cloud_density=nonnegative("cloud_density_g_m3"),
         cloud_base=nonnegative("cloud_base_km"),
         cloud_thickness=nonnegative("cloud_thickness_km"),
-        layer_resolution=positive("layer_resolution_m"),
-        atmosphere_top=atmosphere_top,
+        layer_resolution=si("layer_resolution_m"),
+        atmosphere_top=si("atmosphere_top_km"),
         ground_humidity=humidity,
         water_scale_height=positive("water_scale_height_m"),
-        f_min=f_min,
-        f_max=f_max,
-        f_step=f_step,
+        f_min=si("f_min_ghz"),
+        f_max=si("f_max_ghz"),
+        f_step=si("f_step_ghz"),
         catalog_path=str(values["catalog_path"]),
         wing_cutoff=positive("wing_cutoff_ghz"),
     )
+    try:
+        scenario = Scenario(**fields)
+        if elevation is not None:
+            scenario = scenario.at_elevation(float(elevation))
+    except ConfigError as exc:
+        fail(exc.field, exc.message)
+    return scenario
 
 
-def terminal_problem(kind: str, h_airplane: float, h_satellite: float,
-                     h_ground: float, atmosphere_top: float):
-    """(config key, message) if the terminals are out of order or the
-    airplane is outside the atmosphere; None when they are valid."""
-    if kind in ("A2S", "S2A") and not h_airplane < h_satellite:
-        return "h_airplane_km", "airplane must be below the satellite"
-    if kind in ("E2A", "A2E") and not h_ground < h_airplane:
-        return "h_airplane_km", "airplane must be above the ground terminal"
-    if kind in ("E2S", "S2E") and not h_ground < h_satellite:
-        return "h_satellite_km", "satellite must be above the ground terminal"
-    if "A" in (kind[0], kind[2]) and h_airplane >= atmosphere_top:
-        return "h_airplane_km", "airplane must be inside the atmosphere"
-    return None
+def _grid_span(f_min: float, f_max: float, f_step: float) -> float:
+    """Steps from f_min to f_max, plus a rounding allowance of 1e-9 step."""
+    return (f_max - f_min) / f_step + 1e-9
 
 
 def make_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
-    """Uniform frequency grid from f_min to at most f_max, inclusive.
-
-    Raises :class:`ConfigError` before allocating when the grid would have
-    more than :data:`MAX_GRID_POINTS` points.
-    """
-    span = (f_max - f_min) / f_step + 1e-9
-    if not span < MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid of more than {MAX_GRID_POINTS} points "
-            f"({f_min:g} to {f_max:g} Hz in steps of {f_step:g} Hz)",
-            field="f_step_ghz")
+    """Uniform frequency grid from f_min to at most f_max, inclusive."""
+    span = _grid_span(f_min, f_max, f_step)
     return f_min + f_step * np.arange(int(math.floor(span)) + 1)
 
 
 def capacity_band(tx: TransceiverConfig) -> np.ndarray:
-    """The :data:`BAND_POINTS` frequencies the capacity integral runs over.
-
-    Raises :class:`ConfigError` when the bandwidth is too narrow for them
-    to be distinct.
-    """
-    band = np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
+    """The :data:`BAND_POINTS` frequencies the capacity integral runs over."""
+    return np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
                        tx.center_frequency + tx.bandwidth / 2.0, BAND_POINTS)
-    if not np.all(np.diff(band) > 0.0):
-        raise ConfigError(
-            f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does not "
-            f"hold {BAND_POINTS} distinct frequencies", field="bandwidth_ghz")
-    return band
 
 
 class SpectrumCache:
-    """Thread-safe cache of per-layer absorption spectra.
+    """Cache of per-layer absorption spectra.
 
     Keys combine the catalog hash, the atmospheric state, the grid, and the
     engine options, so identical layers are computed once per sweep. With a
@@ -393,7 +423,6 @@ class SpectrumCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._memory: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def key(catalog_sha: str, state: AtmosphericState, grid: np.ndarray,
@@ -411,27 +440,22 @@ class SpectrumCache:
         return f"{hasher.hexdigest()}-{grid.size}"
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
-        with self._lock:
-            if key in self._memory:
-                return self._memory[key]
-        path = None
-        if self.directory is not None:
-            path = self.directory / f"{key}.npy"
-            kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
-            if kappa is not None:
-                with self._lock:
-                    self._memory[key] = kappa
-                return kappa
-        kappa = compute()
-        with self._lock:
+        if key not in self._memory:
+            kappa = path = None
+            if self.directory is not None:
+                path = self.directory / f"{key}.npy"
+                kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
+            if kappa is None:
+                kappa = compute()
+                if path is not None:
+                    # unique temp name per writer: processes sharing the
+                    # directory may race on the same key, and both
+                    # replacements carry identical bytes
+                    tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
+                    np.save(tmp, kappa)
+                    tmp.replace(path)
             self._memory[key] = kappa
-        if path is not None:
-            # unique temp name per writer: concurrent workers may race on
-            # the same key, and both replacements carry identical bytes
-            tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-            np.save(tmp, kappa)
-            tmp.replace(path)
-        return kappa
+        return self._memory[key]
 
 
 def _load_spectrum(path: Path, size: int) -> np.ndarray | None:
@@ -549,65 +573,35 @@ def _weather_spectra(scenario: Scenario, weather: WeatherConfig,
     return rain_db, cloud_db, rain, cloud
 
 
-def _layer_spectra(
-    catalog: LineCatalog,
-    stack: LayerStack,
-    indices,
-    grid: np.ndarray,
-    wing_cutoff: float,
-    cache: SpectrumCache | None,
-):
-    spectra = {}
-    for index in indices:
-        state = stack[index].state
-        if cache is None:
-            spectra[index] = absorption_coefficient(
-                catalog, state, grid, wing_cutoff)
-            continue
-        key = SpectrumCache.key(catalog.source_id, state, grid, wing_cutoff)
-        kappa = cache.get_or_compute(
-            key,
-            lambda s=state: absorption_coefficient(
-                catalog, s, grid, wing_cutoff).kappa,
-        )
-        spectra[index] = AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
-    return spectra
-
-
 def _path_quantities(scenario: Scenario, catalog: LineCatalog,
-                     grid: np.ndarray, cache: SpectrumCache | None):
+                     grid: np.ndarray, cache: SpectrumCache):
     """Geometry, transmittance, and sky view for the scenario on a grid."""
-    if scenario.kind == "A2A":
-        h = scenario.h_airplane
-        state = profile_at(h, scenario.ground_humidity,
-                           scenario.water_scale_height)
-        # one homogeneous layer stands in for the constant-altitude path
-        spectrum = _layer_spectra(
-            catalog, LayerStack((Layer(h, h + 1.0, state),), h + 1.0), [0],
-            grid, scenario.wing_cutoff, cache)[0]
-        r_as = scenario.link_distance
-        psi = 0.0
-        optical = spectrum.kappa * scenario.link_distance
-        tau = np.exp(-optical)
-        layer_temps = np.array([state.temperature])
-        layer_taus = tau.reshape(1, -1)
-        return r_as, psi, tau, layer_temps, layer_taus
-
     h_low, h_high = scenario.endpoints()
-    ep = LinkEndpoints(h_low, h_high, scenario.central_angle)
-    r_as = slant_range(ep)
-    psi = elevation_angle(ep)
-    if psi <= 0.0:
-        raise ConfigError(
-            f"geometry gives a non-positive elevation angle ({psi:.4f} rad); "
-            f"reduce central_angle_deg", field="central_angle_deg")
-    stack_top = min(scenario.atmosphere_top, h_high)
-    stack = build_layers(0.0, stack_top, scenario.layer_resolution,
-                         ground_humidity=scenario.ground_humidity,
-                         water_scale_height=scenario.water_scale_height)
-    segments = layer_path_segments(h_low, psi, stack)
-    spectra = _layer_spectra(catalog, stack, [i for i, _ in segments], grid,
-                             scenario.wing_cutoff, cache)
+    if scenario.kind == "A2A":
+        # one homogeneous layer stands in for the constant-altitude path
+        state = profile_at(h_low, scenario.ground_humidity,
+                           scenario.water_scale_height)
+        stack = LayerStack((Layer(h_low, h_low + 1.0, state),), h_low + 1.0)
+        r_as, psi = scenario.link_distance, 0.0
+        segments = ((0, r_as),)
+    else:
+        ep = LinkEndpoints(h_low, h_high, scenario.central_angle)
+        r_as = slant_range(ep)
+        psi = elevation_angle(ep)
+        stack = build_layers(0.0, min(scenario.atmosphere_top, h_high),
+                             scenario.layer_resolution,
+                             ground_humidity=scenario.ground_humidity,
+                             water_scale_height=scenario.water_scale_height)
+        segments = layer_path_segments(h_low, psi, stack)
+    spectra = {}
+    for i, _ in segments:
+        state = stack[i].state
+        key = SpectrumCache.key(catalog.source_id, state, grid,
+                                scenario.wing_cutoff)
+        kappa = cache.get_or_compute(
+            key, lambda s=state: absorption_coefficient(
+                catalog, s, grid, scenario.wing_cutoff).kappa)
+        spectra[i] = AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
     tau = transmittance(grid, segments, spectra)
 
     temps = np.array([stack[i].state.temperature for i, _ in segments])
@@ -629,7 +623,10 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     and each part is taken from it by index; every stage is pointwise in
     frequency, so a part equals a run on its own grid.
     ``with_capacity=False`` leaves the band out and the capacity NaN.
+    Without a ``cache``, the spectra are kept in a new in-memory one.
     """
+    if cache is None:
+        cache = SpectrumCache()
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
     if catalog is None:
         catalog = load_scenario_catalog(scenario, survey)
@@ -644,7 +641,7 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     r_as, psi, tau, layer_temps, layer_taus = _path_quantities(
         scenario, catalog, grid, cache)
 
-    weather = _weather_paths(scenario, max(psi, 1e-9))
+    weather = _weather_paths(scenario, psi)
     rain_db, cloud_db, rain, cloud = _weather_spectra(scenario, weather, grid,
                                                       part)
 

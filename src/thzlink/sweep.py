@@ -9,12 +9,12 @@ because the layer states repeat across points.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from typing import Iterable
 
 from .errors import ConfigError
-from .geometry import central_angle_for_elevation
 from .scenario import (
     ResolvedLink,
     Scenario,
@@ -23,21 +23,35 @@ from .scenario import (
     load_scenario_catalog,
     make_grid,
     resolve,
-    terminal_problem,
 )
 
 AXES = ("frequency", "altitude", "elevation")
+# Altitude and elevation sweeps with more points are refused up front.
+MAX_SWEEP_POINTS = 10_000
 
 
 def sweep_points(start: float, stop: float, step: float) -> list[float]:
+    """``start`` to at most ``stop``, inclusive, in steps of ``step``."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError(f"non-finite sweep bound in {start}, {stop}, {step}")
     if step <= 0.0:
         raise ConfigError("sweep step must be positive", field="step")
     if stop < start:
         raise ConfigError("sweep range is empty (stop < start)", field="to")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigError(f"more than {MAX_SWEEP_POINTS} sweep points",
+                          field="step")
+    return [start + i * step for i in range(int(math.floor(span)) + 1)]
+
+
+@contextlib.contextmanager
+def _at(point: str):
+    """Report a scenario rule broken inside the block at sweep ``point``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{point}: {exc}") from None
 
 
 def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
@@ -46,24 +60,10 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
             raise ConfigError(
                 f"altitude sweep needs an airplane terminal, kind is "
                 f"{base.kind}", field="axis")
-        problem = terminal_problem(base.kind, value, base.h_satellite,
-                                   base.h_ground, base.atmosphere_top)
-        if problem is not None:
-            raise ConfigError(f"altitude {value:g} m: {problem[1]}",
-                              field="axis")
-        return dataclasses.replace(base, h_airplane=value)
-    if axis == "elevation":
-        if base.kind == "A2A":
-            raise ConfigError("elevation sweep is not applicable to A2A",
-                              field="axis")
-        psi = math.radians(value)
-        if not 0.0 < psi <= math.pi / 2:
-            raise ConfigError(f"elevation {value:g} deg: must be in (0, 90]",
-                              field="axis")
-        h_low, h_high = base.endpoints()
-        rho = central_angle_for_elevation(h_low, h_high, psi)
-        return dataclasses.replace(base, central_angle=rho)
-    raise ConfigError(f"unknown sweep axis {axis!r}", field="axis")
+        with _at(f"altitude {value:g} m"):
+            return dataclasses.replace(base, h_airplane=value)
+    with _at(f"elevation {value:g} deg"):
+        return base.at_elevation(value)
 
 
 def run_sweep(
@@ -76,18 +76,20 @@ def run_sweep(
 ) -> tuple[list[float], list[ResolvedLink]]:
     """Resolve the scenario across the axis range. Returns (points, results).
 
-    Axis units: frequency in GHz, altitude in m, elevation in degrees.
+    Axis units: frequency in GHz, altitude in m, elevation in degrees. A
+    frequency sweep is one result, on the grid from ``start`` to ``stop``,
+    and one point, ``start``; its bounds obey the scenario's ``f_*`` rules.
     """
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {', '.join(AXES)}",
                           field="axis")
-    points = sweep_points(start, stop, step)
-
     if axis == "frequency":
-        swept = dataclasses.replace(base, f_min=start * 1e9, f_max=stop * 1e9,
-                                    f_step=step * 1e9)
-        return points, [resolve(swept, cache)]
+        with _at(f"frequency {start:g} to {stop:g} GHz"):
+            swept = dataclasses.replace(base, f_min=start * 1e9,
+                                        f_max=stop * 1e9, f_step=step * 1e9)
+        return [start], [resolve(swept, cache)]
 
+    points = sweep_points(start, stop, step)
     scenarios = [_scenario_at(base, axis, value) for value in points]
     grid = make_grid(base.f_min, base.f_max, base.f_step)
     catalog = load_scenario_catalog(base, grid)

@@ -197,6 +197,44 @@ class TestRunCommand:
         assert "field 'bandwidth_ghz'" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("A2A", "f_step_ghz", "1e-9"),
+        ("A2A", "bandwidth_ghz", "1e-300"),
+        ("E2S", "central_angle_deg", "89"),
+        ("E2A", "layer_resolution_m", "0.001"),
+    ])
+    def test_dry_run_checks_every_rule(self, tmp_path, capsys, kind, key,
+                                       value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = {kind}\n{key} = {value}\n")
+        code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o"),
+                     "--dry-run"])
+        assert code == EXIT_CONFIG
+        assert f"line 2: field {key!r}" in capsys.readouterr().err
+
+
+class TestBenchmarkHooks:
+    def test_layer_tracer_sees_kernel_and_cache(self, coarse_config,
+                                                tmp_path, monkeypatch):
+        # the benchmark's --trace 1 wraps these hooks; a rename breaks it
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).parent.parent / "perfbench"))
+        import layertrace
+
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            code = main(["run", str(coarse_config), "--out-dir",
+                         str(tmp_path / "o"), "--cache-dir",
+                         str(tmp_path / "cache")])
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_OK
+        assert tracer.counts["absorption.spectra"] > 0
+        assert tracer.busy["absorption.kernel"] > 0.0
+        assert tracer.counts["scenario.cache_lookups"] > 0
+        assert tracer.counts["scenario.cache_files_written"] > 0
+
 
 class TestSweepCommand:
     def test_altitude_sweep_csv(self, quick_config, tmp_path):
@@ -261,6 +299,21 @@ class TestSweepCommand:
         assert code == expected
         if expected == EXIT_CONFIG:
             assert f"elevation {value} deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, stop, step",
+                             [("-10", "10", "10"), ("10", "20", "1e300"),
+                              ("10", "10", "1")])
+    def test_frequency_bounds_obey_config_rules(self, tmp_path, capsys, start,
+                                                stop, step):
+        cfg = tmp_path / "a2a.cfg"
+        cfg.write_text("kind = A2A\n")
+        out = tmp_path / "o"
+        code = main(["sweep", str(cfg), "--axis", "frequency", "--from",
+                     start, "--to", stop, "--step", step,
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"frequency {start} to {stop} GHz" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("bound", ["--from", "--to", "--step"])
     def test_non_finite_sweep_bound_is_config_error(self, quick_config,

@@ -19,7 +19,13 @@ from thzlink.scenario import (
     resolve,
     write_outputs,
 )
-from thzlink.sweep import crossover_altitude, run_sweep, sweep_points, write_sweep_csv
+from thzlink.sweep import (
+    MAX_SWEEP_POINTS,
+    crossover_altitude,
+    run_sweep,
+    sweep_points,
+    write_sweep_csv,
+)
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data" / "configs"
 
@@ -92,6 +98,39 @@ class TestConfigParsing:
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             scenario = parse_config(cfg)
             assert scenario.kind in ("A2S", "E2A")
+
+
+class TestScenarioRules:
+    @pytest.mark.parametrize("changes, key", [
+        ({"kind": "A2X"}, "kind"),
+        ({"h_airplane": -100.0}, "h_airplane_km"),
+        ({"h_airplane": 600e3}, "h_airplane_km"),
+        ({"kind": "E2S", "central_angle": math.radians(89.0)},
+         "central_angle_deg"),
+        ({"f_min": -1e10}, "f_min_ghz"),
+        ({"f_step": math.inf}, "f_step_ghz"),
+        ({"f_min": 300e9, "f_max": 300e9}, "f_min_ghz"),
+        ({"kind": "E2A", "layer_resolution": 1e-3}, "layer_resolution_m"),
+    ])
+    def test_replace_obeys_the_rules(self, default_scenario, changes, key):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(default_scenario, **changes)
+        assert err.value.field == key
+
+    def test_crossover_obeys_the_rules(self, default_scenario):
+        with pytest.raises(ConfigError) as err:
+            crossover_altitude(default_scenario, 300e9, [1_000.0, 600e3])
+        assert err.value.field == "h_airplane_km"
+
+    def test_at_elevation_matches_config(self, default_scenario, tmp_path):
+        configured = parse_config(write_config(
+            tmp_path, MINIMAL + "elevation_deg = 45\n"))
+        swept = dataclasses.replace(
+            configured, central_angle=0.0).at_elevation(45.0)
+        assert swept == configured
+        with pytest.raises(ConfigError) as err:
+            configured.at_elevation(91.0)
+        assert err.value.field == "elevation_deg"
 
 
 class TestMakeGrid:
@@ -232,6 +271,12 @@ class TestOutputs:
 class TestSweep:
     def test_sweep_points_inclusive(self):
         assert sweep_points(0.0, 10.0, 5.0) == [0.0, 5.0, 10.0]
+
+    def test_point_count_bounded_before_the_list(self):
+        assert len(sweep_points(0.0, 9_999.0, 1.0)) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError) as err:
+            sweep_points(0.0, 1000.0, 1e-3)
+        assert err.value.field == "step"
 
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
