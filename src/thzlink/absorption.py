@@ -26,12 +26,11 @@ from scipy.special import wofz
 from .atmosphere import AtmosphericState
 from .catalog import (
     LineCatalog,
-    MOLAR_MASSES_U,
+    LineColumns,
     MOLECULE_NAMES,
     SpectralLine,
 )
 from .constants import (
-    ATOMIC_MASS,
     AVOGADRO,
     BOLTZMANN,
     GAS_CONSTANT,
@@ -48,6 +47,10 @@ _WAVENUMBER_TO_HZ = 100.0 * SPEED_OF_LIGHT
 
 DEFAULT_WING_CUTOFF = 750e9  # Hz, contributions farther from line center drop
 
+# Doppler half-widths from line center beyond which exp(-ln2 x^2) is exactly
+# 0.0 in double precision (it underflows past |x| of about 32.8).
+DOPPLER_WINDOW = 40.0
+
 # Half-width ratio beyond which a single broadening mechanism dominates and
 # the Voigt convolution is skipped in favor of the dominant shape.
 SHAPE_SELECTION_RATIO = 5.0
@@ -61,13 +64,17 @@ class LineShapeKind(enum.Enum):
     VOIGT = "voigt"
 
 
-def line_center(line: SpectralLine, p: float) -> float:
-    """Pressure-shifted resonance frequency in Hz."""
+def line_center(line: SpectralLine | LineColumns, p: float):
+    """Pressure-shifted resonance frequency in Hz.
+
+    This and the half-widths take one :class:`SpectralLine` or a catalog's
+    :class:`LineColumns`, which gives an array over every line.
+    """
     return (line.nu0 + line.delta_air * (p / STANDARD_PRESSURE)) * _WAVENUMBER_TO_HZ
 
 
-def lorentz_halfwidth(line: SpectralLine, p: float, t: float,
-                      mu_i: float) -> float:
+def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
+                      mu_i):
     """Collision-broadened half-width in Hz.
 
     ``mu_i`` is the volume mixing ratio of the line's species; it weights
@@ -76,19 +83,28 @@ def lorentz_halfwidth(line: SpectralLine, p: float, t: float,
     """
     alpha = ((1.0 - mu_i) * line.alpha_air + mu_i * line.alpha_self)
     alpha *= (p / STANDARD_PRESSURE)
-    alpha *= (STANDARD_TEMPERATURE / t) ** line.gamma_t
+    alpha *= _libm_pow(STANDARD_TEMPERATURE / t, line.gamma_t)
     return alpha * _WAVENUMBER_TO_HZ
 
 
-def doppler_halfwidth(line: SpectralLine, t: float) -> float:
-    """Thermal half-width at half maximum in Hz."""
-    try:
-        mass = MOLAR_MASSES_U[line.molecule_id] * ATOMIC_MASS
-    except KeyError:
-        raise UnknownSpeciesMass(
-            f"no molar mass for molecule {line.molecule_id}") from None
-    f0 = line.nu0 * _WAVENUMBER_TO_HZ
-    return (f0 / SPEED_OF_LIGHT) * math.sqrt(2.0 * _LN2 * BOLTZMANN * t / mass)
+def _libm_pow(base: float, exponent):
+    """``base ** exponent``, element-wise through the C library's pow.
+
+    numpy's power differs from it in the last bit on some inputs.
+    """
+    if isinstance(exponent, np.ndarray):
+        return np.array([base ** e for e in exponent.tolist()], dtype=float)
+    return base ** exponent
+
+
+def doppler_halfwidth(line: SpectralLine | LineColumns, t: float):
+    """Thermal half-width at half maximum in Hz.
+
+    A :class:`SpectralLine` of unknown molar mass raises
+    :class:`UnknownSpeciesMass`; in :class:`LineColumns` its width is NaN.
+    """
+    return (line.f0 / SPEED_OF_LIGHT) * np.sqrt(
+        2.0 * _LN2 * BOLTZMANN * t / line.mass)
 
 
 def lorentz_shape(df, alpha_l: float):
@@ -128,11 +144,21 @@ def voigt_shape(f, f_c: float, alpha_l: float, alpha_d: float):
     return wofz(z).real * (scale / math.sqrt(math.pi))
 
 
+def _dominance(alpha_l, alpha_d):
+    """Whether collisions, and whether thermal motion, dominate the width.
+
+    Element-wise on arrays of half-widths; at most one of the two holds.
+    """
+    return (alpha_l > SHAPE_SELECTION_RATIO * alpha_d,
+            alpha_d > SHAPE_SELECTION_RATIO * alpha_l)
+
+
 def select_line_shape(alpha_l: float, alpha_d: float) -> LineShapeKind:
     """Dynamic selection rule from the half-width comparison."""
-    if alpha_l > SHAPE_SELECTION_RATIO * alpha_d:
+    collisional, thermal = _dominance(alpha_l, alpha_d)
+    if collisional:
         return LineShapeKind.VAN_VLECK_HUBER
-    if alpha_d > SHAPE_SELECTION_RATIO * alpha_l:
+    if thermal:
         return LineShapeKind.DOPPLER
     return LineShapeKind.VOIGT
 
@@ -192,7 +218,7 @@ def line_intensity(line: SpectralLine, t: float,
     default).
     """
     if f_c is None:
-        f_c = line.nu0 * _WAVENUMBER_TO_HZ
+        f_c = line.f0
     t0 = STANDARD_TEMPERATURE
     q_ratio = (partition_function(line.molecule_id, t0)
                / partition_function(line.molecule_id, t))
@@ -228,9 +254,15 @@ def absorption_coefficient(
 
     Each line contributes N_i S_i(T) F_i(f) inside ``wing_cutoff`` of its
     center, where N_i is the ideal-gas number density of the species scaled
-    by the isotopologue abundance. Lines of species absent from the state's
-    mixing ratios contribute nothing. The catalog is only read, and the
-    summation order over lines is fixed by the catalog ordering.
+    by the isotopologue abundance. A Doppler-shaped line contributes only
+    within ``DOPPLER_WINDOW`` half-widths, beyond which its Gaussian is
+    exactly 0.0 in double precision. Lines of species absent from the
+    state's mixing ratios contribute nothing. Centers, half-widths, shape
+    kinds and windows are computed for all lines at once; intensities and
+    shapes only for lines with a grid point in their window, whose errors
+    (:class:`UnknownSpeciesMass`, :class:`TemperatureOutOfFitRange`) are
+    raised. The catalog is only read, and the summation order over lines is
+    fixed by the catalog ordering.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -239,27 +271,35 @@ def absorption_coefficient(
         raise ValueError("grid must be strictly increasing")
 
     p, t = state.pressure, state.temperature
+    columns = catalog.columns
+    mu = columns.mixing_ratios(state.mixing_ratios)
+    f_c = line_center(columns, p)
+    alpha_l = lorentz_halfwidth(columns, p, t, mu)
+    alpha_d = doppler_halfwidth(columns, t)
+    collisional, thermal = _dominance(alpha_l, alpha_d)
+    half = np.where(thermal, np.minimum(wing_cutoff, DOPPLER_WINDOW * alpha_d),
+                    wing_cutoff)
+    lo = np.searchsorted(grid, f_c - half, "left")
+    hi = np.searchsorted(grid, f_c + half, "right")
+    live = np.flatnonzero((lo < hi) & ~(mu <= 0.0))
+
     kappa = np.zeros_like(grid)
-    for line in catalog:
-        mu = state.mixing_ratios.get(MOLECULE_NAMES.get(line.molecule_id), 0.0)
-        if mu <= 0.0:
-            continue
-        f_c = line_center(line, p)
-        lo = np.searchsorted(grid, f_c - wing_cutoff, "left")
-        hi = np.searchsorted(grid, f_c + wing_cutoff, "right")
-        if lo >= hi:
-            continue
-        alpha_l = lorentz_halfwidth(line, p, t, mu)
-        alpha_d = doppler_halfwidth(line, t)
-        strength = (number_density(p, t, mu) * line.abundance
-                    * line_intensity(line, t, f_c) * INTENSITY_CM_TO_SI)
-        window = grid[lo:hi]
-        kind = select_line_shape(alpha_l, alpha_d)
-        if kind is LineShapeKind.VAN_VLECK_HUBER:
-            shape = van_vleck_huber_shape(window, f_c, alpha_l, t)
-        elif kind is LineShapeKind.DOPPLER:
-            shape = doppler_shape(window, f_c, alpha_d)
+    for i, start, stop, f_ci, a_l, a_d, mu_i in zip(
+            live.tolist(), lo[live].tolist(), hi[live].tolist(),
+            f_c[live].tolist(), alpha_l[live].tolist(),
+            alpha_d[live].tolist(), mu[live].tolist()):
+        line = catalog.lines[i]
+        if math.isnan(columns.mass[i]):
+            raise UnknownSpeciesMass(
+                f"no molar mass for molecule {line.molecule_id}")
+        strength = (number_density(p, t, mu_i) * line.abundance
+                    * line_intensity(line, t, f_ci) * INTENSITY_CM_TO_SI)
+        window = grid[start:stop]
+        if collisional[i]:
+            shape = van_vleck_huber_shape(window, f_ci, a_l, t)
+        elif thermal[i]:
+            shape = doppler_shape(window, f_ci, a_d)
         else:
-            shape = voigt_shape(window, f_c, alpha_l, alpha_d)
-        kappa[lo:hi] += strength * shape
+            shape = voigt_shape(window, f_ci, a_l, a_d)
+        kappa[start:stop] += strength * shape
     return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)

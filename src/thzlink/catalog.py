@@ -11,17 +11,22 @@ weights are validated where numeric but discarded.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from .constants import SPEED_OF_LIGHT
+import numpy as np
+
+from .constants import ATOMIC_MASS, SPEED_OF_LIGHT
 from .errors import (
     CatalogError,
     EmptyCatalogWarning,
     IoFailure,
     UnknownIsotopologue,
+    UnknownSpeciesMass,
     UnparseableField,
     WrongRecordLength,
 )
@@ -133,6 +138,68 @@ class SpectralLine:
     @property
     def species(self) -> str:
         return MOLECULE_NAMES.get(self.molecule_id, f"MOL{self.molecule_id}")
+
+    @property
+    def f0(self) -> float:
+        """Unshifted line center in Hz."""
+        return wavenumber_to_frequency(self.nu0)
+
+    @property
+    def mass(self) -> float:
+        """Molecular mass in kg; :class:`UnknownSpeciesMass` if not tabulated."""
+        try:
+            return MOLAR_MASSES_U[self.molecule_id] * ATOMIC_MASS
+        except KeyError:
+            raise UnknownSpeciesMass(
+                f"no molar mass for molecule {self.molecule_id}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class LineColumns:
+    """Per-line fields of a catalog as arrays, in catalog order.
+
+    The names are those of :class:`SpectralLine`, so a line-parameter
+    formula written for one line applies element-wise to every line.
+    ``mass`` is NaN for a molecule without a tabulated molar mass.
+    """
+
+    nu0: np.ndarray
+    delta_air: np.ndarray
+    alpha_air: np.ndarray
+    alpha_self: np.ndarray
+    gamma_t: np.ndarray
+    f0: np.ndarray
+    mass: np.ndarray
+    species: tuple[str | None, ...]   # distinct names, None for an unnamed id
+    species_index: np.ndarray         # each line's entry in ``species``
+
+    @classmethod
+    def of(cls, lines: tuple[SpectralLine, ...]) -> LineColumns:
+        def column(name: str) -> np.ndarray:
+            return np.array([getattr(ln, name) for ln in lines], dtype=float)
+
+        nu0 = column("nu0")
+        names = [MOLECULE_NAMES.get(ln.molecule_id) for ln in lines]
+        species = tuple(dict.fromkeys(names))
+        return cls(
+            nu0=nu0,
+            delta_air=column("delta_air"),
+            alpha_air=column("alpha_air"),
+            alpha_self=column("alpha_self"),
+            gamma_t=column("gamma_t"),
+            f0=wavenumber_to_frequency(nu0),
+            mass=np.array([ln.mass if ln.molecule_id in MOLAR_MASSES_U
+                           else math.nan for ln in lines], dtype=float),
+            species=species,
+            species_index=np.array([species.index(n) for n in names],
+                                   dtype=np.intp),
+        )
+
+    def mixing_ratios(self, ratios: Mapping[str, float]) -> np.ndarray:
+        """Each line's volume mixing ratio; 0 for a species not in ``ratios``."""
+        by_species = np.array([ratios.get(name, 0.0) for name in self.species],
+                              dtype=float)
+        return by_species[self.species_index]
 
 
 @dataclass(frozen=True)
@@ -278,6 +345,11 @@ class LineCatalog:
 
     def __iter__(self) -> Iterator[SpectralLine]:
         return iter(self.lines)
+
+    @cached_property
+    def columns(self) -> LineColumns:
+        """The lines as arrays, built on first use and kept with the catalog."""
+        return LineColumns.of(self.lines)
 
 
 def _read_stream(source) -> tuple[bytes, str]:

@@ -131,15 +131,24 @@ class Scenario:
         require(kind in KINDS, "kind", f"must be one of {', '.join(KINDS)}")
         # the comparisons are false for NaN, so they also reject it
         for key, value in (("h_airplane_km", self.h_airplane),
-                           ("h_ground_m", self.h_ground)):
+                           ("h_ground_m", self.h_ground),
+                           ("rain_rate_mm_h", self.rain_rate),
+                           ("rain_base_km", self.rain_base),
+                           ("rain_thickness_km", self.rain_thickness),
+                           ("cloud_density_g_m3", self.cloud_density),
+                           ("cloud_base_km", self.cloud_base),
+                           ("cloud_thickness_km", self.cloud_thickness)):
             require(0.0 <= value < math.inf, key, f"must be nonnegative "
                     f"and finite in SI units, got {value:g}")
         for key, value in (("h_satellite_km", self.h_satellite),
+                           ("link_distance_m", self.link_distance),
                            ("f_min_ghz", self.f_min),
                            ("f_max_ghz", self.f_max),
                            ("f_step_ghz", self.f_step),
                            ("atmosphere_top_km", self.atmosphere_top),
-                           ("layer_resolution_m", self.layer_resolution)):
+                           ("layer_resolution_m", self.layer_resolution),
+                           ("water_scale_height_m", self.water_scale_height),
+                           ("wing_cutoff_ghz", self.wing_cutoff)):
             require(0.0 < value < math.inf, key, f"must be positive and "
                     f"finite in SI units, got {value:g}")
         require(self.atmosphere_top <= MAX_ALTITUDE, "atmosphere_top_km",
@@ -361,25 +370,25 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         h_ground=si("h_ground_m"),
         central_angle=0.0 if elevation is not None
         else math.radians(float(values["central_angle_deg"])),
-        link_distance=positive("link_distance_m"),
+        link_distance=si("link_distance_m"),
         tx_antenna=antennas["tx"],
         rx_antenna=antennas["rx"],
         transceiver=transceiver,
-        rain_rate=nonnegative("rain_rate_mm_h"),
-        rain_base=nonnegative("rain_base_km"),
-        rain_thickness=nonnegative("rain_thickness_km"),
-        cloud_density=nonnegative("cloud_density_g_m3"),
-        cloud_base=nonnegative("cloud_base_km"),
-        cloud_thickness=nonnegative("cloud_thickness_km"),
+        rain_rate=si("rain_rate_mm_h"),
+        rain_base=si("rain_base_km"),
+        rain_thickness=si("rain_thickness_km"),
+        cloud_density=si("cloud_density_g_m3"),
+        cloud_base=si("cloud_base_km"),
+        cloud_thickness=si("cloud_thickness_km"),
         layer_resolution=si("layer_resolution_m"),
         atmosphere_top=si("atmosphere_top_km"),
         ground_humidity=humidity,
-        water_scale_height=positive("water_scale_height_m"),
+        water_scale_height=si("water_scale_height_m"),
         f_min=si("f_min_ghz"),
         f_max=si("f_max_ghz"),
         f_step=si("f_step_ghz"),
         catalog_path=str(values["catalog_path"]),
-        wing_cutoff=positive("wing_cutoff_ghz"),
+        wing_cutoff=si("wing_cutoff_ghz"),
     )
     try:
         scenario = Scenario(**fields)

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thzlink import catalog as catalog_module
 from thzlink.absorption import (
+    DEFAULT_WING_CUTOFF,
+    DOPPLER_WINDOW,
+    AbsorptionSpectrum,
     LineShapeKind,
     absorption_coefficient,
     doppler_halfwidth,
@@ -21,12 +26,18 @@ from thzlink.absorption import (
     van_vleck_weisskopf_shape,
     voigt_shape,
 )
-from thzlink.atmosphere import AtmosphericState, profile_at
-from thzlink.catalog import LineCatalog, SpectralLine
+from thzlink.atmosphere import AtmosphericState, build_layers, profile_at
+from thzlink.catalog import (
+    ISOTOPOLOGUE_ABUNDANCES,
+    MOLECULE_NAMES,
+    LineCatalog,
+    SpectralLine,
+)
 from thzlink.constants import (
     AVOGADRO,
     BOLTZMANN,
     GAS_CONSTANT,
+    INTENSITY_CM_TO_SI,
     PLANCK,
     SPEED_OF_LIGHT,
     STANDARD_PRESSURE,
@@ -37,6 +48,7 @@ from thzlink.errors import (
     UnknownSpecies,
     UnknownSpeciesMass,
 )
+from thzlink.scenario import capacity_band, load_scenario_catalog, make_grid
 
 P0 = STANDARD_PRESSURE
 T0 = STANDARD_TEMPERATURE
@@ -388,3 +400,161 @@ class TestAbsorptionCoefficient:
         with pytest.raises(ValueError):
             absorption_coefficient(mini_catalog, state,
                                    np.array([2e11, 1e11]))
+
+
+def per_line_kappa(catalog, state, grid, wing_cutoff=DEFAULT_WING_CUTOFF):
+    """The kernel as a loop over every catalog line with a full wing window,
+    kept as it stood before the array pass: the reference that pass must
+    match bit for bit."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+
+    p, t = state.pressure, state.temperature
+    kappa = np.zeros_like(grid)
+    for line in catalog:
+        mu = state.mixing_ratios.get(MOLECULE_NAMES.get(line.molecule_id), 0.0)
+        if mu <= 0.0:
+            continue
+        f_c = line_center(line, p)
+        lo = np.searchsorted(grid, f_c - wing_cutoff, "left")
+        hi = np.searchsorted(grid, f_c + wing_cutoff, "right")
+        if lo >= hi:
+            continue
+        alpha_l = lorentz_halfwidth(line, p, t, mu)
+        alpha_d = doppler_halfwidth(line, t)
+        strength = (number_density(p, t, mu) * line.abundance
+                    * line_intensity(line, t, f_c) * INTENSITY_CM_TO_SI)
+        window = grid[lo:hi]
+        kind = select_line_shape(alpha_l, alpha_d)
+        if kind is LineShapeKind.VAN_VLECK_HUBER:
+            shape = van_vleck_huber_shape(window, f_c, alpha_l, t)
+        elif kind is LineShapeKind.DOPPLER:
+            shape = doppler_shape(window, f_c, alpha_d)
+        else:
+            shape = voigt_shape(window, f_c, alpha_l, alpha_d)
+        kappa[lo:hi] += strength * shape
+    return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+
+
+def synthetic_line(molecule_id, f_hz, **fields):
+    values = dict(molecule_id=molecule_id, isotopologue_id=1, nu0=f_hz / CM,
+                  S0_ref=1e-21, alpha_air=0.08, alpha_self=0.4,
+                  E_lower=50.0, gamma_t=0.7, delta_air=-0.002,
+                  abundance=ISOTOPOLOGUE_ABUNDANCES[(molecule_id, 1)])
+    values.update(fields)
+    return SpectralLine(**values)
+
+
+# 299.9-300.1 GHz in 0.25 MHz steps: Doppler half-widths near 300 GHz are
+# 0.2-0.4 MHz, so the 40-half-width window spans about 100 points. Lines sit
+# inside, at the edge of and outside the grid, so windows are partial.
+FINE_GRID = np.linspace(299.9e9, 300.1e9, 801)
+SYNTHETIC = LineCatalog((
+    synthetic_line(1, 299.700e9),
+    synthetic_line(7, 299.895e9, S0_ref=3e-24, gamma_t=0.75),
+    synthetic_line(1, 299.905e9, E_lower=400.0),
+    synthetic_line(1, 300.000e9, S0_ref=5e-20, gamma_t=0.64),
+    synthetic_line(7, 300.010e9, S0_ref=1e-24, delta_air=0.001),
+    synthetic_line(1, 300.098e9, alpha_air=0.03, gamma_t=0.5),
+    synthetic_line(7, 300.300e9, S0_ref=4e-24),
+), "synthetic")
+# sea level to 110 km: collision, Voigt and Doppler shapes
+SYNTHETIC_STATES = [profile_at(h) for h in np.arange(0.0, 110e3 + 1, 5e3)]
+
+
+def assert_same_bytes(catalog, states, grid, wing_cutoff=DEFAULT_WING_CUTOFF):
+    for state in states:
+        got = absorption_coefficient(catalog, state, grid, wing_cutoff).kappa
+        want = per_line_kappa(catalog, state, grid, wing_cutoff).kappa
+        assert got.tobytes() == want.tobytes(), state.altitude
+
+
+class TestKernelBitIdentity:
+    def test_every_layer_of_the_default_stack(self, default_scenario):
+        scenario = dataclasses.replace(default_scenario, kind="E2S")
+        survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
+        grid = np.union1d(survey, capacity_band(scenario.transceiver))
+        catalog = load_scenario_catalog(scenario, survey)
+        stack = build_layers(0.0, scenario.atmosphere_top,
+                             scenario.layer_resolution,
+                             ground_humidity=scenario.ground_humidity,
+                             water_scale_height=scenario.water_scale_height)
+        assert len(stack) == 1000
+        assert_same_bytes(catalog, [layer.state for layer in stack], grid,
+                          scenario.wing_cutoff)
+
+    def test_synthetic_catalog_hits_every_branch_with_partial_windows(self):
+        kinds, clipped = set(), 0
+        for state in SYNTHETIC_STATES:
+            p, t = state.pressure, state.temperature
+            for line in SYNTHETIC:
+                mu = state.mixing_ratios[line.species]
+                alpha_d = doppler_halfwidth(line, t)
+                kind = select_line_shape(lorentz_halfwidth(line, p, t, mu),
+                                         alpha_d)
+                kinds.add(kind)
+                reach = DOPPLER_WINDOW * alpha_d
+                f_c = line_center(line, p)
+                if (kind is LineShapeKind.DOPPLER and FINE_GRID[0] < f_c + reach
+                        and f_c - reach < FINE_GRID[0]):
+                    clipped += 1
+        assert kinds == set(LineShapeKind)
+        assert clipped > 0
+        assert_same_bytes(SYNTHETIC, SYNTHETIC_STATES, FINE_GRID)
+
+    def test_wing_cutoff_inside_the_doppler_window(self):
+        wing = 5e6
+        alpha_d = doppler_halfwidth(SYNTHETIC.lines[3], 200.0)
+        assert wing < DOPPLER_WINDOW * alpha_d
+        assert_same_bytes(SYNTHETIC, SYNTHETIC_STATES, FINE_GRID, wing)
+
+    def test_absent_species(self):
+        dry = [AtmosphericState(s.altitude, s.pressure, s.temperature,
+                                {k: v for k, v in s.mixing_ratios.items()
+                                 if k != "H2O"})
+               for s in SYNTHETIC_STATES]
+        assert_same_bytes(SYNTHETIC, dry, FINE_GRID)
+        assert any(absorption_coefficient(SYNTHETIC, s, FINE_GRID).kappa.any()
+                   for s in dry)
+
+    def test_columns_built_once_per_catalog(self):
+        catalog = LineCatalog(SYNTHETIC.lines, "copy")
+        columns = catalog.columns
+        absorption_coefficient(catalog, SYNTHETIC_STATES[0], FINE_GRID)
+        assert catalog.columns is columns
+        assert columns.nu0.tolist() == [ln.nu0 for ln in SYNTHETIC]
+
+
+class TestKernelErrors:
+    """Errors of a line's intensity or width come only from lines with a
+    grid point in their window, since only those lines contribute."""
+
+    def test_unknown_mass_of_a_contributing_line(self, monkeypatch,
+                                                 sample_line):
+        monkeypatch.delitem(catalog_module.MOLAR_MASSES_U, 1)
+        cat = LineCatalog((sample_line,), "one-line")
+        state = AtmosphericState(0.0, P0, T0, {"H2O": 0.0078})
+        f0 = sample_line.nu0 * CM
+        with pytest.raises(UnknownSpeciesMass):
+            absorption_coefficient(cat, state, np.array([f0, f0 + 1e9]))
+        beyond_wing = np.array([f0 + 800e9, f0 + 801e9])
+        kappa = absorption_coefficient(cat, state, beyond_wing).kappa
+        assert not kappa.any()
+
+    def test_temperature_out_of_fit_outside_the_doppler_window(
+            self, sample_line):
+        cat = LineCatalog((sample_line,), "one-line")
+        hot = AtmosphericState(0.0, 1e-3, 3200.0, {"H2O": 0.01})
+        f0 = sample_line.nu0 * CM
+        assert DOPPLER_WINDOW * doppler_halfwidth(sample_line, 3200.0) < 1e9
+        with pytest.raises(TemperatureOutOfFitRange):
+            absorption_coefficient(cat, hot, np.array([f0, f0 + 1e6]))
+        # inside the wing cutoff but past the exact Doppler window: the line
+        # adds +0.0 everywhere, so it is not evaluated and cannot raise
+        outside = np.array([f0 + 1e9, f0 + 2e9])
+        assert not absorption_coefficient(cat, hot, outside).kappa.any()
+        with pytest.raises(TemperatureOutOfFitRange):
+            per_line_kappa(cat, hot, outside)

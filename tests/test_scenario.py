@@ -111,6 +111,17 @@ class TestScenarioRules:
         ({"f_step": math.inf}, "f_step_ghz"),
         ({"f_min": 300e9, "f_max": 300e9}, "f_min_ghz"),
         ({"kind": "E2A", "layer_resolution": 1e-3}, "layer_resolution_m"),
+        ({"kind": "E2A", "rain_rate": -1.0, "rain_thickness": 700.0},
+         "rain_rate_mm_h"),
+        ({"rain_base": -1.0}, "rain_base_km"),
+        ({"rain_thickness": math.nan}, "rain_thickness_km"),
+        ({"kind": "E2A", "cloud_density": -1.0}, "cloud_density_g_m3"),
+        ({"cloud_base": -1.0}, "cloud_base_km"),
+        ({"cloud_thickness": math.inf}, "cloud_thickness_km"),
+        ({"kind": "A2A", "link_distance": 0.0}, "link_distance_m"),
+        ({"kind": "E2A", "water_scale_height": -1.0}, "water_scale_height_m"),
+        ({"kind": "E2A", "wing_cutoff": -1.0}, "wing_cutoff_ghz"),
+        ({"wing_cutoff": math.inf}, "wing_cutoff_ghz"),
     ])
     def test_replace_obeys_the_rules(self, default_scenario, changes, key):
         with pytest.raises(ConfigError) as err:
