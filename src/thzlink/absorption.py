@@ -14,7 +14,6 @@ public function returns SI.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,14 +53,6 @@ DOPPLER_WINDOW = 40.0
 # Half-width ratio beyond which a single broadening mechanism dominates and
 # the Voigt convolution is skipped in favor of the dominant shape.
 SHAPE_SELECTION_RATIO = 5.0
-
-
-class LineShapeKind(enum.Enum):
-    """Shape selected for a line at given pressure and temperature."""
-
-    VAN_VLECK_HUBER = "van_vleck_huber"
-    DOPPLER = "doppler"
-    VOIGT = "voigt"
 
 
 def line_center(line: SpectralLine | LineColumns, p: float):
@@ -112,12 +103,6 @@ def lorentz_shape(df, alpha_l: float):
     return (alpha_l / math.pi) / (df * df + alpha_l * alpha_l)
 
 
-def van_vleck_weisskopf_shape(f, f_c: float, alpha_l: float):
-    """Asymmetric collision shape with the (f/f_c)^2 prefactor, 1/Hz."""
-    return (f / f_c) ** 2 * (lorentz_shape(f - f_c, alpha_l)
-                             + lorentz_shape(f + f_c, alpha_l))
-
-
 def van_vleck_huber_shape(f, f_c: float, alpha_l: float, t: float):
     """Collision shape with radiation-field (far-wing) adjustments, 1/Hz."""
     half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
@@ -151,29 +136,6 @@ def _dominance(alpha_l, alpha_d):
     """
     return (alpha_l > SHAPE_SELECTION_RATIO * alpha_d,
             alpha_d > SHAPE_SELECTION_RATIO * alpha_l)
-
-
-def select_line_shape(alpha_l: float, alpha_d: float) -> LineShapeKind:
-    """Dynamic selection rule from the half-width comparison."""
-    collisional, thermal = _dominance(alpha_l, alpha_d)
-    if collisional:
-        return LineShapeKind.VAN_VLECK_HUBER
-    if thermal:
-        return LineShapeKind.DOPPLER
-    return LineShapeKind.VOIGT
-
-
-def line_shape(line: SpectralLine, f, p: float, t: float, mu_i: float):
-    """Evaluate the dynamically selected shape for one line, 1/Hz."""
-    f_c = line_center(line, p)
-    alpha_l = lorentz_halfwidth(line, p, t, mu_i)
-    alpha_d = doppler_halfwidth(line, t)
-    kind = select_line_shape(alpha_l, alpha_d)
-    if kind is LineShapeKind.VAN_VLECK_HUBER:
-        return van_vleck_huber_shape(f, f_c, alpha_l, t)
-    if kind is LineShapeKind.DOPPLER:
-        return doppler_shape(f, f_c, alpha_d)
-    return voigt_shape(f, f_c, alpha_l, alpha_d)
 
 
 @lru_cache(maxsize=1)

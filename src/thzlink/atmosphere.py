@@ -209,7 +209,8 @@ def build_layers(
         raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
     if resolution <= 0:
         raise InvalidRange(f"resolution must be positive, got {resolution}")
-    count = math.ceil((h_top - h_bottom) / resolution)
+    # at least one layer, also where the ratio underflows to 0
+    count = max(1, math.ceil((h_top - h_bottom) / resolution))
     layers = []
     for i in range(count):
         lower = h_bottom + i * resolution

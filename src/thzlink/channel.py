@@ -21,7 +21,7 @@ import numpy as np
 
 from .absorption import AbsorptionSpectrum
 from .constants import SPEED_OF_LIGHT
-from .errors import MisalignedLayers
+from .errors import ConfigError, MisalignedLayers
 
 RAIN_TABLE_RANGE_GHZ = (1.0, 1000.0)
 CLOUD_VALID_MAX_GHZ = 200.0
@@ -50,10 +50,14 @@ class AntennaConfig:
     efficiency: float = 1.0  # (0, 1]
 
     def __post_init__(self):
-        if self.diameter <= 0.0:
-            raise ValueError("antenna diameter must be positive")
+        # the comparisons are false for NaN, so they also reject it; the
+        # keys drop the tx_ or rx_ prefix of the end the dish sits at
+        if not 0.0 < self.diameter < math.inf:
+            raise ConfigError(f"must be positive and finite, got "
+                              f"{self.diameter:g}", field="dish_diameter_m")
         if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("antenna efficiency must be in (0, 1]")
+            raise ConfigError(f"must be in (0, 1], got {self.efficiency:g}",
+                              field="dish_efficiency")
 
 
 class Attenuation(NamedTuple):
@@ -129,7 +133,11 @@ def rain_attenuation(f: float, rain_rate: float, path: float) -> Attenuation:
     log_f = math.log(f_ghz)
     k = math.exp(np.interp(log_f, np.log(freqs), np.log(ks)))
     alpha = math.exp(np.interp(log_f, np.log(freqs), np.log(alphas)))
-    return Attenuation(k * rain_rate ** alpha * (path / 1000.0), extrapolated)
+    try:
+        db = k * rain_rate ** alpha * (path / 1000.0)
+    except OverflowError:  # float ** raises where * gives inf
+        db = math.inf
+    return Attenuation(db, extrapolated)
 
 
 @lru_cache(maxsize=1)

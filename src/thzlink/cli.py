@@ -6,7 +6,7 @@
 
 ``run`` evaluates the survey grid and the capacity band in one pass. Sweep
 axis units: frequency in GHz, altitude in meters, elevation in degrees.
-Exit codes: 0 success, 2 configuration error, 3 computation error.
+Exit codes: 0 success, 2 configuration error, 3 computation or I/O error.
 """
 
 from __future__ import annotations
@@ -107,6 +107,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ThzLinkError as exc:
         print(f"computation error ({args.command} {args.config}): {exc}",
+              file=sys.stderr)
+        return EXIT_COMPUTE
+    except OSError as exc:
+        # an output or cache directory that cannot be made or written
+        print(f"I/O error ({args.command} {args.config}): {exc}",
               file=sys.stderr)
         return EXIT_COMPUTE
 

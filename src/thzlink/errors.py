@@ -89,10 +89,6 @@ class DegenerateGeometry(GeometryError):
     pass
 
 
-class RayMissesAtmosphere(GeometryError):
-    pass
-
-
 class ZeroElevation(GeometryError):
     pass
 

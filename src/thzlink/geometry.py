@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import EARTH_RADIUS
-from .errors import (
-    DegenerateGeometry,
-    GeometryError,
-    RayMissesAtmosphere,
-    ZeroElevation,
-)
+from .errors import DegenerateGeometry, GeometryError, ZeroElevation
 from .atmosphere import LayerStack
 
 
@@ -86,13 +81,9 @@ def atmospheric_path_length(
         raise GeometryError(f"elevation must be in (0, pi/2], got {psi}")
     r = EARTH_RADIUS + h_start
     b = EARTH_RADIUS + atmosphere_top
-    # -r sin(psi) is r cos(psi + 90 deg); the discriminant is always
-    # positive here since b > r.
+    # -r sin(psi) is r cos(psi + 90 deg); the discriminant is never
+    # negative here since b >= r.
     disc = r * r * math.sin(psi) ** 2 + (b * b - r * r)
-    if disc < 0.0:  # unreachable under the preconditions
-        raise RayMissesAtmosphere(
-            f"ray from {h_start} m at {psi} rad misses the {atmosphere_top} m "
-            f"shell")
     return -r * math.sin(psi) + math.sqrt(disc)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .constants import BOLTZMANN, PLANCK
-from .errors import UnsupportedScheme
+from .errors import ConfigError, UnsupportedScheme
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,27 @@ class TransceiverConfig:
     rx_temperature: float = 296.0  # K
 
     def __post_init__(self):
-        if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be positive")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        # the comparisons are false for NaN, so they also reject it
+        for key, value in (("tx_power_mw", self.tx_power),
+                           ("bandwidth_ghz", self.bandwidth),
+                           ("center_frequency_ghz", self.center_frequency),
+                           ("rx_temperature_k", self.rx_temperature)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"must be positive and finite in SI units, "
+                                  f"got {value:g}", field=key)
+        density = self.tx_power / self.bandwidth
+        if not 0.0 < density < math.inf:
+            raise ConfigError(f"gives a transmit density of {density:g} W/Hz "
+                              f"over {self.bandwidth:g} Hz; it must be finite "
+                              f"and nonzero", field="tx_power_mw")
+        try:
+            factor = 10.0 ** (self.noise_figure / 10.0)
+        except OverflowError:
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
+            raise ConfigError(
+                f"must be finite and nonzero as a linear factor, got "
+                f"{self.noise_figure:g} dB", field="noise_figure_db")
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,23 @@ def _normalize_sky(t_profile, tau_path):
     return temps, taus, per_layer_scalars
 
 
+def _rayleigh_jeans(temps, taus):
+    """RJ brightness temperature of arrays shaped by :func:`_normalize_sky`."""
+    emitted = temps[:, None] * (1.0 - taus)
+    emitted[1:] *= np.cumprod(taus[:-1], axis=0)
+    return np.sum(emitted, axis=0)
+
+
+def _effective_temperature(temps, taus):
+    """T_eff and the emissivity 1 - tau_total of arrays shaped by
+    :func:`_normalize_sky`."""
+    emissivity = 1.0 - np.prod(taus, axis=0)
+    opaque = emissivity > 1e-12
+    t_eff = np.where(opaque, _rayleigh_jeans(temps, taus)
+                     / np.where(opaque, emissivity, 1.0), np.mean(temps))
+    return t_eff, emissivity
+
+
 def brightness_temperature_rj(t_profile, tau_path):
     """Rayleigh-Jeans sky brightness temperature, K.
 
@@ -76,9 +110,7 @@ def brightness_temperature_rj(t_profile, tau_path):
     absorption-weighted mean path temperature times (1 - tau_total).
     """
     temps, taus, scalar_out = _normalize_sky(t_profile, tau_path)
-    emitted = temps[:, None] * (1.0 - taus)
-    emitted[1:] *= np.cumprod(taus[:-1], axis=0)
-    t_b = np.sum(emitted, axis=0)
+    t_b = _rayleigh_jeans(temps, taus)
     return float(t_b[0]) if scalar_out else t_b
 
 
@@ -90,11 +122,7 @@ def effective_path_temperature(t_profile, tau_path):
     regardless.
     """
     temps, taus, scalar_out = _normalize_sky(t_profile, tau_path)
-    t_b = np.atleast_1d(brightness_temperature_rj(temps, taus))
-    emissivity = 1.0 - np.prod(taus, axis=0)
-    opaque = emissivity > 1e-12
-    t_eff = np.where(opaque, t_b / np.where(opaque, emissivity, 1.0),
-                     np.mean(temps))
+    t_eff = _effective_temperature(temps, taus)[0]
     return float(t_eff[0]) if scalar_out else t_eff
 
 
@@ -108,8 +136,7 @@ def brightness_temperature_planck(f, t_profile, tau_path):
     """
     temps, taus, scalar_tau = _normalize_sky(t_profile, tau_path)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    t_eff = np.atleast_1d(effective_path_temperature(temps, taus))
-    emissivity = 1.0 - np.prod(taus, axis=0)
+    t_eff, emissivity = _effective_temperature(temps, taus)
     x = PLANCK * f_arr / (BOLTZMANN * t_eff)
     with np.errstate(divide="ignore", over="ignore"):
         t_b = (PLANCK * f_arr / BOLTZMANN) / np.log1p(

@@ -70,6 +70,7 @@ from .link import (
     capacity as shannon_capacity,
     modulation_threshold,
     snr as compute_snr,
+    thermal_noise_psd,
     total_noise_psd,
 )
 
@@ -92,9 +93,10 @@ MAX_LAYER_POINTS = 20_000_000
 class Scenario:
     """A valid scenario, all quantities in SI units.
 
-    Construction checks the rules about the scenario as a whole and about
-    the fields that sweeps and the geometry depend on, and raises
-    :class:`ConfigError` naming the config key at fault.
+    Construction checks the rules about each field and about the scenario
+    as a whole, and raises :class:`ConfigError` naming the config key at
+    fault. The transceiver and the antennas check their own fields when
+    they are made.
     """
 
     kind: str
@@ -137,7 +139,8 @@ class Scenario:
                            ("rain_thickness_km", self.rain_thickness),
                            ("cloud_density_g_m3", self.cloud_density),
                            ("cloud_base_km", self.cloud_base),
-                           ("cloud_thickness_km", self.cloud_thickness)):
+                           ("cloud_thickness_km", self.cloud_thickness),
+                           ("ground_humidity_vmr", self.ground_humidity)):
             require(0.0 <= value < math.inf, key, f"must be nonnegative "
                     f"and finite in SI units, got {value:g}")
         for key, value in (("h_satellite_km", self.h_satellite),
@@ -153,6 +156,8 @@ class Scenario:
                     f"finite in SI units, got {value:g}")
         require(self.atmosphere_top <= MAX_ALTITUDE, "atmosphere_top_km",
                 f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
+        require(self.ground_humidity < 1.0, "ground_humidity_vmr",
+                "is a volume mixing ratio, must be < 1")
 
         if kind in ("A2S", "S2A"):
             require(self.h_airplane < self.h_satellite, "h_airplane_km",
@@ -179,17 +184,20 @@ class Scenario:
         tx = self.transceiver
         require(tx.center_frequency - tx.bandwidth / 2.0 > 0.0,
                 "center_frequency_ghz", "band must not extend below 0 Hz")
-        require(np.all(np.diff(capacity_band(tx)) > 0.0), "bandwidth_ghz",
+        band = capacity_band(tx)
+        require(np.all(np.diff(band) > 0.0), "bandwidth_ghz",
                 f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does "
                 f"not hold {BAND_POINTS} distinct frequencies")
 
+        distance = self.link_distance
         if kind != "A2A":
             h_low, h_high = self.endpoints()
-            psi = elevation_angle(LinkEndpoints(h_low, h_high,
-                                                self.central_angle))
+            ends = LinkEndpoints(h_low, h_high, self.central_angle)
+            psi = elevation_angle(ends)
             require(psi > 0.0, "central_angle_deg",
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
+            distance = slant_range(ends)
             # build_layers makes ceil(stack top / resolution) layers
             layers = min(self.atmosphere_top, h_high) / self.layer_resolution
             if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
@@ -198,6 +206,28 @@ class Scenario:
             require(layers * points <= MAX_LAYER_POINTS, "layer_resolution_m",
                     f"{layers:,} layers on {points:,} frequencies exceed "
                     f"{MAX_LAYER_POINTS:,} layer-frequency points")
+
+        # An inf times a 0 is NaN, so every factor of the budget must be
+        # finite and nonzero. The free-space loss with both dish gains and
+        # the thermal noise each fall with frequency, so the ends of the
+        # grid and of the band bound every point.
+        grid = make_grid(self.f_min, self.f_max, self.f_step)
+        freqs = np.array([grid[0], grid[-1], band[0], band[-1]])
+        keys = ("f_min_ghz", "f_max_ghz") + ("center_frequency_ghz",) * 2
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            loss = total_path_loss(freqs, distance, 1.0,
+                                   dish_gain(self.tx_antenna, freqs),
+                                   dish_gain(self.rx_antenna, freqs))
+            noise = thermal_noise_psd(freqs, tx.rx_temperature,
+                                      tx.noise_figure)
+        for key, f, loss_f, noise_f in zip(keys, freqs, loss, noise):
+            require(0.0 < loss_f < math.inf, key,
+                    f"spreading loss and dish gains give a free-space loss "
+                    f"of {loss_f:g} at {f:g} Hz over {distance:g} m; it must "
+                    f"be finite and nonzero")
+            require(0.0 < noise_f < math.inf, "rx_temperature_k",
+                    f"thermal noise of {noise_f:g} W/Hz at {f:g} Hz; it "
+                    f"must be finite and nonzero")
 
     def at_elevation(self, degrees: float) -> Scenario:
         """This scenario with the central angle at which the line of sight
@@ -266,8 +296,8 @@ def parse_config(path) -> Scenario:
     values: dict[str, float | str | None] = dict(_DEFAULTS)
     seen: dict[str, int] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -300,10 +330,11 @@ def parse_config(path) -> Scenario:
 def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario:
     """Construct a :class:`Scenario` from raw config values.
 
-    Checks here are per key: the sign of each key the scenario does not
-    check, in config units; finiteness in SI units; the antennas, the noise
-    figure and ``elevation_deg``. An error from the scenario's own rules
-    gains the line of the key it names.
+    Here are only the conversion to SI units, checked finite, and the rule
+    that ``elevation_deg`` and ``central_angle_deg`` exclude each other.
+    Every other rule belongs to the type that owns the value; its error
+    gains the line of the key it names, and an antenna's error the
+    ``tx_`` or ``rx_`` prefix of its end.
     """
     seen = seen or {}
 
@@ -317,46 +348,13 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
             fail(field, f"must be finite in SI units, got {values[field]}")
         return v
 
-    def positive(field: str) -> float:
-        """The value of ``field`` in SI units, checked positive."""
-        v = float(values[field])
-        if v <= 0.0:
-            fail(field, f"must be positive, got {v}")
-        return si(field)
-
-    def nonnegative(field: str) -> float:
-        """The value of ``field`` in SI units, checked nonnegative."""
-        v = float(values[field])
-        if v < 0.0:
-            fail(field, f"must be nonnegative, got {v}")
-        return si(field)
-
-    antennas = {}
-    for end in ("tx", "rx"):
+    def antenna(end: str) -> AntennaConfig:
+        diameter = si(f"{end}_dish_diameter_m")
+        efficiency = si(f"{end}_dish_efficiency")
         try:
-            antennas[end] = AntennaConfig(
-                positive(f"{end}_dish_diameter_m"),
-                float(values[f"{end}_dish_efficiency"]))
-        except ValueError as exc:
-            fail(f"{end}_dish_efficiency", str(exc))
-
-    noise_figure = float(values["noise_figure_db"])
-    try:
-        10.0 ** (noise_figure / 10.0)
-    except OverflowError:
-        fail("noise_figure_db",
-             f"must be finite as a linear factor, got {noise_figure}")
-    transceiver = TransceiverConfig(
-        tx_power=positive("tx_power_mw"),
-        bandwidth=positive("bandwidth_ghz"),
-        center_frequency=positive("center_frequency_ghz"),
-        noise_figure=noise_figure,
-        rx_temperature=positive("rx_temperature_k"),
-    )
-
-    humidity = nonnegative("ground_humidity_vmr")
-    if humidity >= 1.0:
-        fail("ground_humidity_vmr", "is a volume mixing ratio, must be < 1")
+            return AntennaConfig(diameter, efficiency)
+        except ConfigError as exc:
+            fail(f"{end}_{exc.field}", exc.message)
 
     elevation = values.get("elevation_deg")
     if elevation is not None and "central_angle_deg" in seen:
@@ -371,9 +369,8 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         central_angle=0.0 if elevation is not None
         else math.radians(float(values["central_angle_deg"])),
         link_distance=si("link_distance_m"),
-        tx_antenna=antennas["tx"],
-        rx_antenna=antennas["rx"],
-        transceiver=transceiver,
+        tx_antenna=antenna("tx"),
+        rx_antenna=antenna("rx"),
         rain_rate=si("rain_rate_mm_h"),
         rain_base=si("rain_base_km"),
         rain_thickness=si("rain_thickness_km"),
@@ -382,7 +379,7 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         cloud_thickness=si("cloud_thickness_km"),
         layer_resolution=si("layer_resolution_m"),
         atmosphere_top=si("atmosphere_top_km"),
-        ground_humidity=humidity,
+        ground_humidity=si("ground_humidity_vmr"),
         water_scale_height=si("water_scale_height_m"),
         f_min=si("f_min_ghz"),
         f_max=si("f_max_ghz"),
@@ -390,8 +387,16 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         catalog_path=str(values["catalog_path"]),
         wing_cutoff=si("wing_cutoff_ghz"),
     )
+    transceiver = dict(
+        tx_power=si("tx_power_mw"),
+        bandwidth=si("bandwidth_ghz"),
+        center_frequency=si("center_frequency_ghz"),
+        noise_figure=si("noise_figure_db"),
+        rx_temperature=si("rx_temperature_k"),
+    )
     try:
-        scenario = Scenario(**fields)
+        scenario = Scenario(transceiver=TransceiverConfig(**transceiver),
+                            **fields)
         if elevation is not None:
             scenario = scenario.at_elevation(float(elevation))
     except ConfigError as exc:

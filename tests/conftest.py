@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from thzlink.catalog import (
     SpectralLine,
@@ -7,6 +8,12 @@ from thzlink.catalog import (
     load_catalog,
 )
 from thzlink.scenario import _DEFAULTS, SpectrumCache, build_scenario
+
+# the same examples on every run, with no example database and no deadline
+# (a cold run's time depends on the host)
+settings.register_profile("thzlink", derandomize=True, deadline=None,
+                          database=None, max_examples=1000)
+settings.load_profile("thzlink")
 
 
 @pytest.fixture(scope="session")

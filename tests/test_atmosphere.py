@@ -84,6 +84,12 @@ class TestBuildLayers:
         assert len(stack) == 3
         assert (stack[2].lower, stack[2].upper) == (1_000.0, 1_250.0)
 
+    def test_range_far_below_resolution_is_one_layer(self):
+        # the range over the resolution underflows to 0
+        stack = build_layers(0.0, 5e-321, 50_000.0)
+        assert len(stack) == 1
+        assert (stack[0].lower, stack[0].upper) == (0.0, 5e-321)
+
     def test_contiguous(self):
         stack = build_layers(0.0, 20_000.0, 500.0)
         for below, above in zip(stack.layers, stack.layers[1:]):

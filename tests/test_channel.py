@@ -17,7 +17,7 @@ from thzlink.channel import (
     total_path_loss,
     transmittance,
 )
-from thzlink.errors import MisalignedLayers
+from thzlink.errors import ConfigError, MisalignedLayers
 from thzlink.geometry import atmospheric_path_length, layer_path_segments
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data"
@@ -105,10 +105,16 @@ class TestDishGain:
                                                                  abs=1e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AntennaConfig(0.0, 1.0)
-        with pytest.raises(ValueError):
-            AntennaConfig(0.5, 1.5)
+        for diameter, efficiency, key in (
+                (0.0, 1.0, "dish_diameter_m"),
+                (math.inf, 1.0, "dish_diameter_m"),
+                (math.nan, 1.0, "dish_diameter_m"),
+                (0.5, 1.5, "dish_efficiency"),
+                (0.5, 0.0, "dish_efficiency"),
+                (0.5, math.nan, "dish_efficiency")):
+            with pytest.raises(ConfigError) as err:
+                AntennaConfig(diameter, efficiency)
+            assert err.value.field == key
 
 
 def bundled_rain_coefficients(f_ghz):
@@ -136,6 +142,11 @@ class TestRainAttenuation:
         assert 1.0 < att.db < 10.0
         k, alpha = bundled_rain_coefficients(100.0)
         assert att.db == pytest.approx(k * 5.0 ** alpha, rel=1e-6)
+
+    def test_overflowing_rate_is_infinite_loss(self):
+        # near 5 GHz the exponent exceeds 1, so the rate's power overflows
+        att = rain_attenuation(5.3e9, 1e300, 1_000.0)
+        assert att.db == math.inf
 
     def test_slant_scales_linearly_with_path(self):
         psi = math.radians(45.0)

@@ -6,7 +6,7 @@ import pytest
 
 from thzlink.catalog import bundled_catalog_path
 from thzlink.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
-from thzlink.scenario import _DEFAULTS
+from thzlink.scenario import _DEFAULTS, KINDS
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data" / "configs"
 
@@ -89,6 +89,13 @@ class TestRunCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg"), "--out-dir",
                      str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("kind = A2S\n# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+        assert main(["run", str(cfg), "--out-dir",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
         # a catalog path that vanishes between validation and computation
@@ -202,7 +209,9 @@ class TestRunCommand:
         ("A2A", "bandwidth_ghz", "1e-300"),
         ("E2S", "central_angle_deg", "89"),
         ("E2A", "layer_resolution_m", "0.001"),
-    ])
+        ("A2S", "tx_dish_efficiency", "1.5"),
+        ("A2S", "rx_dish_diameter_m", "-1"),
+    ] + [(kind, "f_min_ghz", "1e-300") for kind in KINDS])
     def test_dry_run_checks_every_rule(self, tmp_path, capsys, kind, key,
                                        value):
         cfg = tmp_path / "bad.cfg"
@@ -211,6 +220,25 @@ class TestRunCommand:
                      "--dry-run"])
         assert code == EXIT_CONFIG
         assert f"line 2: field {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--axis", "altitude", "--from", "0", "--to", "0", "--step", "1"],
+])
+@pytest.mark.parametrize("option", ["--out-dir", "--cache-dir"])
+def test_directory_that_is_a_file_is_io_error(quick_config, tmp_path, capsys,
+                                              command, option):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    dirs = {"--out-dir": str(tmp_path / "out"),
+            "--cache-dir": str(tmp_path / "cache"), option: str(blocker)}
+    code = main([command[0], str(quick_config), *command[1:],
+                 *(x for pair in dirs.items() for x in pair)])
+    assert code == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error ({command[0]} ")
+    assert str(blocker) in err
 
 
 class TestBenchmarkHooks:

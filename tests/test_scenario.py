@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from thzlink import scenario as scenario_module
+from thzlink.channel import AntennaConfig
 from thzlink.errors import ConfigError
-from thzlink.link import total_noise_psd
+from thzlink.link import TransceiverConfig, total_noise_psd
 from thzlink.scenario import (
     _DEFAULTS,
     Scenario,
@@ -122,10 +123,40 @@ class TestScenarioRules:
         ({"kind": "E2A", "water_scale_height": -1.0}, "water_scale_height_m"),
         ({"kind": "E2A", "wing_cutoff": -1.0}, "wing_cutoff_ghz"),
         ({"wing_cutoff": math.inf}, "wing_cutoff_ghz"),
+        ({"kind": "E2A", "ground_humidity": -0.1}, "ground_humidity_vmr"),
+        ({"kind": "E2A", "ground_humidity": math.nan}, "ground_humidity_vmr"),
+        ({"kind": "E2A", "ground_humidity": 1.5}, "ground_humidity_vmr"),
+        # the dish gains underflow to 0 and the spreading loss overflows
+        ({"f_min": 1e-291}, "f_min_ghz"),
+        ({"kind": "A2A", "link_distance": 1e300}, "f_min_ghz"),
+        # the product of spreading loss and gains underflows to 0
+        ({"rx_antenna": AntennaConfig(1.0, 5e-324)}, "f_min_ghz"),
+        # the thermal noise underflows to 0
+        ({"transceiver": TransceiverConfig(1e-3, 5e9, 300e9, 10.0, 1e-300)},
+         "rx_temperature_k"),
     ])
     def test_replace_obeys_the_rules(self, default_scenario, changes, key):
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(default_scenario, **changes)
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("part, changes, key", [
+        ("transceiver", {"tx_power": 0.0}, "tx_power_mw"),
+        ("transceiver", {"tx_power": 1e300, "bandwidth": 1e-10},
+         "tx_power_mw"),
+        ("transceiver", {"bandwidth": math.inf}, "bandwidth_ghz"),
+        ("transceiver", {"center_frequency": -1.0}, "center_frequency_ghz"),
+        ("transceiver", {"rx_temperature": -5.0}, "rx_temperature_k"),
+        ("transceiver", {"noise_figure": math.nan}, "noise_figure_db"),
+        ("transceiver", {"noise_figure": 1e6}, "noise_figure_db"),
+        ("transceiver", {"noise_figure": -1e6}, "noise_figure_db"),
+        ("tx_antenna", {"diameter": -1.0}, "dish_diameter_m"),
+        ("rx_antenna", {"efficiency": 1.5}, "dish_efficiency"),
+    ])
+    def test_parts_obey_their_rules(self, default_scenario, part, changes,
+                                    key):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(getattr(default_scenario, part), **changes)
         assert err.value.field == key
 
     def test_crossover_obeys_the_rules(self, default_scenario):
