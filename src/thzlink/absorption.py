@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import wofz
@@ -54,6 +55,11 @@ DOPPLER_WINDOW = 40.0
 # the Voigt convolution is skipped in favor of the dominant shape.
 SHAPE_SELECTION_RATIO = 5.0
 
+# Line-layer pairs that :func:`absorbing_layers` evaluates at once. A block's
+# arrays and pow operands then stay well under a megabyte; on the default
+# E2S stack larger and smaller blocks were both slower.
+_BLOCK_PAIRS = 1 << 12
+
 
 def line_center(line: SpectralLine | LineColumns, p: float):
     """Pressure-shifted resonance frequency in Hz.
@@ -78,13 +84,17 @@ def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
     return alpha * _WAVENUMBER_TO_HZ
 
 
-def _libm_pow(base: float, exponent):
+def _libm_pow(base, exponent):
     """``base ** exponent``, element-wise through the C library's pow.
 
-    numpy's power differs from it in the last bit on some inputs.
+    Either argument may be an array; they broadcast. numpy's power differs
+    from it in the last bit on some inputs.
     """
-    if isinstance(exponent, np.ndarray):
-        return np.array([base ** e for e in exponent.tolist()], dtype=float)
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        b, e = np.broadcast_arrays(base, exponent)
+        return np.array([x ** y for x, y in zip(b.ravel().tolist(),
+                                                e.ravel().tolist())],
+                        dtype=float).reshape(b.shape)
     return base ** exponent
 
 
@@ -170,6 +180,12 @@ def partition_function(species, t: float) -> float:
     raise TemperatureOutOfFitRange(f"T = {t} K not covered by any fit piece")
 
 
+@lru_cache(maxsize=None)
+def _reference_partition(molecule_id: int) -> float:
+    """Q(296 K) of a species, computed once per species."""
+    return partition_function(molecule_id, STANDARD_TEMPERATURE)
+
+
 def line_intensity(line: SpectralLine, t: float,
                    f_c: float | None = None) -> float:
     """Line intensity scaled from the 296 K reference to ``t``.
@@ -182,7 +198,7 @@ def line_intensity(line: SpectralLine, t: float,
     if f_c is None:
         f_c = line.f0
     t0 = STANDARD_TEMPERATURE
-    q_ratio = (partition_function(line.molecule_id, t0)
+    q_ratio = (_reference_partition(line.molecule_id)
                / partition_function(line.molecule_id, t))
     hc_e_lower = PLANCK * SPEED_OF_LIGHT * 100.0 * line.E_lower
     boltzmann = math.exp(-hc_e_lower / (BOLTZMANN * t)) / math.exp(
@@ -195,6 +211,68 @@ def line_intensity(line: SpectralLine, t: float,
 def number_density(p: float, t: float, mu_i: float) -> float:
     """Molecules per cubic meter of one species by the ideal gas law."""
     return p * mu_i * AVOGADRO / (GAS_CONSTANT * t)
+
+
+class LineWindows(NamedTuple):
+    """Per-line quantities of :func:`_line_windows`, each an array over the
+    catalog's lines, or over a block of layers by the catalog's lines."""
+
+    f_c: np.ndarray            # Hz, pressure-shifted center
+    alpha_l: np.ndarray        # Hz, Lorentz half-width
+    alpha_d: np.ndarray        # Hz, Doppler half-width
+    collisional: np.ndarray    # bool, collision-shaped
+    thermal: np.ndarray        # bool, Doppler-shaped
+    lo: np.ndarray             # first grid index of the window
+    hi: np.ndarray             # one past its last grid index
+    live: np.ndarray           # bool, a present species with a window point
+
+
+def _line_windows(columns: LineColumns, p, t, mu, grid: np.ndarray,
+                 wing_cutoff: float) -> LineWindows:
+    """Each line's center, half-widths, shape branch and window on ``grid``.
+
+    ``p`` and ``t`` are one layer's pressure and temperature, with ``mu``
+    the mixing ratio of each line; or columns of them over a block of
+    layers, with one row of ``mu`` per layer. The window is ``wing_cutoff``
+    each side of the center, and no more than ``DOPPLER_WINDOW`` half-widths
+    for a Doppler-shaped line. Element by element the result is the same
+    whether a layer is passed alone or in a block.
+    """
+    f_c = line_center(columns, p)
+    alpha_l = lorentz_halfwidth(columns, p, t, mu)
+    alpha_d = doppler_halfwidth(columns, t)
+    collisional, thermal = _dominance(alpha_l, alpha_d)
+    half = np.where(thermal, np.minimum(wing_cutoff, DOPPLER_WINDOW * alpha_d),
+                    wing_cutoff)
+    lo = np.searchsorted(grid, f_c - half, "left")
+    hi = np.searchsorted(grid, f_c + half, "right")
+    return LineWindows(f_c, alpha_l, alpha_d, collisional, thermal, lo, hi,
+                       (lo < hi) & ~(mu <= 0.0))
+
+
+def absorbing_layers(catalog: LineCatalog,
+                     states: Sequence[AtmosphericState], grid: np.ndarray,
+                     wing_cutoff: float = DEFAULT_WING_CUTOFF) -> np.ndarray:
+    """Which ``states`` have a live line on ``grid``, one bool per state.
+
+    A line is live as :func:`absorption_coefficient` decides it, through the
+    same :func:`_line_windows`; a state without one has kappa +0.0 at every
+    grid point. The states are taken in blocks of at most
+    ``_BLOCK_PAIRS`` line-layer pairs, so memory does not grow with the
+    number of states times the number of lines.
+    """
+    columns = catalog.columns
+    marks = np.zeros(len(states), dtype=bool)
+    rows = max(1, _BLOCK_PAIRS // max(1, len(catalog)))
+    for start in range(0, len(states), rows):
+        block = states[start:start + rows]
+        p = np.array([[s.pressure] for s in block])
+        t = np.array([[s.temperature] for s in block])
+        mu = np.array([columns.mixing_ratios(s.mixing_ratios) for s in block],
+                      dtype=float).reshape(len(block), len(catalog))
+        windows = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+        marks[start:start + len(block)] = windows.live.any(axis=1)
+    return marks
 
 
 @dataclass(frozen=True)
@@ -235,21 +313,14 @@ def absorption_coefficient(
     p, t = state.pressure, state.temperature
     columns = catalog.columns
     mu = columns.mixing_ratios(state.mixing_ratios)
-    f_c = line_center(columns, p)
-    alpha_l = lorentz_halfwidth(columns, p, t, mu)
-    alpha_d = doppler_halfwidth(columns, t)
-    collisional, thermal = _dominance(alpha_l, alpha_d)
-    half = np.where(thermal, np.minimum(wing_cutoff, DOPPLER_WINDOW * alpha_d),
-                    wing_cutoff)
-    lo = np.searchsorted(grid, f_c - half, "left")
-    hi = np.searchsorted(grid, f_c + half, "right")
-    live = np.flatnonzero((lo < hi) & ~(mu <= 0.0))
+    w = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+    live = np.flatnonzero(w.live)
 
     kappa = np.zeros_like(grid)
     for i, start, stop, f_ci, a_l, a_d, mu_i in zip(
-            live.tolist(), lo[live].tolist(), hi[live].tolist(),
-            f_c[live].tolist(), alpha_l[live].tolist(),
-            alpha_d[live].tolist(), mu[live].tolist()):
+            live.tolist(), w.lo[live].tolist(), w.hi[live].tolist(),
+            w.f_c[live].tolist(), w.alpha_l[live].tolist(),
+            w.alpha_d[live].tolist(), mu[live].tolist()):
         line = catalog.lines[i]
         if math.isnan(columns.mass[i]):
             raise UnknownSpeciesMass(
@@ -257,9 +328,9 @@ def absorption_coefficient(
         strength = (number_density(p, t, mu_i) * line.abundance
                     * line_intensity(line, t, f_ci) * INTENSITY_CM_TO_SI)
         window = grid[start:stop]
-        if collisional[i]:
+        if w.collisional[i]:
             shape = van_vleck_huber_shape(window, f_ci, a_l, t)
-        elif thermal[i]:
+        elif w.thermal[i]:
             shape = doppler_shape(window, f_ci, a_d)
         else:
             shape = voigt_shape(window, f_ci, a_l, a_d)

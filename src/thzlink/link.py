@@ -60,6 +60,10 @@ class SkyPath:
 
     temperatures: np.ndarray        # (n_layers,), K
     transmittances: np.ndarray      # (n_layers,) or (n_layers, n_freq)
+    # K, taken where the path is transparent; None is the plain mean of
+    # ``temperatures``. A path without its non-absorbing layers passes the
+    # mean over every layer, so leaving them out changes nothing.
+    transparent_temperature: float | None = None
 
 
 def _normalize_sky(t_profile, tau_path):
@@ -90,13 +94,17 @@ def _rayleigh_jeans(temps, taus):
     return np.sum(emitted, axis=0)
 
 
-def _effective_temperature(temps, taus):
+def _effective_temperature(temps, taus, transparent_temperature=None):
     """T_eff and the emissivity 1 - tau_total of arrays shaped by
-    :func:`_normalize_sky`."""
+    :func:`_normalize_sky`; a transparent path takes
+    ``transparent_temperature``, by default the mean of ``temps``."""
+    if transparent_temperature is None:
+        transparent_temperature = np.mean(temps)
     emissivity = 1.0 - np.prod(taus, axis=0)
     opaque = emissivity > 1e-12
     t_eff = np.where(opaque, _rayleigh_jeans(temps, taus)
-                     / np.where(opaque, emissivity, 1.0), np.mean(temps))
+                     / np.where(opaque, emissivity, 1.0),
+                     transparent_temperature)
     return t_eff, emissivity
 
 
@@ -126,17 +134,21 @@ def effective_path_temperature(t_profile, tau_path):
     return float(t_eff[0]) if scalar_out else t_eff
 
 
-def brightness_temperature_planck(f, t_profile, tau_path):
+def brightness_temperature_planck(f, t_profile, tau_path,
+                                  transparent_temperature=None):
     """Planck-law sky brightness temperature, K.
 
     The blackbody-equivalent temperature of the path emission: for total
     transmittance tau and effective path temperature T it solves
     B(f, T_b) = (1 - tau) B(f, T). Returns T exactly for an opaque path
-    and 0 for a transparent one.
+    and 0 for a transparent one. Where the emissivity is positive but too
+    small to weight by, T is ``transparent_temperature``, by default the
+    mean of ``t_profile``.
     """
     temps, taus, scalar_tau = _normalize_sky(t_profile, tau_path)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    t_eff, emissivity = _effective_temperature(temps, taus)
+    t_eff, emissivity = _effective_temperature(temps, taus,
+                                               transparent_temperature)
     x = PLANCK * f_arr / (BOLTZMANN * t_eff)
     with np.errstate(divide="ignore", over="ignore"):
         t_b = (PLANCK * f_arr / BOLTZMANN) / np.log1p(
@@ -170,7 +182,8 @@ def total_noise_psd(f, sky: SkyPath | None, rx: TransceiverConfig):
     if sky is None:
         return thermal
     t_b = brightness_temperature_planck(f, sky.temperatures,
-                                        sky.transmittances)
+                                        sky.transmittances,
+                                        sky.transparent_temperature)
     return BOLTZMANN * np.asarray(t_b) + thermal
 
 

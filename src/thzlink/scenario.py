@@ -27,6 +27,7 @@ from . import __version__
 from .absorption import (
     DEFAULT_WING_CUTOFF,
     AbsorptionSpectrum,
+    absorbing_layers,
     absorption_coefficient,
 )
 from .atmosphere import (
@@ -54,7 +55,7 @@ from .channel import (
     total_path_loss,
     transmittance,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometry
 from .geometry import (
     LinkEndpoints,
     central_angle_for_elevation,
@@ -159,18 +160,24 @@ class Scenario:
         require(self.ground_humidity < 1.0, "ground_humidity_vmr",
                 "is a volume mixing ratio, must be < 1")
 
+        # the key that moves the higher terminal apart from the lower one
+        upper_key = ("h_satellite_km" if kind in ("E2S", "S2E")
+                     else "h_airplane_km")
         if kind in ("A2S", "S2A"):
-            require(self.h_airplane < self.h_satellite, "h_airplane_km",
+            require(self.h_airplane < self.h_satellite, upper_key,
                     "airplane must be below the satellite")
         elif kind in ("E2A", "A2E"):
-            require(self.h_ground < self.h_airplane, "h_airplane_km",
+            require(self.h_ground < self.h_airplane, upper_key,
                     "airplane must be above the ground terminal")
         elif kind in ("E2S", "S2E"):
-            require(self.h_ground < self.h_satellite, "h_satellite_km",
+            require(self.h_ground < self.h_satellite, upper_key,
                     "satellite must be above the ground terminal")
         if "A" in (kind[0], kind[2]):
             require(self.h_airplane < self.atmosphere_top, "h_airplane_km",
                     "airplane must be inside the atmosphere")
+        if "E" in (kind[0], kind[2]):
+            require(self.h_ground < self.atmosphere_top, "h_ground_m",
+                    "ground terminal must be inside the atmosphere")
         require(0.0 <= self.central_angle < math.pi / 2, "central_angle_deg",
                 f"must be in [0, 90), got "
                 f"{math.degrees(self.central_angle):g} deg")
@@ -193,7 +200,12 @@ class Scenario:
         if kind != "A2A":
             h_low, h_high = self.endpoints()
             ends = LinkEndpoints(h_low, h_high, self.central_angle)
-            psi = elevation_angle(ends)
+            try:
+                psi = elevation_angle(ends)
+            except DegenerateGeometry:
+                # the terminals are apart, but not in double precision
+                raise ConfigError("terminals coincide in double precision",
+                                  field=upper_key) from None
             require(psi > 0.0, "central_angle_deg",
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
@@ -589,7 +601,11 @@ def _weather_spectra(scenario: Scenario, weather: WeatherConfig,
 
 def _path_quantities(scenario: Scenario, catalog: LineCatalog,
                      grid: np.ndarray, cache: SpectrumCache):
-    """Geometry, transmittance, and sky view for the scenario on a grid."""
+    """Geometry, transmittance, and sky view for the scenario on a grid.
+
+    Only the traversed layers with a live line reach the cache and the
+    kernel; the sky is None, the vacuum's, where no layer has one.
+    """
     h_low, h_high = scenario.endpoints()
     if scenario.kind == "A2A":
         # one homogeneous layer stands in for the constant-altitude path
@@ -607,6 +623,16 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
                              ground_humidity=scenario.ground_humidity,
                              water_scale_height=scenario.water_scale_height)
         segments = layer_path_segments(h_low, psi, stack)
+    # A layer without a live line has kappa +0.0 everywhere: it adds +0.0
+    # optical depth, has tau 1.0 and emits nothing, and the sums and
+    # products over layers run row by row, so leaving it out moves no byte.
+    states = [stack[i].state for i, _ in segments]
+    live = absorbing_layers(catalog, states, grid, scenario.wing_cutoff)
+    from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
+    temps = np.array([state.temperature for state in states])
+    # the one figure of the sky that depends on every traversed layer
+    transparent_temperature = np.mean(temps[from_rx])
+    segments = [segment for segment, on in zip(segments, live) if on]
     spectra = {}
     for i, _ in segments:
         state = stack[i].state
@@ -617,15 +643,15 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
                 catalog, s, grid, scenario.wing_cutoff).kappa)
         spectra[i] = AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
     tau = transmittance(grid, segments, spectra)
+    if not segments:
+        return r_as, psi, tau, None
 
-    temps = np.array([stack[i].state.temperature for i, _ in segments])
     layer_taus = np.empty((len(segments), grid.size))
     for row, (i, length) in zip(layer_taus, segments):
         np.exp(-spectra[i].kappa * length, out=row)
-    if scenario.rx_altitude >= h_high:
-        temps = temps[::-1]
-        layer_taus = layer_taus[::-1]
-    return r_as, psi, tau, temps, layer_taus
+    sky = SkyPath(temps[live][from_rx], layer_taus[from_rx],
+                  transparent_temperature)
+    return r_as, psi, tau, sky
 
 
 def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
@@ -652,8 +678,7 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         grid = np.union1d(survey, band)
     part = np.searchsorted(grid, survey)
 
-    r_as, psi, tau, layer_temps, layer_taus = _path_quantities(
-        scenario, catalog, grid, cache)
+    r_as, psi, tau, sky = _path_quantities(scenario, catalog, grid, cache)
 
     weather = _weather_paths(scenario, psi)
     rain_db, cloud_db, rain, cloud = _weather_spectra(scenario, weather, grid,
@@ -663,7 +688,7 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     g_rx = dish_gain(scenario.rx_antenna, grid)
     path_loss = total_path_loss(grid, r_as, tau, g_tx, g_rx,
                                 rain_db=rain_db, cloud_db=cloud_db)
-    noise = total_noise_psd(grid, SkyPath(layer_temps, layer_taus), tx)
+    noise = total_noise_psd(grid, sky, tx)
     snr_values = compute_snr(grid, path_loss, noise, tx)
 
     capacity = float("nan")

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thzlink import absorption as absorption_module
 from thzlink import catalog as catalog_module
 from thzlink.absorption import (
     DEFAULT_WING_CUTOFF,
     DOPPLER_WINDOW,
     AbsorptionSpectrum,
     _dominance,
+    _line_windows,
+    absorbing_layers,
     absorption_coefficient,
     doppler_halfwidth,
     doppler_shape,
@@ -479,19 +482,26 @@ def assert_same_bytes(catalog, states, grid, wing_cutoff=DEFAULT_WING_CUTOFF):
         assert got.tobytes() == want.tobytes(), state.altitude
 
 
+@pytest.fixture(scope="module")
+def default_stack(default_scenario):
+    """(catalog, states, grid, wing cutoff) of every layer of the default
+    E2S stack, on the survey grid merged with the capacity band."""
+    scenario = dataclasses.replace(default_scenario, kind="E2S")
+    survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
+    grid = np.union1d(survey, capacity_band(scenario.transceiver))
+    catalog = load_scenario_catalog(scenario, survey)
+    stack = build_layers(0.0, scenario.atmosphere_top,
+                         scenario.layer_resolution,
+                         ground_humidity=scenario.ground_humidity,
+                         water_scale_height=scenario.water_scale_height)
+    assert len(stack) == 1000
+    return (catalog, [layer.state for layer in stack], grid,
+            scenario.wing_cutoff)
+
+
 class TestKernelBitIdentity:
-    def test_every_layer_of_the_default_stack(self, default_scenario):
-        scenario = dataclasses.replace(default_scenario, kind="E2S")
-        survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
-        grid = np.union1d(survey, capacity_band(scenario.transceiver))
-        catalog = load_scenario_catalog(scenario, survey)
-        stack = build_layers(0.0, scenario.atmosphere_top,
-                             scenario.layer_resolution,
-                             ground_humidity=scenario.ground_humidity,
-                             water_scale_height=scenario.water_scale_height)
-        assert len(stack) == 1000
-        assert_same_bytes(catalog, [layer.state for layer in stack], grid,
-                          scenario.wing_cutoff)
+    def test_every_layer_of_the_default_stack(self, default_stack):
+        assert_same_bytes(*default_stack)
 
     def test_synthetic_catalog_hits_every_branch_with_partial_windows(self):
         kinds, clipped = set(), 0
@@ -532,6 +542,125 @@ class TestKernelBitIdentity:
         absorption_coefficient(catalog, SYNTHETIC_STATES[0], FINE_GRID)
         assert catalog.columns is columns
         assert columns.nu0.tolist() == [ln.nu0 for ln in SYNTHETIC]
+
+
+def assert_dead_layers_give_zero(catalog, states, grid,
+                                 wing_cutoff=DEFAULT_WING_CUTOFF):
+    """Check every state :func:`absorbing_layers` leaves unmarked against the
+    kernel: its kappa must be +0.0 at every grid point, byte for byte.
+    Returns the marks and whether each state's kappa has a nonzero."""
+    marks = absorbing_layers(catalog, states, grid, wing_cutoff)
+    zero = np.zeros_like(grid).tobytes()
+    nonzero = []
+    for state, live in zip(states, marks.tolist()):
+        kappa = absorption_coefficient(catalog, state, grid, wing_cutoff).kappa
+        if not live:
+            assert kappa.tobytes() == zero, state.altitude
+        nonzero.append(bool(kappa.any()))
+    return marks, np.array(nonzero)
+
+
+def assert_block_gives_the_kernels_windows(monkeypatch, catalog, states,
+                                           grid, wing_cutoff):
+    """The rows :func:`absorbing_layers` gets from :func:`_line_windows` for
+    its blocks must hold, state by state, the bytes of the kernel's own call
+    for that state alone."""
+    blocks = []
+
+    def recording(*args):
+        blocks.append(_line_windows(*args))
+        return blocks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(absorption_module, "_line_windows", recording)
+        absorbing_layers(catalog, states, grid, wing_cutoff)
+    rows = [np.concatenate(field) for field in zip(*blocks)]
+    columns = catalog.columns
+    for row, state in enumerate(states):
+        alone = _line_windows(
+            columns, state.pressure, state.temperature,
+            columns.mixing_ratios(state.mixing_ratios), grid, wing_cutoff)
+        for name, got, want in zip(alone._fields, rows, alone):
+            assert got[row].tobytes() == want.tobytes(), (name, row)
+
+
+# Starts 20 MHz above the 300.098 GHz water line and ends short of the
+# 300.3 GHz oxygen line. Up to about 60 km the lines' windows are the wing
+# cutoff; above, they are Doppler-shaped and 40 half-widths reach the grid
+# only where the thermosphere is hot, so dead layers lie between live ones.
+GAP_GRID = np.linspace(300.118e9, 300.2e9, 329)
+TALL_STATES = [profile_at(h) for h in np.arange(0.0, 500e3 + 1, 5e3)]
+
+
+class TestAbsorbingLayers:
+    def test_every_layer_of_the_default_stack(self, default_stack):
+        marks, nonzero = assert_dead_layers_give_zero(*default_stack)
+        # all layers above about 92 km are dead, and no live layer is
+        # merely a layer whose kappa happens to be zero
+        assert np.count_nonzero(~marks) == 816
+        assert marks.tolist() == nonzero.tolist()
+
+    @pytest.mark.parametrize("wing_cutoff", [DEFAULT_WING_CUTOFF, 5e6])
+    def test_synthetic_states_on_the_fine_grid(self, wing_cutoff):
+        marks, nonzero = assert_dead_layers_give_zero(
+            SYNTHETIC, SYNTHETIC_STATES, FINE_GRID, wing_cutoff)
+        assert marks.tolist() == nonzero.tolist()
+
+    def test_a_dead_layer_below_live_ones(self):
+        marks, nonzero = assert_dead_layers_give_zero(SYNTHETIC, TALL_STATES,
+                                                      GAP_GRID)
+        first_dead = marks.tolist().index(False)
+        assert marks[0] and marks[first_dead:].any()
+        # a Doppler line adds +0.0 between 32.8 and 40 half-widths, so a
+        # live layer may still have no nonzero
+        assert (marks & ~nonzero).any()
+
+    def test_each_line_alone(self):
+        for line in SYNTHETIC:
+            marks, nonzero = assert_dead_layers_give_zero(
+                LineCatalog((line,), "one-line"), TALL_STATES, FINE_GRID)
+            assert marks.tolist() == nonzero.tolist(), line.f0
+
+    def test_absent_species_keep_no_layer_live(self):
+        dry = [AtmosphericState(s.altitude, s.pressure, s.temperature,
+                                {k: v for k, v in s.mixing_ratios.items()
+                                 if k != "H2O"})
+               for s in TALL_STATES]
+        marks, nonzero = assert_dead_layers_give_zero(SYNTHETIC, dry,
+                                                      GAP_GRID)
+        assert marks.tolist() == nonzero.tolist()
+
+    @pytest.mark.parametrize("catalog, states, grid, wing_cutoff", [
+        (SYNTHETIC, SYNTHETIC_STATES, FINE_GRID, DEFAULT_WING_CUTOFF),
+        (SYNTHETIC, SYNTHETIC_STATES, FINE_GRID, 5e6),
+        (SYNTHETIC, TALL_STATES, GAP_GRID, DEFAULT_WING_CUTOFF),
+    ])
+    def test_a_block_gives_the_kernels_windows(self, monkeypatch, catalog,
+                                               states, grid, wing_cutoff):
+        assert_block_gives_the_kernels_windows(monkeypatch, catalog, states,
+                                               grid, wing_cutoff)
+
+    def test_default_stack_block_gives_the_kernels_windows(
+            self, monkeypatch, default_stack):
+        assert_block_gives_the_kernels_windows(monkeypatch, *default_stack)
+        # in blocks of 3 layers, the last one short
+        monkeypatch.setattr(absorption_module, "_BLOCK_PAIRS",
+                            3 * len(default_stack[0]))
+        assert_block_gives_the_kernels_windows(monkeypatch, *default_stack)
+
+    def test_blocks_do_not_change_the_marks(self, monkeypatch,
+                                            default_stack):
+        marks = []
+        for rows in (1000, 3):   # one block; blocks of 3, the last one short
+            monkeypatch.setattr(absorption_module, "_BLOCK_PAIRS",
+                                rows * len(default_stack[0]))
+            marks.append(absorbing_layers(*default_stack).tolist())
+        assert marks[0] == marks[1]
+
+    def test_no_states_and_no_lines(self):
+        assert absorbing_layers(SYNTHETIC, [], FINE_GRID).shape == (0,)
+        empty = LineCatalog((), "empty")
+        assert not absorbing_layers(empty, SYNTHETIC_STATES, FINE_GRID).any()
 
 
 class TestKernelErrors:

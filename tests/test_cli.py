@@ -221,6 +221,19 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert f"line 2: field {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("kind = E2S\nh_ground_m = 600000\nh_satellite_km = 1000\n",
+         "h_ground_m"),
+        ("kind = E2A\nh_airplane_km = 1e-30\n", "h_airplane_km"),
+    ])
+    def test_terminal_placement_is_config_error(self, tmp_path, capsys, text,
+                                                key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"field {key!r}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [
     ["run"],
@@ -262,6 +275,32 @@ class TestBenchmarkHooks:
         assert tracer.busy["absorption.kernel"] > 0.0
         assert tracer.counts["scenario.cache_lookups"] > 0
         assert tracer.counts["scenario.cache_files_written"] > 0
+
+    def test_every_cache_miss_writes_its_file(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the tracer stats {key}.npy after each computed entry; layers that
+        # cannot absorb never reach the cache, so each miss still writes one
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).parent.parent / "perfbench"))
+        import layertrace
+
+        cfg = tmp_path / "e2s.cfg"
+        cfg.write_text("kind = E2S\n")   # 1,000 layers of 500 m
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        finally:
+            tracer.uninstall()
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err and "I/O error" not in err
+        spectra = tracer.counts["absorption.spectra"]
+        assert spectra == tracer.counts["scenario.cache_lookups"]
+        assert spectra == tracer.counts["scenario.cache_files_written"]
+        assert 0 < spectra < 1000
+        assert len(list((tmp_path / "cache").glob("*.npy"))) == spectra
 
 
 class TestSweepCommand:

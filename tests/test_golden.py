@@ -3,9 +3,10 @@
 The fixtures under ``tests/golden/<case>/`` pin every output file of a fixed
 set of scenarios: all seven link kinds; rain and cloud on a survey grid below
 the cloud table's 200 GHz limit while the capacity band sits at 300 GHz, so
-only the band is extrapolated; a capacity band outside the survey grid; and
-one sweep on each axis. Grids are short and layers coarse so the suite stays
-fast.
+only the band is extrapolated; a capacity band outside the survey grid;
+near-transparent and fully transparent paths on the default grid and layers;
+and one sweep on each axis. Other grids are short and layers coarse so the
+suite stays fast. No case may emit a RuntimeWarning.
 
 Regenerate the fixtures only for a change that is meant to alter outputs:
 
@@ -67,6 +68,13 @@ f_max_ghz = 540
 f_step_ghz = 10
 bandwidth_ghz = 10
 """, ["run"])
+# Near-transparent paths on the default grid and 500 m layers: from 80 km
+# most frequencies see an emissivity at or below 1e-12, where the sky takes
+# the plain mean temperature of every traversed layer; from 120 km no layer
+# has a line within reach of the grid.
+for _kind, _km in (("A2S", 80), ("S2A", 80), ("A2S", 120)):
+    CASES[f"run_{_kind.lower()}_{_km}km"] = (
+        f"kind = {_kind}\nh_airplane_km = {_km}\n", ["run"])
 CASES["sweep_altitude_a2s"] = (
     _COMMON + "kind = A2S\n",
     ["sweep", "--axis", "altitude", "--from", "0", "--to", "4000",
@@ -93,6 +101,7 @@ def produce(case: str, work: Path) -> Path:
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_bytes(case, tmp_path):
     out = produce(case, tmp_path)

@@ -134,6 +134,13 @@ class TestScenarioRules:
         # the thermal noise underflows to 0
         ({"transceiver": TransceiverConfig(1e-3, 5e9, 300e9, 10.0, 1e-300)},
          "rx_temperature_k"),
+        # the ground terminal above the top of the layer stack
+        ({"kind": "E2S", "h_ground": 600e3, "h_satellite": 1000e3},
+         "h_ground_m"),
+        # terminals apart, but at one distance from the Earth's center in
+        # double precision, so the slant range is 0
+        ({"kind": "E2A", "h_airplane": 1e-27}, "h_airplane_km"),
+        ({"kind": "E2S", "h_satellite": 1e-27}, "h_satellite_km"),
     ])
     def test_replace_obeys_the_rules(self, default_scenario, changes, key):
         with pytest.raises(ConfigError) as err:
