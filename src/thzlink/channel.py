@@ -61,10 +61,11 @@ class AntennaConfig:
 
 
 class Attenuation(NamedTuple):
-    """Attenuation in dB plus a flag for beyond-table extrapolation."""
+    """Attenuation in dB at each frequency, and which frequencies lie beyond
+    the table's formal range."""
 
-    db: float
-    extrapolated: bool
+    db: np.ndarray
+    extrapolated: np.ndarray   # bool
 
 
 def spreading_loss(f, r: float):
@@ -105,6 +106,7 @@ def transmittance(
 
 @lru_cache(maxsize=1)
 def _rain_table():
+    """Table frequencies in GHz, and the logs of frequency, k and alpha."""
     path = Path(__file__).parent / "data" / "rain_p838.csv"
     freqs, ks, alphas = [], [], []
     with path.open(newline="") as fh:
@@ -112,36 +114,57 @@ def _rain_table():
             freqs.append(float(row["freq_ghz"]))
             ks.append(float(row["k"]))
             alphas.append(float(row["alpha"]))
-    return np.array(freqs), np.array(ks), np.array(alphas)
+    freqs = np.array(freqs)
+    return freqs, np.log(freqs), np.log(ks), np.log(alphas)
 
 
-def rain_attenuation(f: float, rain_rate: float, path: float) -> Attenuation:
-    """Rain attenuation A = k R^alpha * path over ``path`` meters, in dB.
+# Weather takes math.log, math.exp and float ** per element: numpy's log,
+# exp and power differ from them in the last bit.
+def _clamped_logs(f_ghz, freqs) -> np.ndarray:
+    return np.array([math.log(x) for x in
+                     np.clip(f_ghz, freqs[0], freqs[-1]).tolist()])
+
+
+def _exps(values) -> list[float]:
+    return [math.exp(x) for x in values.tolist()]
+
+
+def _no_attenuation(f_ghz) -> Attenuation:
+    return Attenuation(np.zeros_like(f_ghz), np.zeros(f_ghz.shape, bool))
+
+
+def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
+    """Rain attenuation A = k R^alpha * path over ``path`` meters, in dB, at
+    each frequency of the array ``f`` (Hz).
 
     Coefficients are log-log interpolated from the bundled table covering
-    1-1000 GHz; outside that band the edge value is used and the result is
-    flagged extrapolated.
+    1-1000 GHz; outside that band the edge value is used and the frequency
+    is flagged extrapolated.
     """
     if rain_rate < 0.0:
         raise ValueError("rain_rate must be nonnegative")
+    f_ghz = np.asarray(f, dtype=float) / 1e9
     if rain_rate == 0.0 or path <= 0.0:
-        return Attenuation(0.0, False)
-    freqs, ks, alphas = _rain_table()
-    f_ghz = f / 1e9
-    extrapolated = not RAIN_TABLE_RANGE_GHZ[0] <= f_ghz <= RAIN_TABLE_RANGE_GHZ[1]
-    f_ghz = min(max(f_ghz, freqs[0]), freqs[-1])
-    log_f = math.log(f_ghz)
-    k = math.exp(np.interp(log_f, np.log(freqs), np.log(ks)))
-    alpha = math.exp(np.interp(log_f, np.log(freqs), np.log(alphas)))
-    try:
-        db = k * rain_rate ** alpha * (path / 1000.0)
-    except OverflowError:  # float ** raises where * gives inf
-        db = math.inf
-    return Attenuation(db, extrapolated)
+        return _no_attenuation(f_ghz)
+    freqs, log_freqs, log_ks, log_alphas = _rain_table()
+    low, high = RAIN_TABLE_RANGE_GHZ
+    extrapolated = ~((low <= f_ghz) & (f_ghz <= high))
+    log_f = _clamped_logs(f_ghz, freqs)
+    scale = path / 1000.0
+    db = []
+    for k, alpha in zip(_exps(np.interp(log_f, log_freqs, log_ks)),
+                        _exps(np.interp(log_f, log_freqs, log_alphas))):
+        try:
+            db.append(k * rain_rate ** alpha * scale)
+        except OverflowError:  # float ** raises where * gives inf
+            db.append(math.inf)
+    return Attenuation(np.array(db), extrapolated)
 
 
 @lru_cache(maxsize=1)
 def _cloud_table():
+    """Table frequencies in GHz and their logs, the temperatures in K, and
+    the logs of K_l with one column per temperature."""
     path = Path(__file__).parent / "data" / "cloud_p840.csv"
     with path.open(newline="") as fh:
         reader = csv.reader(r for r in fh if not r.startswith("#"))
@@ -149,33 +172,31 @@ def _cloud_table():
         temps = np.array([float(name[3:-1]) for name in header[1:]])
         rows = [[float(v) for v in row] for row in reader]
     data = np.array(rows)
-    return data[:, 0], temps, data[:, 1:]
+    return data[:, 0], np.log(data[:, 0]), temps, np.log(data[:, 1:])
 
 
-def cloud_attenuation(f: float, density: float, path: float,
+def cloud_attenuation(f, density: float, path: float,
                       t: float) -> Attenuation:
-    """Cloud/fog attenuation over ``path`` meters of droplets, in dB.
+    """Cloud/fog attenuation over ``path`` meters of droplets, in dB, at each
+    frequency of the array ``f`` (Hz).
 
     Rayleigh-regime specific attenuation K_l(f, T) is interpolated log-log
     in frequency and linearly in temperature from the bundled table. The
     underlying model is formally valid up to 200 GHz; higher frequencies
-    return the computed value flagged as extrapolated.
+    get the computed value and are flagged extrapolated.
     """
     if density < 0.0:
         raise ValueError("cloud density must be nonnegative")
+    f_ghz = np.asarray(f, dtype=float) / 1e9
     if density == 0.0 or path <= 0.0:
-        return Attenuation(0.0, False)
-    freqs, temps, kl = _cloud_table()
-    f_ghz = f / 1e9
-    extrapolated = f_ghz > CLOUD_VALID_MAX_GHZ or f_ghz < freqs[0]
-    f_ghz = min(max(f_ghz, freqs[0]), freqs[-1])
-    t = min(max(t, temps[0]), temps[-1])
-    log_f = math.log(f_ghz)
-    per_temp = np.array([
-        math.exp(np.interp(log_f, np.log(freqs), np.log(kl[:, j])))
-        for j in range(len(temps))
-    ])
-    coefficient = np.interp(t, temps, per_temp)
+        return _no_attenuation(f_ghz)
+    freqs, log_freqs, temps, log_kl = _cloud_table()
+    extrapolated = (f_ghz > CLOUD_VALID_MAX_GHZ) | (f_ghz < freqs[0])
+    log_f = _clamped_logs(f_ghz, freqs)
+    per_temp = np.column_stack([_exps(np.interp(log_f, log_freqs, column))
+                                for column in log_kl.T])
+    # np.interp holds the edge value outside the table's temperatures
+    coefficient = np.array([np.interp(t, temps, row) for row in per_temp])
     return Attenuation(coefficient * density * (path / 1000.0), extrapolated)
 
 

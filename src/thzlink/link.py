@@ -122,18 +122,6 @@ def brightness_temperature_rj(t_profile, tau_path):
     return float(t_b[0]) if scalar_out else t_b
 
 
-def effective_path_temperature(t_profile, tau_path):
-    """Absorption-weighted mean temperature T_eff with T_b = T_eff (1 - tau).
-
-    For a transparent path (no absorption to weight by) the plain mean of
-    the profile is returned; the brightness temperature is zero there
-    regardless.
-    """
-    temps, taus, scalar_out = _normalize_sky(t_profile, tau_path)
-    t_eff = _effective_temperature(temps, taus)[0]
-    return float(t_eff[0]) if scalar_out else t_eff
-
-
 def brightness_temperature_planck(f, t_profile, tau_path,
                                   transparent_temperature=None):
     """Planck-law sky brightness temperature, K.
@@ -201,12 +189,8 @@ def capacity(grid, snr_values) -> float:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-frequency budget plus the band-integrated capacity."""
+    """The band-integrated capacity."""
 
-    grid: np.ndarray        # Hz
-    path_loss: np.ndarray   # linear, >= 1
-    noise_psd: np.ndarray   # W/Hz
-    snr: np.ndarray         # linear
     capacity: float         # bit/s
 
 

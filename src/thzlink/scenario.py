@@ -46,7 +46,6 @@ from .catalog import (
 )
 from .channel import (
     AntennaConfig,
-    Attenuation,
     WeatherConfig,
     cloud_attenuation,
     dish_gain,
@@ -509,11 +508,10 @@ class ResolvedLink:
     psi: float
     tau: np.ndarray
     fspl_db: np.ndarray
-    rain: Attenuation
-    cloud: Attenuation
     rain_db: np.ndarray
     cloud_db: np.ndarray
     weather: WeatherConfig
+    weather_extrapolated: bool  # at some survey frequency, rain or cloud
     path_loss: np.ndarray       # linear
     noise_psd: np.ndarray
     snr: np.ndarray
@@ -570,33 +568,6 @@ def _weather_paths(scenario: Scenario, psi: float) -> WeatherConfig:
         cloud_density=scenario.cloud_density,
         cloud_path=cloud_path,
     )
-
-
-def _weather_spectra(scenario: Scenario, weather: WeatherConfig,
-                     grid: np.ndarray, survey: np.ndarray):
-    """Rain and cloud dB on ``grid``, and each one's :class:`Attenuation`
-    (maximum, any point extrapolated) over the ``survey`` indices only."""
-    cloud_mid = scenario.cloud_base + 0.5 * scenario.cloud_thickness
-    cloud_t = profile_at(min(cloud_mid, scenario.atmosphere_top),
-                         scenario.ground_humidity,
-                         scenario.water_scale_height).temperature
-
-    def tabulate(attenuation):
-        per_point = [attenuation(float(f)) for f in grid]
-        db = np.array([att.db for att in per_point])
-        return db, Attenuation(
-            float(np.max(db[survey])),
-            any(per_point[i].extrapolated for i in survey))
-
-    rain_db, rain = np.zeros_like(grid), Attenuation(0.0, False)
-    cloud_db, cloud = np.zeros_like(grid), Attenuation(0.0, False)
-    if weather.rain_rate > 0.0 and weather.rain_path > 0.0:
-        rain_db, rain = tabulate(lambda f: rain_attenuation(
-            f, weather.rain_rate, weather.rain_path))
-    if weather.cloud_density > 0.0 and weather.cloud_path > 0.0:
-        cloud_db, cloud = tabulate(lambda f: cloud_attenuation(
-            f, weather.cloud_density, weather.cloud_path, cloud_t))
-    return rain_db, cloud_db, rain, cloud
 
 
 def _path_quantities(scenario: Scenario, catalog: LineCatalog,
@@ -681,8 +652,14 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     r_as, psi, tau, sky = _path_quantities(scenario, catalog, grid, cache)
 
     weather = _weather_paths(scenario, psi)
-    rain_db, cloud_db, rain, cloud = _weather_spectra(scenario, weather, grid,
-                                                      part)
+    cloud_mid = scenario.cloud_base + 0.5 * scenario.cloud_thickness
+    cloud_t = profile_at(min(cloud_mid, scenario.atmosphere_top),
+                         scenario.ground_humidity,
+                         scenario.water_scale_height).temperature
+    rain_db, rain_flags = rain_attenuation(grid, weather.rain_rate,
+                                           weather.rain_path)
+    cloud_db, cloud_flags = cloud_attenuation(
+        grid, weather.cloud_density, weather.cloud_path, cloud_t)
 
     g_tx = dish_gain(scenario.tx_antenna, grid)
     g_rx = dish_gain(scenario.rx_antenna, grid)
@@ -695,10 +672,6 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     if with_capacity:
         capacity = shannon_capacity(
             band, snr_values[np.searchsorted(grid, band)])
-    path_loss, noise, snr_values = (path_loss[part], noise[part],
-                                    snr_values[part])
-    budget = LinkBudget(grid=survey, path_loss=path_loss, noise_psd=noise,
-                        snr=snr_values, capacity=capacity)
 
     return ResolvedLink(
         scenario=scenario,
@@ -708,15 +681,14 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         psi=psi,
         tau=tau[part],
         fspl_db=-10.0 * np.log10(spreading_loss(survey, r_as)),
-        rain=rain,
-        cloud=cloud,
         rain_db=rain_db[part],
         cloud_db=cloud_db[part],
         weather=weather,
-        path_loss=path_loss,
-        noise_psd=noise,
-        snr=snr_values,
-        budget=budget,
+        weather_extrapolated=bool((rain_flags | cloud_flags)[part].any()),
+        path_loss=path_loss[part],
+        noise_psd=noise[part],
+        snr=snr_values[part],
+        budget=LinkBudget(capacity),
     )
 
 
@@ -777,7 +749,7 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
         fh.write(f"elevation angle: {math.degrees(resolved.psi):.4f} deg\n")
         fh.write(f"in-atmosphere rain path: {resolved.weather.rain_path:.1f} m, "
                  f"cloud path: {resolved.weather.cloud_path:.1f} m\n")
-        if resolved.rain.extrapolated or resolved.cloud.extrapolated:
+        if resolved.weather_extrapolated:
             fh.write("warning: weather attenuation extrapolated beyond its "
                      "table's formal frequency range\n")
         pl_db = resolved.path_loss_db

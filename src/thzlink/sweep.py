@@ -19,6 +19,7 @@ from .scenario import (
     ResolvedLink,
     Scenario,
     SpectrumCache,
+    _grid_span,
     _write_csv,
     load_scenario_catalog,
     make_grid,
@@ -38,11 +39,10 @@ def sweep_points(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError("sweep step must be positive", field="step")
     if stop < start:
         raise ConfigError("sweep range is empty (stop < start)", field="to")
-    span = (stop - start) / step + 1e-9
-    if not span < MAX_SWEEP_POINTS:
+    if not _grid_span(start, stop, step) < MAX_SWEEP_POINTS:
         raise ConfigError(f"more than {MAX_SWEEP_POINTS} sweep points",
                           field="step")
-    return [start + i * step for i in range(int(math.floor(span)) + 1)]
+    return make_grid(start, stop, step).tolist()
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from thzlink.channel import (
 )
 from thzlink.errors import ConfigError, MisalignedLayers
 from thzlink.geometry import atmospheric_path_length, layer_path_segments
+from thzlink.scenario import make_grid
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data"
 
@@ -132,70 +134,190 @@ def bundled_rain_coefficients(f_ghz):
     return k, a
 
 
+def rain(f_hz, rain_rate, path):
+    return rain_attenuation(np.array([f_hz]), rain_rate, path)
+
+
+def cloud(f_hz, density, path, t):
+    return cloud_attenuation(np.array([f_hz]), density, path, t)
+
+
 class TestRainAttenuation:
     def test_no_rain_no_loss(self):
-        assert rain_attenuation(100e9, 0.0, 1_000.0) == (0.0, False)
+        att = rain(100e9, 0.0, 1_000.0)
+        assert att.db.tolist() == [0.0]
+        assert att.extrapolated.tolist() == [False]
 
     def test_moderate_rain_few_decibels(self):
-        att = rain_attenuation(100e9, 5.0, 1_000.0)
-        assert not att.extrapolated
-        assert 1.0 < att.db < 10.0
+        att = rain(100e9, 5.0, 1_000.0)
+        assert not att.extrapolated[0]
+        assert 1.0 < att.db[0] < 10.0
         k, alpha = bundled_rain_coefficients(100.0)
-        assert att.db == pytest.approx(k * 5.0 ** alpha, rel=1e-6)
+        assert att.db[0] == pytest.approx(k * 5.0 ** alpha, rel=1e-6)
 
     def test_overflowing_rate_is_infinite_loss(self):
         # near 5 GHz the exponent exceeds 1, so the rate's power overflows
-        att = rain_attenuation(5.3e9, 1e300, 1_000.0)
-        assert att.db == math.inf
+        att = rain(5.3e9, 1e300, 1_000.0)
+        assert att.db[0] == math.inf
 
     def test_slant_scales_linearly_with_path(self):
         psi = math.radians(45.0)
         vertical = atmospheric_path_length(0.0, math.pi / 2, 700.0)
         slant = atmospheric_path_length(0.0, psi, 700.0)
         assert slant / vertical == pytest.approx(math.sqrt(2.0), rel=1e-3)
-        a_vertical = rain_attenuation(100e9, 5.0, vertical).db
-        a_slant = rain_attenuation(100e9, 5.0, slant).db
+        a_vertical = rain(100e9, 5.0, vertical).db[0]
+        a_slant = rain(100e9, 5.0, slant).db[0]
         assert a_slant / a_vertical == pytest.approx(slant / vertical,
                                                      rel=1e-12)
 
     def test_above_table_clamps_and_flags(self):
-        inside = rain_attenuation(1000e9, 5.0, 1_000.0)
-        beyond = rain_attenuation(2000e9, 5.0, 1_000.0)
-        assert not inside.extrapolated
-        assert beyond.extrapolated
-        assert beyond.db == pytest.approx(inside.db, rel=1e-9)
+        db, flags = rain_attenuation(np.array([1000e9, 2000e9]), 5.0,
+                                     1_000.0)
+        assert flags.tolist() == [False, True]
+        assert db[1] == pytest.approx(db[0], rel=1e-9)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            rain_attenuation(100e9, -1.0, 1.0)
+            rain(100e9, -1.0, 1.0)
 
 
 class TestCloudAttenuation:
     def test_no_cloud_no_loss(self):
-        assert cloud_attenuation(150e9, 0.0, 1_000.0, 280.0) == (0.0, False)
+        att = cloud(150e9, 0.0, 1_000.0, 280.0)
+        assert att.db.tolist() == [0.0]
+        assert att.extrapolated.tolist() == [False]
 
     def test_nimbostratus_at_150ghz(self):
         # 1 km thick deck at 0.5 g/m^3: positive, finite, inside validity
-        att = cloud_attenuation(150e9, 0.5, 1_000.0, 280.0)
-        assert not att.extrapolated
-        assert 0.5 < att.db < 20.0
-        assert math.isfinite(att.db)
+        att = cloud(150e9, 0.5, 1_000.0, 280.0)
+        assert not att.extrapolated[0]
+        assert 0.5 < att.db[0] < 20.0
+        assert math.isfinite(att.db[0])
 
     def test_beyond_200ghz_flagged(self):
-        att = cloud_attenuation(300e9, 0.5, 1_000.0, 280.0)
-        assert att.extrapolated
-        assert att.db > 0.0
+        att = cloud(300e9, 0.5, 1_000.0, 280.0)
+        assert att.extrapolated[0]
+        assert att.db[0] > 0.0
 
     def test_linear_in_density_and_path(self):
-        base = cloud_attenuation(150e9, 0.5, 1_000.0, 280.0).db
-        assert cloud_attenuation(150e9, 1.0, 1_000.0, 280.0).db == \
+        base = cloud(150e9, 0.5, 1_000.0, 280.0).db[0]
+        assert cloud(150e9, 1.0, 1_000.0, 280.0).db[0] == \
             pytest.approx(2 * base, rel=1e-12)
-        assert cloud_attenuation(150e9, 0.5, 2_000.0, 280.0).db == \
+        assert cloud(150e9, 0.5, 2_000.0, 280.0).db[0] == \
             pytest.approx(2 * base, rel=1e-12)
 
     def test_weather_config_validation(self):
         with pytest.raises(ValueError):
             WeatherConfig(rain_rate=-1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _rain_table_rows():
+    with (DATA_DIR / "rain_p838.csv").open(newline="") as fh:
+        rows = [(float(row["freq_ghz"]), float(row["k"]), float(row["alpha"]))
+                for row in csv.DictReader(
+                    r for r in fh if not r.startswith("#"))]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+@functools.lru_cache(maxsize=1)
+def _cloud_table_rows():
+    with (DATA_DIR / "cloud_p840.csv").open(newline="") as fh:
+        reader = csv.reader(r for r in fh if not r.startswith("#"))
+        header = next(reader)
+        temps = np.array([float(name[3:-1]) for name in header[1:]])
+        data = np.array([[float(v) for v in row] for row in reader])
+    return data[:, 0], temps, data[:, 1:]
+
+
+def scalar_rain_attenuation(f, rain_rate, path):
+    """The per-frequency rain formula the array code replaced, kept as the
+    byte reference: dB and the extrapolation flag of one frequency."""
+    if rain_rate == 0.0 or path <= 0.0:
+        return 0.0, False
+    freqs, ks, alphas = _rain_table_rows()
+    f_ghz = f / 1e9
+    extrapolated = not 1.0 <= f_ghz <= 1000.0
+    f_ghz = min(max(f_ghz, freqs[0]), freqs[-1])
+    log_f = math.log(f_ghz)
+    k = math.exp(np.interp(log_f, np.log(freqs), np.log(ks)))
+    alpha = math.exp(np.interp(log_f, np.log(freqs), np.log(alphas)))
+    try:
+        db = k * rain_rate ** alpha * (path / 1000.0)
+    except OverflowError:
+        db = math.inf
+    return db, extrapolated
+
+
+def scalar_cloud_attenuation(f, density, path, t):
+    """The per-frequency cloud formula the array code replaced, kept as the
+    byte reference."""
+    if density == 0.0 or path <= 0.0:
+        return 0.0, False
+    freqs, temps, kl = _cloud_table_rows()
+    f_ghz = f / 1e9
+    extrapolated = f_ghz > 200.0 or f_ghz < freqs[0]
+    f_ghz = min(max(f_ghz, freqs[0]), freqs[-1])
+    t = min(max(t, temps[0]), temps[-1])
+    log_f = math.log(f_ghz)
+    per_temp = np.array([
+        math.exp(np.interp(log_f, np.log(freqs), np.log(kl[:, j])))
+        for j in range(len(temps))
+    ])
+    coefficient = np.interp(t, temps, per_temp)
+    return coefficient * density * (path / 1000.0), extrapolated
+
+
+WEATHER_GRIDS = {
+    "survey_0.1ghz": make_grid(100e9, 1000e9, 0.1e9),
+    # below the rain table, around 5 GHz where a huge rate overflows, and
+    # on both sides of the cloud flag at 200 GHz and the clamps at 1000 GHz
+    "edges": np.array([0.1e9, 0.5e9, 0.999e9, 1e9, 1.001e9, 5.3e9, 150e9,
+                       199.9e9, 200e9, 200.1e9, 999.9e9, 1000e9, 1000.1e9,
+                       1100e9, 2000e9, 3000e9]),
+    "log_0.1_to_3000ghz": np.geomspace(0.1e9, 3000e9, 401),
+}
+
+
+def assert_same_weather(got, expected):
+    db = np.array([e[0] for e in expected])
+    assert got.db.tobytes() == db.tobytes()
+    assert got.extrapolated.dtype == bool
+    assert got.extrapolated.tolist() == [e[1] for e in expected]
+
+
+class TestWeatherBytes:
+    """The array weather functions give the scalar formulas' bytes and
+    flags at every frequency."""
+
+    @pytest.mark.parametrize("grid", sorted(WEATHER_GRIDS))
+    @pytest.mark.parametrize("rate", [1e-3, 25.0, 1e300])
+    def test_rain(self, grid, rate):
+        f = WEATHER_GRIDS[grid]
+        assert_same_weather(
+            rain_attenuation(f, rate, 1_555.6),
+            [scalar_rain_attenuation(float(x), rate, 1_555.6) for x in f])
+
+    def test_rain_overflow_reaches_the_reference(self):
+        db = rain_attenuation(WEATHER_GRIDS["edges"], 1e300, 1_000.0).db
+        assert np.isinf(db).any() and np.isfinite(db).any()
+
+    @pytest.mark.parametrize("grid", sorted(WEATHER_GRIDS))
+    @pytest.mark.parametrize("t", [200.0, 268.4, 300.0, 330.0])
+    def test_cloud(self, grid, t):
+        f = WEATHER_GRIDS[grid]
+        assert_same_weather(
+            cloud_attenuation(f, 0.37, 1_555.2, t),
+            [scalar_cloud_attenuation(float(x), 0.37, 1_555.2, t) for x in f])
+
+    def test_no_weather_is_zero_and_unflagged(self):
+        f = WEATHER_GRIDS["edges"]
+        for att in (rain_attenuation(f, 0.0, 1e3),
+                    rain_attenuation(f, 5.0, 0.0),
+                    cloud_attenuation(f, 0.0, 1e3, 280.0),
+                    cloud_attenuation(f, 0.5, 0.0, 280.0)):
+            assert att.db.tobytes() == np.zeros(f.size).tobytes()
+            assert not att.extrapolated.any()
 
 
 class TestTotalPathLoss:

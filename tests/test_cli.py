@@ -302,6 +302,31 @@ class TestBenchmarkHooks:
         assert 0 < spectra < 1000
         assert len(list((tmp_path / "cache").glob("*.npy"))) == spectra
 
+    def test_weather_is_one_call_each_per_run(self, coarse_config, tmp_path,
+                                              monkeypatch, capsys):
+        # the tracer wraps rain_attenuation and cloud_attenuation in
+        # thzlink.scenario; each takes the whole grid in one call
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).parent.parent / "perfbench"))
+        import layertrace
+
+        cfg = tmp_path / "wet.cfg"
+        cfg.write_text(coarse_config.read_text()
+                       + "rain_rate_mm_h = 10\nrain_thickness_km = 1\n"
+                         "cloud_density_g_m3 = 0.5\n")
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        finally:
+            tracer.uninstall()
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+        assert tracer.busy["channel.weather"] > 0.0
+        assert tracer.counts["channel.weather_evals"] == 2
+
 
 class TestSweepCommand:
     def test_altitude_sweep_csv(self, quick_config, tmp_path):

@@ -3,7 +3,8 @@
 The fixtures under ``tests/golden/<case>/`` pin every output file of a fixed
 set of scenarios: all seven link kinds; rain and cloud on a survey grid below
 the cloud table's 200 GHz limit while the capacity band sits at 300 GHz, so
-only the band is extrapolated; a capacity band outside the survey grid;
+only the band is extrapolated; rain and cloud on a grid that crosses 200 GHz
+and 1000 GHz; a capacity band outside the survey grid;
 near-transparent and fully transparent paths on the default grid and layers;
 and one sweep on each axis. Other grids are short and layers coarse so the
 suite stays fast. No case may emit a RuntimeWarning.
@@ -54,6 +55,22 @@ layer_resolution_m = 10000
 f_min_ghz = 150
 f_max_ghz = 190
 f_step_ghz = 10
+rain_rate_mm_h = 10
+rain_thickness_km = 1
+cloud_density_g_m3 = 0.5
+cloud_base_km = 1
+cloud_thickness_km = 1
+""", ["run"])
+# Rain and cloud on a survey grid that crosses the cloud table's 200 GHz
+# limit and the rain table's 1000 GHz edge, so both flags and the rain clamp
+# reach the outputs.
+CASES["run_e2a_weather_wide"] = ("""
+kind = E2A
+elevation_deg = 40
+layer_resolution_m = 10000
+f_min_ghz = 150
+f_max_ghz = 1100
+f_step_ghz = 50
 rain_rate_mm_h = 10
 rain_thickness_km = 1
 cloud_density_g_m3 = 0.5

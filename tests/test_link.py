@@ -11,8 +11,8 @@ from thzlink.link import (
     bit_error_probability,
     brightness_temperature_planck,
     brightness_temperature_rj,
+    _effective_temperature,
     capacity,
-    effective_path_temperature,
     modulation_threshold,
     snr,
     thermal_noise_psd,
@@ -69,9 +69,11 @@ class TestBrightnessTemperatureRJ:
     def test_effective_temperature_definition(self):
         temps = [250.0, 290.0]
         taus = [0.7, 0.4]
-        t_eff = effective_path_temperature(temps, taus)
+        t_eff, emissivity = _effective_temperature(np.array(temps),
+                                                   np.array([[0.7], [0.4]]))
         total_tau = 0.7 * 0.4
-        assert t_eff * (1.0 - total_tau) == pytest.approx(
+        assert emissivity[0] == pytest.approx(1.0 - total_tau, rel=1e-15)
+        assert t_eff[0] * (1.0 - total_tau) == pytest.approx(
             brightness_temperature_rj(temps, taus), rel=1e-12)
 
     def test_layer_count_mismatch_rejected(self):

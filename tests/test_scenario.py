@@ -277,11 +277,11 @@ class TestResolve:
             f_min=99e9, f_max=101e9, f_step=1e9)
         resolved = resolve(rainy, spectrum_cache)
         assert resolved.weather.rain_path == pytest.approx(700.0)
-        assert resolved.rain.db > 0.5
+        assert resolved.rain_db.max() > 0.5
         high = dataclasses.replace(rainy, kind="A2S")
         resolved_high = resolve(high, spectrum_cache)
         assert resolved_high.weather.rain_path == 0.0
-        assert resolved_high.rain.db == 0.0
+        assert np.all(resolved_high.rain_db == 0.0)
 
     def test_weather_factorizes(self, default_scenario, spectrum_cache):
         dry = dataclasses.replace(default_scenario, kind="E2A", f_min=99e9,
