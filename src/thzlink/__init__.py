@@ -17,7 +17,7 @@ from .catalog import (
 )
 from .absorption import AbsorptionSpectrum, absorption_coefficient
 from .geometry import LinkEndpoints
-from .channel import AntennaConfig, WeatherConfig
+from .channel import AntennaConfig
 from .link import LinkBudget, TransceiverConfig
 from .scenario import Scenario, resolve
 
@@ -32,7 +32,6 @@ __all__ = [
     "Scenario",
     "SpectralLine",
     "TransceiverConfig",
-    "WeatherConfig",
     "absorption_coefficient",
     "build_layers",
     "load_catalog",

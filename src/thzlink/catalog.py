@@ -10,11 +10,13 @@ weights are validated where numeric but discarded.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -204,47 +206,45 @@ class LineColumns:
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """One field of a fixed-width record and its Fortran edit descriptor,
+    ``Iw``, ``Fw.d``, ``Ew.d`` or ``Aw``."""
+
     name: str
     start: int          # 0-based, inclusive
-    stop: int           # 0-based, exclusive
-    kind: str           # "int", "float", or "text"
+    descriptor: str
     keep: bool = True
+    stop: int = field(init=False)   # 0-based, exclusive
+
+    def __post_init__(self):
+        width = int(self.descriptor[1:].partition(".")[0])
+        object.__setattr__(self, "stop", self.start + width)
 
 
-@dataclass(frozen=True)
-class RecordFormat:
-    """Column layout of a fixed-width catalog record."""
-
-    record_length: int
-    fields: tuple[FieldSpec, ...]
-
-
-# The 2004+ 160-character record layout (column offsets are 0-based here;
-# the README documents the same table 1-based).
-PAR_2004 = RecordFormat(
-    record_length=160,
-    fields=(
-        FieldSpec("molecule_id", 0, 2, "int"),
-        FieldSpec("isotopologue_id", 2, 3, "int"),
-        FieldSpec("nu0", 3, 15, "float"),
-        FieldSpec("S0_ref", 15, 25, "float"),
-        FieldSpec("einstein_a", 25, 35, "float", keep=False),
-        FieldSpec("alpha_air", 35, 40, "float"),
-        FieldSpec("alpha_self", 40, 45, "float"),
-        FieldSpec("E_lower", 45, 55, "float"),
-        FieldSpec("gamma_t", 55, 59, "float"),
-        FieldSpec("delta_air", 59, 67, "float"),
-        FieldSpec("global_upper_quanta", 67, 82, "text", keep=False),
-        FieldSpec("global_lower_quanta", 82, 97, "text", keep=False),
-        FieldSpec("local_upper_quanta", 97, 112, "text", keep=False),
-        FieldSpec("local_lower_quanta", 112, 127, "text", keep=False),
-        FieldSpec("uncertainty_codes", 127, 133, "text", keep=False),
-        FieldSpec("reference_codes", 133, 145, "text", keep=False),
-        FieldSpec("line_mixing_flag", 145, 146, "text", keep=False),
-        FieldSpec("g_upper", 146, 153, "float", keep=False),
-        FieldSpec("g_lower", 153, 160, "float", keep=False),
-    ),
+# The 2004+ 160-character record layout, one row per field; a record is as
+# long as the last field's stop (column offsets are 0-based here; the README
+# documents the same table 1-based).
+PAR_2004 = (
+    FieldSpec("molecule_id", 0, "I2"),
+    FieldSpec("isotopologue_id", 2, "I1"),
+    FieldSpec("nu0", 3, "F12.6"),
+    FieldSpec("S0_ref", 15, "E10.3"),
+    FieldSpec("einstein_a", 25, "E10.3", keep=False),
+    FieldSpec("alpha_air", 35, "F5.4"),
+    FieldSpec("alpha_self", 40, "F5.3"),
+    FieldSpec("E_lower", 45, "F10.4"),
+    FieldSpec("gamma_t", 55, "F4.2"),
+    FieldSpec("delta_air", 59, "F8.6"),
+    FieldSpec("global_upper_quanta", 67, "A15", keep=False),
+    FieldSpec("global_lower_quanta", 82, "A15", keep=False),
+    FieldSpec("local_upper_quanta", 97, "A15", keep=False),
+    FieldSpec("local_lower_quanta", 112, "A15", keep=False),
+    FieldSpec("uncertainty_codes", 127, "A6", keep=False),
+    FieldSpec("reference_codes", 133, "A12", keep=False),
+    FieldSpec("line_mixing_flag", 145, "A1", keep=False),
+    FieldSpec("g_upper", 146, "F7.1", keep=False),
+    FieldSpec("g_lower", 153, "F7.1", keep=False),
 )
+RECORD_LENGTH = PAR_2004[-1].stop
 
 
 def parse_line_record(record: str) -> SpectralLine:
@@ -255,19 +255,18 @@ def parse_line_record(record: str) -> SpectralLine:
     :class:`UnknownIsotopologue`.
     """
     record = record.rstrip("\r\n")
-    if len(record) != PAR_2004.record_length:
-        raise WrongRecordLength(PAR_2004.record_length, len(record))
+    if len(record) != RECORD_LENGTH:
+        raise WrongRecordLength(RECORD_LENGTH, len(record))
 
     values: dict[str, float | int] = {}
-    for f in PAR_2004.fields:
+    for f in PAR_2004:
+        letter = f.descriptor[0]
         raw = record[f.start:f.stop]
         text = raw.strip()
-        if f.kind == "text":
-            continue
-        if f.kind == "float" and not f.keep and text == "":
-            continue  # blank optional numeric field
+        if letter == "A" or not (f.keep or text):
+            continue  # text, or a blank optional numeric field
         try:
-            parsed = int(text) if f.kind == "int" else float(text)
+            parsed = int(text) if letter == "I" else float(text)
         except ValueError:
             raise UnparseableField(f.name, f.start, f.stop, raw) from None
         if f.keep:
@@ -284,13 +283,14 @@ def parse_line_record(record: str) -> SpectralLine:
         raise CatalogError(f"record violates line invariants: {exc}") from None
 
 
-def _fixed_width_float(value: float, width: int, decimals: int) -> str:
-    """Format like Fortran Fw.d, dropping the leading zero when needed."""
-    out = f"{value:{width}.{decimals}f}"
+def _fixed_width_float(value: float, width: int, spec: str) -> str:
+    """Format like Fortran Fw.d, given ``spec`` "w.d", dropping the leading
+    zero when needed."""
+    out = f"{value:{spec}f}"
     if len(out) > width:
         out = out.replace("0.", ".", 1)
     if len(out) > width:
-        raise ValueError(f"{value!r} does not fit in F{width}.{decimals}")
+        raise ValueError(f"{value!r} does not fit in F{spec}")
     return out.rjust(width)
 
 
@@ -298,29 +298,22 @@ def format_line_record(line: SpectralLine) -> str:
     """Render a :class:`SpectralLine` back into a :data:`PAR_2004` record.
 
     Inverse of :func:`parse_line_record` for every retained field within
-    the column precision of the layout.
+    the column precision of the layout; a numeric field the line does not
+    carry is written as 0 and a text field as blanks.
     """
-    decimals = {
-        "nu0": 6, "alpha_air": 4, "alpha_self": 3,
-        "E_lower": 4, "gamma_t": 2, "delta_air": 6,
-        "g_upper": 1, "g_lower": 1,
-    }
     parts = []
-    for f in PAR_2004.fields:
-        width = f.stop - f.start
-        if f.kind == "int":
-            parts.append(f"{getattr(line, f.name):{width}d}")
-        elif f.name == "S0_ref" or f.name == "einstein_a":
-            value = line.S0_ref if f.name == "S0_ref" else 0.0
-            parts.append(f"{value:{width}.3E}")
-        elif f.kind == "float":
-            value = getattr(line, f.name, 0.0)
-            parts.append(_fixed_width_float(value, width, decimals[f.name]))
+    for f in PAR_2004:
+        letter, spec = f.descriptor[0], f.descriptor[1:]
+        value = getattr(line, f.name, 0.0)
+        if letter == "I":
+            parts.append(f"{value:{spec}d}")
+        elif letter == "E":
+            parts.append(f"{value:{spec}E}")
+        elif letter == "F":
+            parts.append(_fixed_width_float(value, f.stop - f.start, spec))
         else:
-            parts.append(" " * width)
-    record = "".join(parts)
-    assert len(record) == PAR_2004.record_length
-    return record
+            parts.append(" " * (f.stop - f.start))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -350,6 +343,19 @@ class LineCatalog:
     def columns(self) -> LineColumns:
         """The lines as arrays, built on first use and kept with the catalog."""
         return LineColumns.of(self.lines)
+
+    @cached_property
+    def lines_sha256(self) -> str:
+        """SHA-256 of every field of every line, in catalog order: catalogs
+        that hold the same lines share it, whatever file they came from."""
+        fields = attrgetter(*(f.name for f in dataclasses.fields(SpectralLine)))
+        table = np.array([fields(ln) for ln in self.lines], dtype=float)
+        return hashlib.sha256(table.tobytes()).hexdigest()
+
+    @property
+    def file_sha256(self) -> str:
+        """SHA-256 of the loaded file's bytes, which ``source_id`` ends in."""
+        return self.source_id.rsplit("sha256:", 1)[-1]
 
 
 def _read_stream(source) -> tuple[bytes, str]:

@@ -28,21 +28,6 @@ CLOUD_VALID_MAX_GHZ = 200.0
 
 
 @dataclass(frozen=True)
-class WeatherConfig:
-    """Rain and cloud state resolved to path lengths through each volume."""
-
-    rain_rate: float = 0.0       # mm/h
-    rain_path: float = 0.0       # m
-    cloud_density: float = 0.0   # g/m^3
-    cloud_path: float = 0.0      # m
-
-    def __post_init__(self):
-        for name in ("rain_rate", "rain_path", "cloud_density", "cloud_path"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-@dataclass(frozen=True)
 class AntennaConfig:
     """Circular-aperture dish described by diameter and efficiency."""
 

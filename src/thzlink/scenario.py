@@ -17,8 +17,10 @@ import dataclasses
 import hashlib
 import math
 import struct
+import sys
 import uuid
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,9 @@ from .absorption import (
     absorption_coefficient,
 )
 from .atmosphere import (
+    DEFAULT_GROUND_HUMIDITY,
+    DEFAULT_LAYER_RESOLUTION,
+    DEFAULT_WATER_SCALE_HEIGHT,
     MAX_ALTITUDE,
     AtmosphericState,
     Layer,
@@ -46,7 +51,6 @@ from .catalog import (
 )
 from .channel import (
     AntennaConfig,
-    WeatherConfig,
     cloud_attenuation,
     dish_gain,
     rain_attenuation,
@@ -87,6 +91,30 @@ BAND_POINTS = 129
 # Layers times frequencies (survey plus band) sizes every per-layer array;
 # E2S on the default config, the largest in use, needs 1,000 x 430.
 MAX_LAYER_POINTS = 20_000_000
+
+# Config key -> (Scenario field, whether it may be 0) of each number a
+# scenario holds in SI units; a value must also be finite. Config parsing
+# and the Scenario rules both read this table.
+_SCENARIO_KEYS = {
+    "h_airplane_km": ("h_airplane", True),
+    "h_ground_m": ("h_ground", True),
+    "rain_rate_mm_h": ("rain_rate", True),
+    "rain_base_km": ("rain_base", True),
+    "rain_thickness_km": ("rain_thickness", True),
+    "cloud_density_g_m3": ("cloud_density", True),
+    "cloud_base_km": ("cloud_base", True),
+    "cloud_thickness_km": ("cloud_thickness", True),
+    "ground_humidity_vmr": ("ground_humidity", True),
+    "h_satellite_km": ("h_satellite", False),
+    "link_distance_m": ("link_distance", False),
+    "f_min_ghz": ("f_min", False),
+    "f_max_ghz": ("f_max", False),
+    "f_step_ghz": ("f_step", False),
+    "atmosphere_top_km": ("atmosphere_top", False),
+    "layer_resolution_m": ("layer_resolution", False),
+    "water_scale_height_m": ("water_scale_height", False),
+    "wing_cutoff_ghz": ("wing_cutoff", False),
+}
 
 
 @dataclass(frozen=True)
@@ -132,28 +160,12 @@ class Scenario:
         kind = self.kind
         require(kind in KINDS, "kind", f"must be one of {', '.join(KINDS)}")
         # the comparisons are false for NaN, so they also reject it
-        for key, value in (("h_airplane_km", self.h_airplane),
-                           ("h_ground_m", self.h_ground),
-                           ("rain_rate_mm_h", self.rain_rate),
-                           ("rain_base_km", self.rain_base),
-                           ("rain_thickness_km", self.rain_thickness),
-                           ("cloud_density_g_m3", self.cloud_density),
-                           ("cloud_base_km", self.cloud_base),
-                           ("cloud_thickness_km", self.cloud_thickness),
-                           ("ground_humidity_vmr", self.ground_humidity)):
-            require(0.0 <= value < math.inf, key, f"must be nonnegative "
-                    f"and finite in SI units, got {value:g}")
-        for key, value in (("h_satellite_km", self.h_satellite),
-                           ("link_distance_m", self.link_distance),
-                           ("f_min_ghz", self.f_min),
-                           ("f_max_ghz", self.f_max),
-                           ("f_step_ghz", self.f_step),
-                           ("atmosphere_top_km", self.atmosphere_top),
-                           ("layer_resolution_m", self.layer_resolution),
-                           ("water_scale_height_m", self.water_scale_height),
-                           ("wing_cutoff_ghz", self.wing_cutoff)):
-            require(0.0 < value < math.inf, key, f"must be positive and "
-                    f"finite in SI units, got {value:g}")
+        for key, (name, zero_ok) in _SCENARIO_KEYS.items():
+            value = getattr(self, name)
+            sign = "nonnegative" if zero_ok else "positive"
+            require((value >= 0.0 if zero_ok else value > 0.0)
+                    and value < math.inf, key,
+                    f"must be {sign} and finite in SI units, got {value:g}")
         require(self.atmosphere_top <= MAX_ALTITUDE, "atmosphere_top_km",
                 f"profiles end at {MAX_ALTITUDE / _KM:.0f} km")
         require(self.ground_humidity < 1.0, "ground_humidity_vmr",
@@ -195,22 +207,19 @@ class Scenario:
                 f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does "
                 f"not hold {BAND_POINTS} distinct frequencies")
 
-        distance = self.link_distance
+        try:
+            distance, psi = self.line_of_sight
+        except DegenerateGeometry:
+            # the terminals are apart, but not in double precision
+            raise ConfigError("terminals coincide in double precision",
+                              field=upper_key) from None
         if kind != "A2A":
-            h_low, h_high = self.endpoints()
-            ends = LinkEndpoints(h_low, h_high, self.central_angle)
-            try:
-                psi = elevation_angle(ends)
-            except DegenerateGeometry:
-                # the terminals are apart, but not in double precision
-                raise ConfigError("terminals coincide in double precision",
-                                  field=upper_key) from None
             require(psi > 0.0, "central_angle_deg",
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
-            distance = slant_range(ends)
             # build_layers makes ceil(stack top / resolution) layers
-            layers = min(self.atmosphere_top, h_high) / self.layer_resolution
+            layers = (min(self.atmosphere_top, self.endpoints()[1])
+                      / self.layer_resolution)
             if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
                 layers = math.ceil(layers)
             points = math.floor(span) + 1 + BAND_POINTS
@@ -253,18 +262,28 @@ class Scenario:
         rho = central_angle_for_elevation(*self.endpoints(), psi)
         return dataclasses.replace(self, central_angle=rho)
 
+    def _altitude(self, letter: str) -> float:
+        """Altitude of the terminal a kind names by ``letter``."""
+        return {"A": self.h_airplane, "S": self.h_satellite,
+                "E": self.h_ground}[letter]
+
     def endpoints(self) -> tuple[float, float]:
         """(h_low, h_high) of the two terminals, lower first."""
-        by_letter = {"A": self.h_airplane, "S": self.h_satellite,
-                     "E": self.h_ground}
-        a, b = by_letter[self.kind[0]], by_letter[self.kind[2]]
+        a, b = self._altitude(self.kind[0]), self._altitude(self.kind[2])
         return (min(a, b), max(a, b))
 
     @property
     def rx_altitude(self) -> float:
-        by_letter = {"A": self.h_airplane, "S": self.h_satellite,
-                     "E": self.h_ground}
-        return by_letter[self.kind[2]]
+        return self._altitude(self.kind[2])
+
+    @cached_property
+    def line_of_sight(self) -> tuple[float, float]:
+        """(slant range in m, elevation angle in rad) at the lower terminal;
+        an A2A link is level and ``link_distance`` long."""
+        if self.kind == "A2A":
+            return self.link_distance, 0.0
+        ends = LinkEndpoints(*self.endpoints(), self.central_angle)
+        return slant_range(ends), elevation_angle(ends)
 
 
 _DEFAULTS: dict[str, float | str] = {
@@ -293,10 +312,10 @@ _DEFAULTS: dict[str, float | str] = {
     "cloud_density_g_m3": 0.0,
     "cloud_base_km": 0.7,
     "cloud_thickness_km": 1.0,
-    "layer_resolution_m": 500.0,
+    "layer_resolution_m": DEFAULT_LAYER_RESOLUTION,
     "atmosphere_top_km": 500.0,
-    "ground_humidity_vmr": 0.0078,
-    "water_scale_height_m": 2000.0,
+    "ground_humidity_vmr": DEFAULT_GROUND_HUMIDITY,
+    "water_scale_height_m": DEFAULT_WATER_SCALE_HEIGHT,
     "catalog_path": "bundled",
     "wing_cutoff_ghz": DEFAULT_WING_CUTOFF / _GHZ,
 }
@@ -372,31 +391,14 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         fail("elevation_deg",
              "give either elevation_deg or central_angle_deg, not both")
 
-    fields = dict(
+    fields = {name: si(key) for key, (name, _) in _SCENARIO_KEYS.items()}
+    fields.update(
         kind=str(values["kind"]).upper(),
-        h_airplane=si("h_airplane_km"),
-        h_satellite=si("h_satellite_km"),
-        h_ground=si("h_ground_m"),
         central_angle=0.0 if elevation is not None
         else math.radians(float(values["central_angle_deg"])),
-        link_distance=si("link_distance_m"),
         tx_antenna=antenna("tx"),
         rx_antenna=antenna("rx"),
-        rain_rate=si("rain_rate_mm_h"),
-        rain_base=si("rain_base_km"),
-        rain_thickness=si("rain_thickness_km"),
-        cloud_density=si("cloud_density_g_m3"),
-        cloud_base=si("cloud_base_km"),
-        cloud_thickness=si("cloud_thickness_km"),
-        layer_resolution=si("layer_resolution_m"),
-        atmosphere_top=si("atmosphere_top_km"),
-        ground_humidity=si("ground_humidity_vmr"),
-        water_scale_height=si("water_scale_height_m"),
-        f_min=si("f_min_ghz"),
-        f_max=si("f_max_ghz"),
-        f_step=si("f_step_ghz"),
         catalog_path=str(values["catalog_path"]),
-        wing_cutoff=si("wing_cutoff_ghz"),
     )
     transceiver = dict(
         tx_power=si("tx_power_mw"),
@@ -435,8 +437,9 @@ def capacity_band(tx: TransceiverConfig) -> np.ndarray:
 class SpectrumCache:
     """Cache of per-layer absorption spectra.
 
-    Keys combine the catalog hash, the atmospheric state, the grid, and the
-    engine options, so identical layers are computed once per sweep. With a
+    Keys combine the digest of the loaded lines, the atmospheric state, the
+    grid, and the engine options, so identical layers are computed once per
+    sweep, and catalogs holding the same lines share their entries. With a
     directory the arrays persist on disk across runs; values are exact, so
     caching never changes results. A disk entry that is not a finite,
     non-negative float64 array of the grid's length is a miss: it is
@@ -450,10 +453,10 @@ class SpectrumCache:
         self._memory: dict[str, np.ndarray] = {}
 
     @staticmethod
-    def key(catalog_sha: str, state: AtmosphericState, grid: np.ndarray,
+    def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
             wing_cutoff: float) -> str:
         hasher = hashlib.sha256()
-        hasher.update(catalog_sha.encode())
+        hasher.update(lines_sha.encode())
         hasher.update(struct.pack("<ddd", state.altitude, state.pressure,
                                   state.temperature))
         for name in sorted(state.mixing_ratios):
@@ -503,14 +506,13 @@ class ResolvedLink:
 
     scenario: Scenario
     grid: np.ndarray
-    catalog_sha: str
-    r_as: float
-    psi: float
+    catalog: LineCatalog
     tau: np.ndarray
     fspl_db: np.ndarray
     rain_db: np.ndarray
     cloud_db: np.ndarray
-    weather: WeatherConfig
+    rain_path: float            # m
+    cloud_path: float           # m
     weather_extrapolated: bool  # at some survey frequency, rain or cloud
     path_loss: np.ndarray       # linear
     noise_psd: np.ndarray
@@ -518,12 +520,26 @@ class ResolvedLink:
     budget: LinkBudget
 
     @property
+    def r_as(self) -> float:
+        return self.scenario.line_of_sight[0]
+
+    @property
+    def psi(self) -> float:
+        return self.scenario.line_of_sight[1]
+
+    @property
     def path_loss_db(self) -> np.ndarray:
         return 10.0 * np.log10(self.path_loss)
 
     @property
+    def snr_db(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(self.snr)
+
+    @property
     def provenance(self) -> str:
-        return f"thzlink {__version__} catalog_sha256={self.catalog_sha[:16]}"
+        return (f"thzlink {__version__} "
+                f"catalog_sha256={self.catalog.file_sha256[:16]}")
 
 
 def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
@@ -540,39 +556,36 @@ def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
     f_high = max(float(grid[-1]), float(band[-1]))
     nu_min = max(frequency_to_wavenumber(f_low - scenario.wing_cutoff), 0.0)
     nu_max = frequency_to_wavenumber(f_high + scenario.wing_cutoff)
-    return load_catalog(path, nu_min, nu_max)
+    catalog = load_catalog(path, nu_min, nu_max)
+    if catalog.parse_errors:
+        print(_parse_error_warning(catalog), file=sys.stderr)
+    return catalog
 
 
-def _weather_paths(scenario: Scenario, psi: float) -> WeatherConfig:
-    if scenario.kind == "A2A":
-        h = scenario.h_airplane
-        in_rain = (scenario.rain_thickness > 0.0
-                   and scenario.rain_base <= h
-                   <= scenario.rain_base + scenario.rain_thickness)
-        in_cloud = (scenario.cloud_thickness > 0.0
-                    and scenario.cloud_base <= h
-                    <= scenario.cloud_base + scenario.cloud_thickness)
-        rain_path = scenario.link_distance if in_rain else 0.0
-        cloud_path = scenario.link_distance if in_cloud else 0.0
-    else:
+def _parse_error_warning(catalog: LineCatalog) -> str:
+    issues = catalog.parse_errors
+    return (f"warning: {len(issues)} catalog record(s) failed to parse and "
+            f"were skipped, the first at line {issues[0].line_number}")
+
+
+def _weather_paths(scenario: Scenario) -> tuple[float, float]:
+    """Lengths in m of the line of sight inside the rain and the cloud."""
+    def through(base: float, thickness: float) -> float:
+        if scenario.kind == "A2A":
+            inside = (thickness > 0.0
+                      and base <= scenario.h_airplane <= base + thickness)
+            return scenario.link_distance if inside else 0.0
         h_low, h_high = scenario.endpoints()
-        rain_path = shell_path_length(
-            h_low, psi, scenario.rain_base,
-            min(scenario.rain_base + scenario.rain_thickness, h_high))
-        cloud_path = shell_path_length(
-            h_low, psi, scenario.cloud_base,
-            min(scenario.cloud_base + scenario.cloud_thickness, h_high))
-    return WeatherConfig(
-        rain_rate=scenario.rain_rate if scenario.rain_thickness > 0 else 0.0,
-        rain_path=rain_path,
-        cloud_density=scenario.cloud_density,
-        cloud_path=cloud_path,
-    )
+        return shell_path_length(h_low, scenario.line_of_sight[1], base,
+                                 min(base + thickness, h_high))
+
+    return (through(scenario.rain_base, scenario.rain_thickness),
+            through(scenario.cloud_base, scenario.cloud_thickness))
 
 
 def _path_quantities(scenario: Scenario, catalog: LineCatalog,
                      grid: np.ndarray, cache: SpectrumCache):
-    """Geometry, transmittance, and sky view for the scenario on a grid.
+    """Transmittance and sky view for the scenario on a grid.
 
     Only the traversed layers with a live line reach the cache and the
     kernel; the sky is None, the vacuum's, where no layer has one.
@@ -583,17 +596,14 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
         state = profile_at(h_low, scenario.ground_humidity,
                            scenario.water_scale_height)
         stack = LayerStack((Layer(h_low, h_low + 1.0, state),), h_low + 1.0)
-        r_as, psi = scenario.link_distance, 0.0
-        segments = ((0, r_as),)
+        segments = ((0, scenario.link_distance),)
     else:
-        ep = LinkEndpoints(h_low, h_high, scenario.central_angle)
-        r_as = slant_range(ep)
-        psi = elevation_angle(ep)
         stack = build_layers(0.0, min(scenario.atmosphere_top, h_high),
                              scenario.layer_resolution,
                              ground_humidity=scenario.ground_humidity,
                              water_scale_height=scenario.water_scale_height)
-        segments = layer_path_segments(h_low, psi, stack)
+        segments = layer_path_segments(h_low, scenario.line_of_sight[1],
+                                       stack)
     # A layer without a live line has kappa +0.0 everywhere: it adds +0.0
     # optical depth, has tau 1.0 and emits nothing, and the sums and
     # products over layers run row by row, so leaving it out moves no byte.
@@ -607,7 +617,7 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     spectra = {}
     for i, _ in segments:
         state = stack[i].state
-        key = SpectrumCache.key(catalog.source_id, state, grid,
+        key = SpectrumCache.key(catalog.lines_sha256, state, grid,
                                 scenario.wing_cutoff)
         kappa = cache.get_or_compute(
             key, lambda s=state: absorption_coefficient(
@@ -615,14 +625,14 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
         spectra[i] = AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
     tau = transmittance(grid, segments, spectra)
     if not segments:
-        return r_as, psi, tau, None
+        return tau, None
 
     layer_taus = np.empty((len(segments), grid.size))
     for row, (i, length) in zip(layer_taus, segments):
         np.exp(-spectra[i].kappa * length, out=row)
     sky = SkyPath(temps[live][from_rx], layer_taus[from_rx],
                   transparent_temperature)
-    return r_as, psi, tau, sky
+    return tau, sky
 
 
 def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
@@ -641,7 +651,6 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
     if catalog is None:
         catalog = load_scenario_catalog(scenario, survey)
-    catalog_sha = catalog.source_id.rsplit("sha256:", 1)[-1]
     tx = scenario.transceiver
     grid = survey
     if with_capacity:
@@ -649,20 +658,21 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         grid = np.union1d(survey, band)
     part = np.searchsorted(grid, survey)
 
-    r_as, psi, tau, sky = _path_quantities(scenario, catalog, grid, cache)
+    tau, sky = _path_quantities(scenario, catalog, grid, cache)
 
-    weather = _weather_paths(scenario, psi)
+    rain_path, cloud_path = _weather_paths(scenario)
     cloud_mid = scenario.cloud_base + 0.5 * scenario.cloud_thickness
     cloud_t = profile_at(min(cloud_mid, scenario.atmosphere_top),
                          scenario.ground_humidity,
                          scenario.water_scale_height).temperature
-    rain_db, rain_flags = rain_attenuation(grid, weather.rain_rate,
-                                           weather.rain_path)
+    rain_db, rain_flags = rain_attenuation(grid, scenario.rain_rate,
+                                           rain_path)
     cloud_db, cloud_flags = cloud_attenuation(
-        grid, weather.cloud_density, weather.cloud_path, cloud_t)
+        grid, scenario.cloud_density, cloud_path, cloud_t)
 
     g_tx = dish_gain(scenario.tx_antenna, grid)
     g_rx = dish_gain(scenario.rx_antenna, grid)
+    r_as = scenario.line_of_sight[0]
     path_loss = total_path_loss(grid, r_as, tau, g_tx, g_rx,
                                 rain_db=rain_db, cloud_db=cloud_db)
     noise = total_noise_psd(grid, sky, tx)
@@ -676,14 +686,13 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     return ResolvedLink(
         scenario=scenario,
         grid=survey,
-        catalog_sha=catalog_sha,
-        r_as=r_as,
-        psi=psi,
+        catalog=catalog,
         tau=tau[part],
         fspl_db=-10.0 * np.log10(spreading_loss(survey, r_as)),
         rain_db=rain_db[part],
         cloud_db=cloud_db[part],
-        weather=weather,
+        rain_path=rain_path,
+        cloud_path=cloud_path,
         weather_extrapolated=bool((rain_flags | cloud_flags)[part].any()),
         path_loss=path_loss[part],
         noise_psd=noise[part],
@@ -726,11 +735,10 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
                     resolved.fspl_db, resolved.rain_db, resolved.cloud_db)))
 
     with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(resolved.snr)
         noise_db = 10.0 * np.log10(resolved.noise_psd)
     _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
                (f"{f:.10g},{s:.10g},{n:.10g}\n"
-                for f, s, n in zip(resolved.grid, snr_db, noise_db)))
+                for f, s, n in zip(resolved.grid, resolved.snr_db, noise_db)))
 
     tx = scenario.transceiver
     bpsk = modulation_threshold("BPSK", 1e-6)
@@ -747,11 +755,13 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
         fh.write(f"{prov}\n\n{describe(scenario)}\n\n")
         fh.write(f"slant range: {resolved.r_as:.3f} m\n")
         fh.write(f"elevation angle: {math.degrees(resolved.psi):.4f} deg\n")
-        fh.write(f"in-atmosphere rain path: {resolved.weather.rain_path:.1f} m, "
-                 f"cloud path: {resolved.weather.cloud_path:.1f} m\n")
+        fh.write(f"in-atmosphere rain path: {resolved.rain_path:.1f} m, "
+                 f"cloud path: {resolved.cloud_path:.1f} m\n")
         if resolved.weather_extrapolated:
             fh.write("warning: weather attenuation extrapolated beyond its "
                      "table's formal frequency range\n")
+        if resolved.catalog.parse_errors:
+            fh.write(f"{_parse_error_warning(resolved.catalog)}\n")
         pl_db = resolved.path_loss_db
         fh.write(f"path loss over grid: min {pl_db.min():.2f} dB, "
                  f"max {pl_db.max():.2f} dB\n")

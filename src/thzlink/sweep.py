@@ -113,11 +113,10 @@ def write_sweep_csv(path, axis: str, points: Iterable[float],
                               resolved.scenario.transceiver.center_frequency,
                               "capacity_bit_s", resolved.budget.capacity))
             for f, pl, s in zip(resolved.grid, resolved.path_loss_db,
-                                resolved.snr):
+                                resolved.snr_db):
                 v0 = f / 1e9 if by_frequency else value
                 point.append((v0, f, "path_loss_db", pl))
-                point.append((v0, f, "snr_db",
-                              10.0 * math.log10(s) if s > 0 else -math.inf))
+                point.append((v0, f, "snr_db", s))
             # rows run by axis value, metric, then frequency; in a frequency
             # sweep distinct frequencies can share one GHz axis value
             for v0, f, metric, v in sorted(

@@ -1,10 +1,13 @@
+import hashlib
 import io
+import random
 
 import pytest
 
 from thzlink.catalog import (
     ISOTOPOLOGUE_ABUNDANCES,
     PAR_2004,
+    LineCatalog,
     SpectralLine,
     bundled_catalog_path,
     format_line_record,
@@ -27,8 +30,7 @@ def make_record(**overrides):
         molecule_id=1, isotopologue_id=1, nu0=18.577000, S0_ref=1.5e-19,
         alpha_air=0.1040, alpha_self=0.490, E_lower=23.7944, gamma_t=0.69,
         delta_air=0.000100, abundance=1.0)
-    fields = {f.name: getattr(line, f.name) for f in PAR_2004.fields
-              if f.keep}
+    fields = {f.name: getattr(line, f.name) for f in PAR_2004 if f.keep}
     fields.update(overrides)
     fields["abundance"] = 1.0
     return format_line_record(SpectralLine(**fields))
@@ -169,6 +171,138 @@ class TestLoadCatalog:
         assert not mini_catalog.parse_errors
         assert {ln.molecule_id for ln in mini_catalog} == {1, 7}
         assert "sha256:" in mini_catalog.source_id
+
+    def test_file_digest_is_the_file_bytes_digest(self, mini_catalog):
+        digest = hashlib.sha256(bundled_catalog_path().read_bytes())
+        assert mini_catalog.file_sha256 == digest.hexdigest()
+        assert mini_catalog.source_id.endswith(digest.hexdigest())
+
+
+class TestLinesDigest:
+    def test_same_lines_share_it_whatever_the_source(self, mini_catalog):
+        copy = LineCatalog(mini_catalog.lines, "elsewhere.par#sha256:0")
+        assert copy.lines_sha256 == mini_catalog.lines_sha256
+
+    @pytest.mark.parametrize("field", [
+        "molecule_id", "isotopologue_id", "nu0", "S0_ref", "alpha_air",
+        "alpha_self", "E_lower", "gamma_t", "delta_air", "abundance"])
+    def test_every_field_changes_it(self, mini_catalog, field):
+        lines = list(mini_catalog.lines)
+        first = lines[0]
+        changed = {"molecule_id": 7, "isotopologue_id": 2,
+                   "abundance": 0.5}.get(field, getattr(first, field) * 1.5
+                                         + 1e-3)
+        lines[0] = SpectralLine(**{**first.__dict__, field: changed})
+        other = LineCatalog(tuple(lines), mini_catalog.source_id)
+        assert other.lines_sha256 != mini_catalog.lines_sha256
+
+    def test_order_and_count_change_it(self, mini_catalog):
+        lines = mini_catalog.lines
+        digests = {LineCatalog(ls, "x").lines_sha256 for ls in (
+            lines, lines[::-1], lines[:-1], lines + lines[:1], ())}
+        assert len(digests) == 5
+
+
+# The record formatter as it was when each field's precision sat in a
+# dictionary of its own, kept as the reference for the layout table.
+_ORACLE_LAYOUT = (
+    ("molecule_id", 0, 2, "int"), ("isotopologue_id", 2, 3, "int"),
+    ("nu0", 3, 15, "float"), ("S0_ref", 15, 25, "float"),
+    ("einstein_a", 25, 35, "float"), ("alpha_air", 35, 40, "float"),
+    ("alpha_self", 40, 45, "float"), ("E_lower", 45, 55, "float"),
+    ("gamma_t", 55, 59, "float"), ("delta_air", 59, 67, "float"),
+    ("global_upper_quanta", 67, 82, "text"),
+    ("global_lower_quanta", 82, 97, "text"),
+    ("local_upper_quanta", 97, 112, "text"),
+    ("local_lower_quanta", 112, 127, "text"),
+    ("uncertainty_codes", 127, 133, "text"),
+    ("reference_codes", 133, 145, "text"),
+    ("line_mixing_flag", 145, 146, "text"),
+    ("g_upper", 146, 153, "float"), ("g_lower", 153, 160, "float"),
+)
+
+
+def _oracle_fixed_width_float(value, width, decimals):
+    out = f"{value:{width}.{decimals}f}"
+    if len(out) > width:
+        out = out.replace("0.", ".", 1)
+    if len(out) > width:
+        raise ValueError(f"{value!r} does not fit in F{width}.{decimals}")
+    return out.rjust(width)
+
+
+def _oracle_format_line_record(line):
+    decimals = {
+        "nu0": 6, "alpha_air": 4, "alpha_self": 3,
+        "E_lower": 4, "gamma_t": 2, "delta_air": 6,
+        "g_upper": 1, "g_lower": 1,
+    }
+    parts = []
+    for name, start, stop, kind in _ORACLE_LAYOUT:
+        width = stop - start
+        if kind == "int":
+            parts.append(f"{getattr(line, name):{width}d}")
+        elif name == "S0_ref" or name == "einstein_a":
+            value = line.S0_ref if name == "S0_ref" else 0.0
+            parts.append(f"{value:{width}.3E}")
+        elif kind == "float":
+            value = getattr(line, name, 0.0)
+            parts.append(_oracle_fixed_width_float(value, width,
+                                                   decimals[name]))
+        else:
+            parts.append(" " * width)
+    record = "".join(parts)
+    assert len(record) == 160
+    return record
+
+
+def _seeded_lines(count, seed=14):
+    rng = random.Random(seed)
+    keys = sorted(ISOTOPOLOGUE_ABUNDANCES)
+    lines = []
+    for _ in range(count):
+        molecule, isotopologue = rng.choice(keys)
+        lines.append(SpectralLine(
+            molecule_id=molecule, isotopologue_id=isotopologue,
+            nu0=rng.choice([rng.uniform(1e-3, 100.0),
+                            rng.uniform(100.0, 99_999.0)]),
+            S0_ref=rng.choice([0.0, 10.0 ** rng.uniform(-99.0, 99.0)]),
+            alpha_air=rng.uniform(5e-5, 0.99994),
+            alpha_self=rng.uniform(5e-4, 9.9994),
+            E_lower=rng.choice([0.0, rng.uniform(0.0, 99_999.0)]),
+            gamma_t=rng.uniform(-0.994, 9.994),
+            delta_air=rng.uniform(-0.0999994, 0.0999994),
+            abundance=ISOTOPOLOGUE_ABUNDANCES[molecule, isotopologue]))
+    return lines
+
+
+class TestRecordBytes:
+    """format_line_record gives the reference formatter's bytes."""
+
+    def test_bundled_records(self):
+        text = bundled_catalog_path().read_text()
+        records = [r for r in text.splitlines() if r.strip()]
+        assert len(records) == 50
+        for record in records:
+            line = parse_line_record(record)
+            assert format_line_record(line) == \
+                _oracle_format_line_record(line) == record
+
+    def test_seeded_lines(self):
+        lines = _seeded_lines(400)
+        for line in lines:
+            assert format_line_record(line) == \
+                _oracle_format_line_record(line), line
+
+    @pytest.mark.parametrize("field, value", [
+        ("nu0", 1e7), ("alpha_air", 1.5), ("E_lower", 1e7),
+        ("delta_air", -1.5)])
+    def test_a_value_too_wide_raises_in_both(self, sample_line, field,
+                                             value):
+        line = SpectralLine(**{**sample_line.__dict__, field: value})
+        for formatter in (format_line_record, _oracle_format_line_record):
+            with pytest.raises(ValueError, match="does not fit"):
+                formatter(line)
 
 
 class TestWavenumberConversion:

@@ -10,7 +10,6 @@ from thzlink.absorption import AbsorptionSpectrum, absorption_coefficient
 from thzlink.atmosphere import AtmosphericState, build_layers, profile_at
 from thzlink.channel import (
     AntennaConfig,
-    WeatherConfig,
     cloud_attenuation,
     dish_gain,
     rain_attenuation,
@@ -205,10 +204,6 @@ class TestCloudAttenuation:
             pytest.approx(2 * base, rel=1e-12)
         assert cloud(150e9, 0.5, 2_000.0, 280.0).db[0] == \
             pytest.approx(2 * base, rel=1e-12)
-
-    def test_weather_config_validation(self):
-        with pytest.raises(ValueError):
-            WeatherConfig(rain_rate=-1.0)
 
 
 @functools.lru_cache(maxsize=1)

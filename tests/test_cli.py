@@ -60,8 +60,9 @@ class TestRunCommand:
         for name in ("path_loss.csv", "snr.csv", "capacity.csv",
                      "summary.txt"):
             assert (out / name).exists()
-        printed = capsys.readouterr().out
-        assert "path_loss.csv" in printed
+        printed = capsys.readouterr()
+        assert "path_loss.csv" in printed.out
+        assert printed.err == ""
 
     def test_byte_identical_between_runs(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
@@ -144,6 +145,42 @@ class TestRunCommand:
         assert list(cache.glob("*.npy"))
         assert file_hashes(out1) == file_hashes(out2)
 
+
+    def test_identical_catalogs_share_cache_entries(self, coarse_config,
+                                                    tmp_path):
+        cache = tmp_path / "cache"
+        written = []
+        for name in ("one", "two"):
+            catalog = tmp_path / name / "lines.par"
+            catalog.parent.mkdir()
+            catalog.write_bytes(bundled_catalog_path().read_bytes())
+            cfg = tmp_path / name / "run.cfg"
+            cfg.write_text(coarse_config.read_text()
+                           + f"catalog_path = {catalog}\n")
+            code = main(["run", str(cfg), "--out-dir", str(tmp_path / name),
+                         "--cache-dir", str(cache)])
+            assert code == EXIT_OK
+            written.append(sorted(p.name for p in cache.glob("*.npy")))
+        assert written[0]
+        assert written[1] == written[0]
+        assert file_hashes(tmp_path / "one") == file_hashes(tmp_path / "two")
+
+    def test_records_that_fail_to_parse_are_reported(self, coarse_config,
+                                                     tmp_path, capsys):
+        records = bundled_catalog_path().read_text().splitlines(True)
+        records[3] = "xx" + records[3][2:]
+        catalog = tmp_path / "corrupt.par"
+        catalog.write_text("".join(records))
+        cfg = tmp_path / "corrupt.cfg"
+        cfg.write_text(coarse_config.read_text()
+                       + f"catalog_path = {catalog}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        warning = ("warning: 1 catalog record(s) failed to parse and were "
+                   "skipped, the first at line 4")
+        assert err == [warning]
+        assert warning in (out / "summary.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("corruption",
                              ["text", "pickled", "wrong_length", "nan"])

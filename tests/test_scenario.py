@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from thzlink import scenario as scenario_module
+from thzlink.catalog import (
+    SpectralLine,
+    format_line_record,
+    frequency_to_wavenumber,
+)
 from thzlink.channel import AntennaConfig
 from thzlink.errors import ConfigError
 from thzlink.link import TransceiverConfig, total_noise_psd
@@ -276,11 +281,11 @@ class TestResolve:
             default_scenario, kind="E2A", rain_rate=5.0, rain_thickness=700.0,
             f_min=99e9, f_max=101e9, f_step=1e9)
         resolved = resolve(rainy, spectrum_cache)
-        assert resolved.weather.rain_path == pytest.approx(700.0)
+        assert resolved.rain_path == pytest.approx(700.0)
         assert resolved.rain_db.max() > 0.5
         high = dataclasses.replace(rainy, kind="A2S")
         resolved_high = resolve(high, spectrum_cache)
-        assert resolved_high.weather.rain_path == 0.0
+        assert resolved_high.rain_path == 0.0
         assert np.all(resolved_high.rain_db == 0.0)
 
     def test_weather_factorizes(self, default_scenario, spectrum_cache):
@@ -292,6 +297,40 @@ class TestResolve:
         ratio = wet_resolved.path_loss / pl_dry
         np.testing.assert_allclose(
             ratio, 10.0 ** (wet_resolved.rain_db / 10.0), rtol=1e-12)
+
+
+def _water_line(f_ghz, delta_air):
+    return SpectralLine(
+        molecule_id=1, isotopologue_id=1,
+        nu0=frequency_to_wavenumber(f_ghz * 1e9), S0_ref=1e-22,
+        alpha_air=0.1, alpha_self=0.5, E_lower=100.0, gamma_t=0.7,
+        delta_air=delta_air, abundance=1.0)
+
+
+class TestSpectrumCacheKey:
+    def test_a_wider_load_window_is_not_a_stale_hit(self, tmp_path):
+        # B's band at 400 GHz widens the load window past the 1060.1 GHz
+        # line; its pressure shift pulls it within the 750 GHz wing cutoff
+        # of A's survey edge, so A's layers must not reuse B's spectra
+        catalog = tmp_path / "two.par"
+        catalog.write_text("".join(
+            format_line_record(line) + "\n"
+            for line in (_water_line(305.0, 0.0), _water_line(1060.1, -0.02))))
+        base = build_scenario(dict(
+            _DEFAULTS, kind="E2A", f_min_ghz=300.0, f_max_ghz=310.0,
+            layer_resolution_m=2000.0, catalog_path=str(catalog)))
+
+        def centered(f_ghz):
+            tx = dataclasses.replace(base.transceiver,
+                                     center_frequency=f_ghz * 1e9)
+            return dataclasses.replace(base, transceiver=tx)
+
+        a, b = centered(305.0), centered(400.0)
+        shared = SpectrumCache()
+        resolve(b, shared, with_capacity=False)
+        reused = resolve(a, shared, with_capacity=False)
+        fresh = resolve(a, SpectrumCache(), with_capacity=False)
+        assert reused.tau.tobytes() == fresh.tau.tobytes()
 
 
 class TestOutputs:
