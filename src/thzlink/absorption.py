@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -60,6 +61,12 @@ SHAPE_SELECTION_RATIO = 5.0
 # E2S stack larger and smaller blocks were both slower.
 _BLOCK_PAIRS = 1 << 12
 
+# Elements, lines times grid points, of one block of line shapes in
+# :func:`absorption_coefficient`. Each of a block's temporaries then stays
+# near 128 kB, in cache; a line whose window alone is wider is a block of
+# its own.
+_BLOCK_ELEMENTS = 1 << 14
+
 
 def line_center(line: SpectralLine | LineColumns, p: float):
     """Pressure-shifted resonance frequency in Hz.
@@ -80,22 +87,21 @@ def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
     """
     alpha = ((1.0 - mu_i) * line.alpha_air + mu_i * line.alpha_self)
     alpha *= (p / STANDARD_PRESSURE)
-    alpha *= _libm_pow(STANDARD_TEMPERATURE / t, line.gamma_t)
+    alpha *= _libm(operator.pow, STANDARD_TEMPERATURE / t, line.gamma_t)
     return alpha * _WAVENUMBER_TO_HZ
 
 
-def _libm_pow(base, exponent):
-    """``base ** exponent``, element-wise through the C library's pow.
-
-    Either argument may be an array; they broadcast. numpy's power differs
-    from it in the last bit on some inputs.
+def _libm(function, *args):
+    """``function(*args)``, element-wise over array arguments, which
+    broadcast. ``function`` is one of ``math``'s or ``operator.pow``, so
+    each element goes through the C library: numpy's own transcendentals
+    and power differ from it in the last bit on some inputs.
     """
-    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
-        b, e = np.broadcast_arrays(base, exponent)
-        return np.array([x ** y for x, y in zip(b.ravel().tolist(),
-                                                e.ravel().tolist())],
-                        dtype=float).reshape(b.shape)
-    return base ** exponent
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return function(*args)
+    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
+    values = map(function, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float).reshape(arrays[0].shape)
 
 
 def doppler_halfwidth(line: SpectralLine | LineColumns, t: float):
@@ -116,14 +122,24 @@ def lorentz_shape(df, alpha_l: float):
 def van_vleck_huber_shape(f, f_c: float, alpha_l: float, t: float):
     """Collision shape with radiation-field (far-wing) adjustments, 1/Hz."""
     half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
-    prefactor = (f / f_c) * np.tanh(half_quantum * f) / math.tanh(
-        half_quantum * f_c)
+    return _vvh_shape(f, np.tanh(half_quantum * f), f_c,
+                      math.tanh(half_quantum * f_c), alpha_l)
+
+
+def _vvh_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
+    """:func:`van_vleck_huber_shape` given tanh(hf/2kT) at ``f`` and at
+    ``f_c``. Centers and widths may be a column, one row per line."""
+    prefactor = (f / f_c) * tanh_f / tanh_fc
     return prefactor * (lorentz_shape(f - f_c, alpha_l)
                         + lorentz_shape(f + f_c, alpha_l))
 
 
 def doppler_shape(f, f_c: float, alpha_d: float):
-    """Thermal Gaussian of half-width ``alpha_d``, 1/Hz."""
+    """Thermal Gaussian of half-width ``alpha_d``, 1/Hz.
+
+    This and :func:`voigt_shape` also take a column of centers and widths,
+    giving one row per line.
+    """
     x = (f - f_c) / alpha_d
     return math.sqrt(_LN2 / math.pi) / alpha_d * np.exp(-_LN2 * x * x)
 
@@ -181,9 +197,9 @@ def partition_function(species, t: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _reference_partition(molecule_id: int) -> float:
-    """Q(296 K) of a species, computed once per species."""
-    return partition_function(molecule_id, STANDARD_TEMPERATURE)
+def _reference_partition(species) -> float:
+    """Q(296 K) of a species, a molecule id or name, computed once each."""
+    return partition_function(species, STANDARD_TEMPERATURE)
 
 
 def line_intensity(line: SpectralLine, t: float,
@@ -197,15 +213,21 @@ def line_intensity(line: SpectralLine, t: float,
     """
     if f_c is None:
         f_c = line.f0
-    t0 = STANDARD_TEMPERATURE
     q_ratio = (_reference_partition(line.molecule_id)
                / partition_function(line.molecule_id, t))
-    hc_e_lower = PLANCK * SPEED_OF_LIGHT * 100.0 * line.E_lower
-    boltzmann = math.exp(-hc_e_lower / (BOLTZMANN * t)) / math.exp(
-        -hc_e_lower / (BOLTZMANN * t0))
-    stimulated = (-math.expm1(-PLANCK * f_c / (BOLTZMANN * t))) / (
-        -math.expm1(-PLANCK * f_c / (BOLTZMANN * t0)))
-    return line.S0_ref * q_ratio * boltzmann * stimulated
+    return _scaled_intensity(line.S0_ref, line.E_lower, t, f_c, q_ratio)
+
+
+def _scaled_intensity(s0_ref, e_lower, t: float, f_c, q_ratio):
+    """:func:`line_intensity` given Q(296 K) / Q(t) as ``q_ratio``. The
+    line's values may be arrays over lines."""
+    t0 = STANDARD_TEMPERATURE
+    hc_e_lower = PLANCK * SPEED_OF_LIGHT * 100.0 * e_lower
+    boltzmann = _libm(math.exp, -hc_e_lower / (BOLTZMANN * t)) / _libm(
+        math.exp, -hc_e_lower / (BOLTZMANN * t0))
+    stimulated = (-_libm(math.expm1, -PLANCK * f_c / (BOLTZMANN * t))) / (
+        -_libm(math.expm1, -PLANCK * f_c / (BOLTZMANN * t0)))
+    return s0_ref * q_ratio * boltzmann * stimulated
 
 
 def number_density(p: float, t: float, mu_i: float) -> float:
@@ -298,11 +320,15 @@ def absorption_coefficient(
     within ``DOPPLER_WINDOW`` half-widths, beyond which its Gaussian is
     exactly 0.0 in double precision. Lines of species absent from the
     state's mixing ratios contribute nothing. Centers, half-widths, shape
-    kinds and windows are computed for all lines at once; intensities and
-    shapes only for lines with a grid point in their window, whose errors
+    kinds and windows are computed for all lines at once; intensities only
+    for lines with a grid point in their window, whose errors
     (:class:`UnknownSpeciesMass`, :class:`TemperatureOutOfFitRange`) are
-    raised. The catalog is only read, and the summation order over lines is
-    fixed by the catalog ordering.
+    raised, and shapes for those lines in blocks of consecutive lines, one
+    array per shape kind over the block's grid span. A block holds at most
+    ``_BLOCK_ELEMENTS`` lines times span, so memory does not grow with the
+    number of lines. Each line's row is then added over its own window in
+    catalog order, so every element sums in the same order as a loop over
+    lines. The catalog is only read.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -315,24 +341,86 @@ def absorption_coefficient(
     mu = columns.mixing_ratios(state.mixing_ratios)
     w = _line_windows(columns, p, t, mu, grid, wing_cutoff)
     live = np.flatnonzero(w.live)
-
     kappa = np.zeros_like(grid)
-    for i, start, stop, f_ci, a_l, a_d, mu_i in zip(
-            live.tolist(), w.lo[live].tolist(), w.hi[live].tolist(),
-            w.f_c[live].tolist(), w.alpha_l[live].tolist(),
-            w.alpha_d[live].tolist(), mu[live].tolist()):
-        line = catalog.lines[i]
-        if math.isnan(columns.mass[i]):
-            raise UnknownSpeciesMass(
-                f"no molar mass for molecule {line.molecule_id}")
-        strength = (number_density(p, t, mu_i) * line.abundance
-                    * line_intensity(line, t, f_ci) * INTENSITY_CM_TO_SI)
-        window = grid[start:stop]
-        if w.collisional[i]:
-            shape = van_vleck_huber_shape(window, f_ci, a_l, t)
-        elif w.thermal[i]:
-            shape = doppler_shape(window, f_ci, a_d)
-        else:
-            shape = voigt_shape(window, f_ci, a_l, a_d)
-        kappa[start:stop] += strength * shape
+    if live.size == 0:
+        return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+
+    # columns over the live lines, one row per line
+    f_c, alpha_l, alpha_d = (x[live][:, None] for x in (w.f_c, w.alpha_l,
+                                                        w.alpha_d))
+    strength = _strengths(catalog, live, f_c[:, 0], p, t, mu[live])[:, None]
+    collisional, thermal = w.collisional[live], w.thermal[live]
+    if collisional.any():
+        # tanh(hf/2kT) over the grid depends on the layer alone, and an
+        # element's bytes do not depend on the slice it is computed in
+        half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
+        tanh_grid = np.tanh(half_quantum * grid)
+        tanh_c = _libm(math.tanh, half_quantum * f_c)
+    other = ~(collisional | thermal)
+    branches = [(m, np.flatnonzero(m)) for m in (collisional, thermal, other)
+                if m.any()]
+    lo, hi = w.lo[live].tolist(), w.hi[live].tolist()
+    for start, stop, b0, b1 in _line_blocks(lo, hi):
+        f = grid[b0:b1]
+        own = [None] * (stop - start)   # each line's row over its window
+        for branch, members in branches:
+            k = members[np.searchsorted(members, start):
+                        np.searchsorted(members, stop)]
+            if k.size == 0:
+                continue
+            if branch is collisional:
+                shape = _vvh_shape(f, tanh_grid[b0:b1], f_c[k], tanh_c[k],
+                                   alpha_l[k])
+            elif branch is thermal:
+                shape = doppler_shape(f, f_c[k], alpha_d[k])
+            else:
+                shape = voigt_shape(f, f_c[k], alpha_l[k], alpha_d[k])
+            for row, j in zip(strength[k] * shape, k.tolist()):
+                own[j - start] = row[lo[j] - b0:hi[j] - b0]
+        # catalog order, so each element sums as a loop over lines would
+        for j, row in enumerate(own, start):
+            kappa[lo[j]:hi[j]] += row
     return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+
+
+def _strengths(catalog: LineCatalog, live: np.ndarray, f_c: np.ndarray,
+               p: float, t: float, mu: np.ndarray) -> np.ndarray:
+    """N_i S_i(T) in SI of the catalog's lines ``live``, centered at
+    ``f_c`` with mixing ratios ``mu``; Q(T) is computed once per species.
+
+    Raises as a loop over the lines in catalog order would: for the first
+    line whose molar mass or partition sum is missing.
+    """
+    columns = catalog.columns
+    species = columns.species_index[live].tolist()
+    no_mass = np.isnan(columns.mass[live])
+    first_no_mass = int(no_mass.argmax()) if no_mass.any() else len(live)
+    q_ratio = {}
+    for s in dict.fromkeys(species[:first_no_mass]):
+        name = columns.species[s]
+        q_ratio[s] = _reference_partition(name) / partition_function(name, t)
+    if first_no_mass < len(live):
+        line = catalog.lines[live[first_no_mass]]
+        raise UnknownSpeciesMass(
+            f"no molar mass for molecule {line.molecule_id}")
+    intensity = _scaled_intensity(columns.S0_ref[live],
+                                  columns.E_lower[live], t, f_c,
+                                  np.array([q_ratio[s] for s in species]))
+    return (number_density(p, t, mu) * columns.abundance[live] * intensity
+            * INTENSITY_CM_TO_SI)
+
+
+def _line_blocks(lo: list[int], hi: list[int]):
+    """Runs of consecutive windows ``lo[j]:hi[j]`` whose line count times
+    the width of their union is at most ``_BLOCK_ELEMENTS``, as
+    ``(start, stop, union start, union stop)``; a window wider than that
+    is a run of its own."""
+    start, b0, b1 = 0, lo[0], hi[0]
+    for j in range(1, len(lo)):
+        u0 = lo[j] if lo[j] < b0 else b0
+        u1 = hi[j] if hi[j] > b1 else b1
+        if (j + 1 - start) * (u1 - u0) > _BLOCK_ELEMENTS:
+            yield start, j, b0, b1
+            start, u0, u1 = j, lo[j], hi[j]
+        b0, b1 = u0, u1
+    yield start, len(lo), b0, b1

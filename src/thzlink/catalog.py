@@ -170,6 +170,9 @@ class LineColumns:
     alpha_air: np.ndarray
     alpha_self: np.ndarray
     gamma_t: np.ndarray
+    S0_ref: np.ndarray
+    E_lower: np.ndarray
+    abundance: np.ndarray
     f0: np.ndarray
     mass: np.ndarray
     species: tuple[str | None, ...]   # distinct names, None for an unnamed id
@@ -189,6 +192,9 @@ class LineColumns:
             alpha_air=column("alpha_air"),
             alpha_self=column("alpha_self"),
             gamma_t=column("gamma_t"),
+            S0_ref=column("S0_ref"),
+            E_lower=column("E_lower"),
+            abundance=column("abundance"),
             f0=wavenumber_to_frequency(nu0),
             mass=np.array([ln.mass if ln.molecule_id in MOLAR_MASSES_U
                            else math.nan for ln in lines], dtype=float),

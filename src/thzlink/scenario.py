@@ -710,6 +710,12 @@ def describe(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
+def _float_columns(*columns: np.ndarray):
+    """Rows of the arrays ``columns`` as Python floats, which format faster
+    than numpy scalars and to the same text."""
+    return zip(*(column.tolist() for column in columns))
+
+
 def _write_csv(path: Path, provenance: str, header: str, rows) -> None:
     """Write a ``# provenance`` comment, the header row, then ``rows``, each
     already formatted and ending in a newline."""
@@ -730,7 +736,7 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     _write_csv(paths[0], prov,
                "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db",
                (f"{f:.10g},{pl:.10g},{t:.10g},{fs:.10g},{rn:.10g},{cl:.10g}\n"
-                for f, pl, t, fs, rn, cl in zip(
+                for f, pl, t, fs, rn, cl in _float_columns(
                     resolved.grid, resolved.path_loss_db, resolved.tau,
                     resolved.fspl_db, resolved.rain_db, resolved.cloud_db)))
 
@@ -738,7 +744,8 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
         noise_db = 10.0 * np.log10(resolved.noise_psd)
     _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
                (f"{f:.10g},{s:.10g},{n:.10g}\n"
-                for f, s, n in zip(resolved.grid, resolved.snr_db, noise_db)))
+                for f, s, n in _float_columns(resolved.grid, resolved.snr_db,
+                                              noise_db)))
 
     tx = scenario.transceiver
     bpsk = modulation_threshold("BPSK", 1e-6)

@@ -19,6 +19,7 @@ from .scenario import (
     ResolvedLink,
     Scenario,
     SpectrumCache,
+    _float_columns,
     _grid_span,
     _write_csv,
     load_scenario_catalog,
@@ -112,8 +113,9 @@ def write_sweep_csv(path, axis: str, points: Iterable[float],
                 point.append((value,
                               resolved.scenario.transceiver.center_frequency,
                               "capacity_bit_s", resolved.budget.capacity))
-            for f, pl, s in zip(resolved.grid, resolved.path_loss_db,
-                                resolved.snr_db):
+            for f, pl, s in _float_columns(resolved.grid,
+                                           resolved.path_loss_db,
+                                           resolved.snr_db):
                 v0 = f / 1e9 if by_frequency else value
                 point.append((v0, f, "path_loss_db", pl))
                 point.append((v0, f, "snr_db", s))
@@ -142,15 +144,19 @@ def crossover_altitude(
     altitudes = sorted(altitudes)
     previous = None
     crossover = None
+    catalog = None
     for h in altitudes:
         down = dataclasses.replace(
             base, kind="A2E", h_airplane=h, central_angle=0.0,
             f_min=frequency, f_max=frequency + 2 * base.f_step)
-        up = dataclasses.replace(
-            base, kind="A2S", h_airplane=h, central_angle=0.0,
-            f_min=frequency, f_max=frequency + 2 * base.f_step)
-        pl_down = resolve(down, cache, with_capacity=False).path_loss_db[0]
-        pl_up = resolve(up, cache, with_capacity=False).path_loss_db[0]
+        up = dataclasses.replace(down, kind="A2S")
+        if catalog is None:   # every altitude reads the same lines
+            catalog = load_scenario_catalog(
+                down, make_grid(down.f_min, down.f_max, down.f_step))
+        pl_down = resolve(down, cache, catalog,
+                          with_capacity=False).path_loss_db[0]
+        pl_up = resolve(up, cache, catalog,
+                        with_capacity=False).path_loss_db[0]
         delta = pl_down - pl_up
         if previous is not None and previous[1] < 0.0 <= delta:
             h0, d0 = previous

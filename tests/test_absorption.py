@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from thzlink.absorption import (
     DOPPLER_WINDOW,
     AbsorptionSpectrum,
     _dominance,
+    _line_blocks,
     _line_windows,
     absorbing_layers,
     absorption_coefficient,
@@ -45,6 +48,7 @@ from thzlink.constants import (
 )
 from thzlink.errors import (
     TemperatureOutOfFitRange,
+    ThzLinkError,
     UnknownSpecies,
     UnknownSpeciesMass,
 )
@@ -482,6 +486,53 @@ def assert_same_bytes(catalog, states, grid, wing_cutoff=DEFAULT_WING_CUTOFF):
         assert got.tobytes() == want.tobytes(), state.altitude
 
 
+# One line each of a collision, Doppler and Voigt shape, four times over,
+# at 57 km: the Doppler windows are narrower than the others.
+MIXED = LineCatalog(tuple(
+    synthetic_line(1 if i % 2 else 7, 299.92e9 + i * 15e6,
+                   alpha_air=width, alpha_self=width)
+    for i, width in enumerate((0.5, 0.004, 0.05) * 4)), "mixed")
+MIXED_STATE = profile_at(57e3)
+
+
+def live_kinds(catalog, state, grid):
+    """The shape kind ('c', 't' or 'v') and window of each live line."""
+    columns = catalog.columns
+    w = _line_windows(columns, state.pressure, state.temperature,
+                      columns.mixing_ratios(state.mixing_ratios), grid,
+                      DEFAULT_WING_CUTOFF)
+    live = np.flatnonzero(w.live)
+    kinds = "".join("c" if c else "t" if t else "v" for c, t in
+                    zip(w.collisional[live], w.thermal[live]))
+    return kinds, w.lo[live].tolist(), w.hi[live].tolist()
+
+
+def dense_catalog(rng, n):
+    """``n`` lines, 60% H2O and 40% O2, spread below 38.36 1/cm with
+    log-uniform intensities, as a synthetic dense catalog."""
+    lines = []
+    for _ in range(n):
+        water = rng.random() < 0.6
+        low, high = (1e-26, 1e-22) if water else (1e-27, 1e-24)
+        lines.append(synthetic_line(
+            1 if water else 7, rng.uniform(0.5, 38.36) * CM,
+            S0_ref=math.exp(rng.uniform(math.log(low), math.log(high))),
+            alpha_air=rng.uniform(0.02, 0.1),
+            alpha_self=rng.uniform(0.1, 0.5),
+            E_lower=rng.uniform(0.0, 2000.0), gamma_t=rng.uniform(0.5, 0.8),
+            delta_air=rng.uniform(-0.005, 0.005)))
+    return LineCatalog(tuple(sorted(lines, key=lambda ln: ln.nu0)), "dense")
+
+
+def error_of(kernel, *args):
+    """The type of the thzlink error ``kernel(*args)`` raises, or None."""
+    try:
+        kernel(*args)
+    except ThzLinkError as exc:
+        return type(exc)
+    return None
+
+
 @pytest.fixture(scope="module")
 def default_stack(default_scenario):
     """(catalog, states, grid, wing cutoff) of every layer of the default
@@ -542,6 +593,94 @@ class TestKernelBitIdentity:
         absorption_coefficient(catalog, SYNTHETIC_STATES[0], FINE_GRID)
         assert catalog.columns is columns
         assert columns.nu0.tolist() == [ln.nu0 for ln in SYNTHETIC]
+
+    @pytest.mark.parametrize("cap", [None, 5 * FINE_GRID.size, 2 * 801 + 1,
+                                     1])
+    def test_interleaved_branches_inside_and_across_blocks(
+            self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(absorption_module, "_BLOCK_ELEMENTS", cap)
+        kinds, lo, hi = live_kinds(MIXED, MIXED_STATE, FINE_GRID)
+        assert kinds == "ctv" * 4
+        assert len(set(zip(lo, hi))) > 1    # Doppler windows are narrower
+        blocks = list(_line_blocks(lo, hi))
+        if cap is None:
+            assert [b[:2] for b in blocks] == [(0, 12)]
+        elif cap == 1:
+            assert all(stop - start == 1 for start, stop, *_ in blocks)
+        else:
+            # every block holds more than one kind
+            assert len(blocks) > 1
+            assert all(len(set(kinds[start:stop])) > 1
+                       for start, stop, *_ in blocks)
+        assert_same_bytes(MIXED, [MIXED_STATE, *SYNTHETIC_STATES], FINE_GRID)
+
+    def test_a_grid_so_wide_that_a_block_holds_one_line(self):
+        grid = np.linspace(299.0e9, 301.0e9, 20_001)
+        assert grid.size > absorption_module._BLOCK_ELEMENTS
+        _, lo, hi = live_kinds(MIXED, MIXED_STATE, grid)
+        assert [stop - start for start, stop, *_ in _line_blocks(lo, hi)] \
+            == [1] * len(lo)
+        assert_same_bytes(MIXED, [MIXED_STATE, profile_at(0.0)], grid)
+
+    def test_seeded_dense_catalog_on_a_short_stack(self, default_scenario):
+        catalog = dense_catalog(random.Random(20260808), 800)
+        survey = make_grid(100e9, 400e9, 1e9)
+        grid = np.union1d(survey, capacity_band(default_scenario.transceiver))
+        stack = build_layers(0.0, 11e3, 500.0)
+        assert len(stack) == 22
+        states = [layer.state for layer in stack]
+        assert_same_bytes(catalog, states, grid)
+        # blocks of many lines, not one line each
+        _, lo, hi = live_kinds(catalog, states[0], grid)
+        assert len(lo) > 700
+        assert len(list(_line_blocks(lo, hi))) < len(lo) / 10
+
+    @pytest.mark.parametrize("first", ["no mass", "too hot"])
+    def test_the_same_error_as_a_loop_over_lines(self, monkeypatch, first):
+        monkeypatch.delitem(catalog_module.MOLAR_MASSES_U, 7)
+        o2 = [synthetic_line(7, 300.0e9 + i * 1e6) for i in range(3)]
+        h2o = [synthetic_line(1, 300.01e9 + i * 1e6) for i in range(3)]
+        lines = o2 + h2o if first == "no mass" else h2o + o2
+        catalog = LineCatalog(tuple(lines), first)
+        grid = FINE_GRID
+        mixing = {"H2O": 0.01, "O2": 0.21}
+        mild = AtmosphericState(0.0, P0, 250.0, mixing)
+        hot = AtmosphericState(0.0, P0, 3200.0, mixing)
+        for state in (mild, hot):
+            want = error_of(per_line_kappa, catalog, state, grid)
+            got = error_of(absorption_coefficient, catalog, state, grid)
+            assert got is want
+        # at 250 K only the missing mass raises; at 3,200 K the first line
+        # in catalog order decides which error
+        assert error_of(absorption_coefficient, catalog, hot, grid) is (
+            UnknownSpeciesMass if first == "no mass"
+            else TemperatureOutOfFitRange)
+        assert error_of(absorption_coefficient, LineCatalog(tuple(h2o), "ok"),
+                        mild, grid) is None
+
+
+class TestKernelMemory:
+    def test_peak_follows_the_block_cap_not_the_line_count(self):
+        grid = np.linspace(299.0e9, 301.0e9, 20_001)
+        lines = 200
+        catalog = LineCatalog(
+            tuple(synthetic_line(1 if i % 2 else 7, 299.0e9 + i * 10e6)
+                  for i in range(lines)), "full windows")
+        # a few arrays as long as the grid or a block, some complex
+        bound = 16 * 8 * max(absorption_module._BLOCK_ELEMENTS, grid.size)
+        assert 10 * bound < lines * grid.size * 8
+        for state in (profile_at(0.0), MIXED_STATE):
+            kinds, lo, hi = live_kinds(catalog, state, grid)
+            assert len(lo) == lines and set(zip(lo, hi)) == {(0, grid.size)}
+            absorption_coefficient(catalog, state, grid)
+            tracemalloc.start()
+            try:
+                absorption_coefficient(catalog, state, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (kinds, peak)
 
 
 def assert_dead_layers_give_zero(catalog, states, grid,

@@ -8,6 +8,7 @@ import pytest
 from thzlink import scenario as scenario_module
 from thzlink.catalog import (
     SpectralLine,
+    bundled_catalog_path,
     format_line_record,
     frequency_to_wavenumber,
 )
@@ -447,6 +448,39 @@ class TestCrossover:
                                spectrum_cache)
         assert h is not None
         assert 1_000.0 < h < 499_000.0
+
+    def test_one_catalog_load_for_the_whole_search(
+            self, default_scenario, monkeypatch, tmp_path, capsys):
+        records = bundled_catalog_path().read_text().splitlines(True)
+        records[3] = "xx" + records[3][2:]
+        path = tmp_path / "corrupt.par"
+        path.write_text("".join(records))
+        base = dataclasses.replace(default_scenario, catalog_path=str(path))
+        altitudes = [1_000.0, 100_000.0, 190_000.0, 210_000.0, 300_000.0]
+        cache = SpectrumCache()
+
+        def gap(h):
+            """A2E minus A2S zenith loss, each resolve loading the catalog."""
+            down, up = (resolve(dataclasses.replace(
+                base, kind=kind, h_airplane=h, central_angle=0.0,
+                f_min=300e9, f_max=300e9 + 2 * base.f_step), cache,
+                with_capacity=False).path_loss_db[0]
+                for kind in ("A2E", "A2S"))
+            return down - up
+
+        gaps = [gap(h) for h in altitudes[:4]]
+        assert max(gaps[:3]) < 0.0 <= gaps[3]
+        (h0, d0), (h1, d1) = zip(altitudes[2:4], gaps[2:4])
+        capsys.readouterr()
+
+        loads = []
+        load = scenario_module.load_catalog
+        monkeypatch.setattr(scenario_module, "load_catalog",
+                            lambda *args: loads.append(args) or load(*args))
+        h = crossover_altitude(base, 300e9, altitudes)
+        assert len(loads) == 1
+        assert capsys.readouterr().err.count("failed to parse") == 1
+        assert h == h0 + (h1 - h0) * (-d0) / (d1 - d0)
 
 
 class TestGeoSnrTrends:
