@@ -192,6 +192,21 @@ def profile_at(
     return AtmosphericState(altitude, pressure, temperature, ratios)
 
 
+def layer_bounds(h_bottom: float, h_top: float,
+                 resolution: float) -> list[tuple[float, float]]:
+    """(lower, upper) of each layer :func:`build_layers` makes; stacks from
+    one ``h_bottom`` and ``resolution`` share their full layers exactly."""
+    if not h_bottom < h_top:
+        raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
+    if resolution <= 0:
+        raise InvalidRange(f"resolution must be positive, got {resolution}")
+    # at least one layer, also where the ratio underflows to 0
+    count = max(1, math.ceil((h_top - h_bottom) / resolution))
+    return [(h_bottom + i * resolution,
+             min(h_bottom + (i + 1) * resolution, h_top))
+            for i in range(count)]
+
+
 def build_layers(
     h_bottom: float,
     h_top: float,
@@ -205,16 +220,8 @@ def build_layers(
     truncated at ``h_top``. Each layer's state is sampled at its midpoint,
     second-order accurate for smooth profiles.
     """
-    if not h_bottom < h_top:
-        raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
-    if resolution <= 0:
-        raise InvalidRange(f"resolution must be positive, got {resolution}")
-    # at least one layer, also where the ratio underflows to 0
-    count = max(1, math.ceil((h_top - h_bottom) / resolution))
-    layers = []
-    for i in range(count):
-        lower = h_bottom + i * resolution
-        upper = min(h_bottom + (i + 1) * resolution, h_top)
-        layers.append(Layer(lower, upper, profile_at(
-            0.5 * (lower + upper), ground_humidity, water_scale_height)))
-    return LayerStack(tuple(layers), layers[-1].upper)
+    layers = tuple(
+        Layer(lower, upper, profile_at(0.5 * (lower + upper), ground_humidity,
+                                       water_scale_height))
+        for lower, upper in layer_bounds(h_bottom, h_top, resolution))
+    return LayerStack(layers, layers[-1].upper)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import EARTH_RADIUS
 from .errors import DegenerateGeometry, GeometryError, ZeroElevation
 from .atmosphere import LayerStack
@@ -101,10 +103,21 @@ def layer_path_segments(
     if h_start >= top:
         raise GeometryError(
             f"start altitude {h_start} m is above the stack top {top} m")
-    return tuple(
-        (index, shell_path_length(h_start, psi, layer.lower, layer.upper))
-        for index, layer in enumerate(layers.layers)
-        if layer.upper > h_start)
+    upper = np.array([layer.upper for layer in layers.layers])
+    index = np.flatnonzero(upper > h_start)
+    if index.size:   # the rules on h_start and psi, as the first layer's
+        atmospheric_path_length(h_start, psi, float(upper[index[0]]))
+    upper = upper[index]
+    lower = np.maximum([layers[i].lower for i in index], h_start)
+    # atmospheric_path_length to each upper and lower bound, in its order of
+    # IEEE operations, so each segment equals its shell_path_length exactly
+    r, sin_psi = EARTH_RADIUS + h_start, math.sin(psi)
+    b = EARTH_RADIUS + np.array([upper, lower])
+    to_upper, to_lower = (-r * sin_psi
+                          + np.sqrt(r * r * sin_psi ** 2 + (b * b - r * r)))
+    lengths = to_upper - np.where(lower > h_start, to_lower, 0.0)
+    lengths[upper <= lower] = 0.0
+    return tuple(zip(index.tolist(), lengths.tolist()))
 
 
 def shell_path_length(h_start: float, psi: float, lower: float,

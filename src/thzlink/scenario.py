@@ -40,7 +40,8 @@ from .atmosphere import (
     AtmosphericState,
     Layer,
     LayerStack,
-    build_layers,
+    build_layers,  # noqa: F401  perfbench/layertrace.py traces it by this name
+    layer_bounds,
     profile_at,
 )
 from .catalog import (
@@ -217,7 +218,7 @@ class Scenario:
             require(psi > 0.0, "central_angle_deg",
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
-            # build_layers makes ceil(stack top / resolution) layers
+            # layer_bounds makes ceil(stack top / resolution) layers
             layers = (min(self.atmosphere_top, self.endpoints()[1])
                       / self.layer_resolution)
             if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
@@ -435,22 +436,23 @@ def capacity_band(tx: TransceiverConfig) -> np.ndarray:
 
 
 class SpectrumCache:
-    """Cache of per-layer absorption spectra.
+    """Cache of per-layer states, live marks and absorption spectra.
 
-    Keys combine the digest of the loaded lines, the atmospheric state, the
-    grid, and the engine options, so identical layers are computed once per
-    sweep, and catalogs holding the same lines share their entries. With a
-    directory the arrays persist on disk across runs; values are exact, so
-    caching never changes results. A disk entry that is not a finite,
-    non-negative float64 array of the grid's length is a miss: it is
-    computed again and rewritten.
+    In memory a layer is kept by its bounds and sampled altitude under the
+    stack-wide facts, so the points of a sweep share each distinct layer.
+    On disk, keys combine the digest of the loaded lines, the atmospheric
+    state, the grid, and the wing cutoff, so catalogs holding the same lines
+    share their entries. Values are exact, so caching never changes results.
+    A disk entry that is not a finite, non-negative float64 array of the
+    grid's length is a miss: it is computed again and rewritten.
     """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, np.ndarray] = {}
+        # stack-wide facts -> {(lower, upper, altitude): (layer, kappa)}
+        self._layers: dict[tuple, dict[tuple, tuple]] = {}
 
     @staticmethod
     def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
@@ -468,22 +470,41 @@ class SpectrumCache:
         return f"{hasher.hexdigest()}-{grid.size}"
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
-        if key not in self._memory:
-            kappa = path = None
-            if self.directory is not None:
-                path = self.directory / f"{key}.npy"
-                kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
-            if kappa is None:
-                kappa = compute()
-                if path is not None:
-                    # unique temp name per writer: processes sharing the
-                    # directory may race on the same key, and both
-                    # replacements carry identical bytes
-                    tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-                    np.save(tmp, kappa)
-                    tmp.replace(path)
-            self._memory[key] = kappa
-        return self._memory[key]
+        """The valid disk entry of ``key``, else ``compute()``, saved."""
+        if self.directory is None:
+            return compute()
+        path = self.directory / f"{key}.npy"
+        kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
+        if kappa is None:
+            kappa = compute()
+            # unique temp name per writer: processes sharing the directory
+            # may race on the same key, and both replacements carry
+            # identical bytes
+            tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
+            np.save(tmp, kappa)
+            tmp.replace(path)
+        return kappa
+
+    def layers(self, scenario: Scenario, catalog: LineCatalog,
+               grid: np.ndarray,
+               spans) -> list[tuple[Layer, np.ndarray | None]]:
+        """(layer, kappa) of each ``(lower, upper, altitude)`` span, the state
+        sampled at ``altitude`` and kappa None where no line is live. Only a
+        span new under these facts gets a state, a live mark and a key."""
+        w0, scale = scenario.ground_humidity, scenario.water_scale_height
+        cutoff, sha = scenario.wing_cutoff, catalog.lines_sha256
+        known = self._layers.setdefault(
+            (sha, grid.tobytes(), cutoff, w0, scale), {})
+        new = [span for span in spans if span not in known]
+        states = [profile_at(z, w0, scale) for _, _, z in new]
+        live = absorbing_layers(catalog, states, grid, cutoff)
+        for span, state, on in zip(new, states, live):
+            kappa = self.get_or_compute(
+                self.key(sha, state, grid, cutoff),
+                lambda: absorption_coefficient(
+                    catalog, state, grid, cutoff).kappa) if on else None
+            known[span] = Layer(span[0], span[1], state), kappa
+        return [known[span] for span in spans]
 
 
 def _load_spectrum(path: Path, size: int) -> np.ndarray | None:
@@ -593,36 +614,31 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     h_low, h_high = scenario.endpoints()
     if scenario.kind == "A2A":
         # one homogeneous layer stands in for the constant-altitude path
-        state = profile_at(h_low, scenario.ground_humidity,
-                           scenario.water_scale_height)
-        stack = LayerStack((Layer(h_low, h_low + 1.0, state),), h_low + 1.0)
+        entries = cache.layers(scenario, catalog, grid,
+                               [(h_low, h_low + 1.0, h_low)])
         segments = ((0, scenario.link_distance),)
     else:
-        stack = build_layers(0.0, min(scenario.atmosphere_top, h_high),
-                             scenario.layer_resolution,
-                             ground_humidity=scenario.ground_humidity,
-                             water_scale_height=scenario.water_scale_height)
+        bounds = layer_bounds(0.0, min(scenario.atmosphere_top, h_high),
+                              scenario.layer_resolution)
+        entries = cache.layers(scenario, catalog, grid, [
+            (lower, upper, 0.5 * (lower + upper))
+            for lower, upper in bounds if upper > h_low])
+        stack = LayerStack(tuple(layer for layer, _ in entries), bounds[-1][1])
         segments = layer_path_segments(h_low, scenario.line_of_sight[1],
                                        stack)
+    layers, kappas = zip(*entries)
     # A layer without a live line has kappa +0.0 everywhere: it adds +0.0
     # optical depth, has tau 1.0 and emits nothing, and the sums and
     # products over layers run row by row, so leaving it out moves no byte.
-    states = [stack[i].state for i, _ in segments]
-    live = absorbing_layers(catalog, states, grid, scenario.wing_cutoff)
+    live = np.array([kappa is not None for kappa in kappas])
     from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
-    temps = np.array([state.temperature for state in states])
+    temps = np.array([layer.state.temperature for layer in layers])
     # the one figure of the sky that depends on every traversed layer
     transparent_temperature = np.mean(temps[from_rx])
     segments = [segment for segment, on in zip(segments, live) if on]
-    spectra = {}
-    for i, _ in segments:
-        state = stack[i].state
-        key = SpectrumCache.key(catalog.lines_sha256, state, grid,
-                                scenario.wing_cutoff)
-        kappa = cache.get_or_compute(
-            key, lambda s=state: absorption_coefficient(
-                catalog, s, grid, scenario.wing_cutoff).kappa)
-        spectra[i] = AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+    spectra = {i: AbsorptionSpectrum(grid=grid, kappa=kappas[i],
+                                     state=layers[i].state)
+               for i, _ in segments}
     tau = transmittance(grid, segments, spectra)
     if not segments:
         return tau, None

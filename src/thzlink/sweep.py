@@ -3,8 +3,8 @@
 A sweep re-resolves the scenario at each axis point and emits one long-format
 CSV, ``axis_value,frequency_hz,metric,value``, with a deterministic row
 order (axis ascending, then metric name, then frequency). Sweep points run
-one after another; the shared spectrum cache makes altitude sweeps cheap
-because the layer states repeat across points.
+one after another over one spectrum cache, which holds each distinct layer's
+state, live mark and spectrum; a point adds at most a truncated top layer.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ def run_sweep(
     scenarios = [_scenario_at(base, axis, value) for value in points]
     grid = make_grid(base.f_min, base.f_max, base.f_step)
     catalog = load_scenario_catalog(base, grid)
+    if cache is None:
+        cache = SpectrumCache()
     return points, [resolve(s, cache, catalog) for s in scenarios]
 
 
@@ -142,6 +144,8 @@ def crossover_altitude(
     gains cancel in the comparison.
     """
     altitudes = sorted(altitudes)
+    if cache is None:   # both links at every altitude share one stack
+        cache = SpectrumCache()
     previous = None
     crossover = None
     catalog = None

@@ -14,6 +14,7 @@ from thzlink.geometry import (
     elevation_angle,
     layer_path_segments,
     plane_parallel_segments,
+    shell_path_length,
     slant_range,
 )
 
@@ -151,6 +152,19 @@ class TestLayerPathSegments:
         assert segments[0][0] == 0
         assert segments[0][1] == pytest.approx(250.0, rel=1e-9)
         assert len(segments) == 10
+
+    @pytest.mark.parametrize("psi_deg", [0.5, 10.0, 38.2, 89.9, 90.0])
+    @pytest.mark.parametrize("h_start", [0.0, 250.0, 1_000.0, 4_999.5])
+    def test_each_segment_is_its_shell_path_length(self, thin_stack, psi_deg,
+                                                   h_start):
+        psi = math.radians(psi_deg)
+        expected = tuple(
+            (index, shell_path_length(h_start, psi, layer.lower, layer.upper))
+            for index, layer in enumerate(thin_stack.layers)
+            if layer.upper > h_start)
+        segments = layer_path_segments(h_start, psi, thin_stack)
+        assert segments == expected
+        assert all(type(i) is int and type(s) is float for i, s in segments)
 
     def test_segments_exceed_thickness_off_zenith(self, thin_stack):
         psi = math.radians(38.2)

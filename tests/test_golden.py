@@ -96,6 +96,12 @@ CASES["sweep_altitude_a2s"] = (
     _COMMON + "kind = A2S\n",
     ["sweep", "--axis", "altitude", "--from", "0", "--to", "4000",
      "--step", "2000"])
+# The only sweep whose stacks differ in their top layer: on 10 km layers the
+# airplane tops the stack at a truncated, an exact and a truncated layer.
+CASES["sweep_altitude_a2e"] = (
+    _COMMON + "kind = A2E\n",
+    ["sweep", "--axis", "altitude", "--from", "3000", "--to", "24000",
+     "--step", "7000"])
 CASES["sweep_elevation_e2s"] = (
     _COMMON + "kind = E2S\n",
     ["sweep", "--axis", "elevation", "--from", "30", "--to", "90",

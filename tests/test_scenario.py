@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thzlink import atmosphere as atmosphere_module
 from thzlink import scenario as scenario_module
 from thzlink.catalog import (
     SpectralLine,
@@ -481,6 +482,57 @@ class TestCrossover:
         assert len(loads) == 1
         assert capsys.readouterr().err.count("failed to parse") == 1
         assert h == h0 + (h1 - h0) * (-d0) / (d1 - d0)
+
+
+class TestLayersSharedAcrossPoints:
+    """Each distinct layer of a sweep is built, marked and keyed once."""
+
+    LAYERS = 250   # 0-500 km in 2 km layers
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """profile_at calls, and the keys SpectrumCache.key returned."""
+        calls = {"profile_at": 0, "keys": []}
+        profile = atmosphere_module.profile_at
+
+        def counted_profile(*args, **kwargs):
+            calls["profile_at"] += 1
+            return profile(*args, **kwargs)
+
+        for module in (atmosphere_module, scenario_module):
+            monkeypatch.setattr(module, "profile_at", counted_profile)
+        key = SpectrumCache.key
+
+        def counted_key(*args):
+            calls["keys"].append(key(*args))
+            return calls["keys"][-1]
+
+        monkeypatch.setattr(SpectrumCache, "key", staticmethod(counted_key))
+        return calls
+
+    @pytest.fixture()
+    def base(self, default_scenario):
+        return dataclasses.replace(default_scenario, f_min=299e9,
+                                   f_max=301e9, f_step=1e9,
+                                   layer_resolution=2_000.0)
+
+    def test_altitude_sweep_builds_and_keys_each_layer_once(self, base,
+                                                            calls):
+        points, _ = run_sweep(base, "altitude", 0.0, 24_000.0, 1_000.0,
+                              cache=SpectrumCache())
+        assert len(points) == 25
+        # one state per distinct layer, and one cloud temperature per point
+        assert calls["profile_at"] <= self.LAYERS + len(points)
+        assert 0 < len(calls["keys"]) == len(set(calls["keys"])) <= self.LAYERS
+
+    def test_crossover_builds_and_keys_each_layer_once(self, base, calls):
+        altitudes = [1_000.0, 100_000.0, 190_000.0, 210_000.0, 300_000.0]
+        crossover_altitude(base, 300e9, altitudes)
+        # A2E stacks share the A2S stack's full layers and add at most a
+        # truncated top; each altitude resolves two links
+        assert calls["profile_at"] <= self.LAYERS + 3 * len(altitudes)
+        assert 0 < len(calls["keys"]) == len(set(calls["keys"]))
+        assert len(calls["keys"]) <= self.LAYERS + len(altitudes)
 
 
 class TestGeoSnrTrends:
