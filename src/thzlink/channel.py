@@ -81,8 +81,9 @@ def transmittance(
         spectrum = layer_spectra.get(index)
         if spectrum is None:
             raise MisalignedLayers(f"no spectrum for layer {index}")
-        if spectrum.grid.shape != grid.shape or not np.array_equal(
-                spectrum.grid, grid):
+        # the pipeline hands every spectrum the path's own grid object
+        if spectrum.grid is not grid and not np.array_equal(spectrum.grid,
+                                                            grid):
             raise MisalignedLayers(
                 f"layer {index} spectrum grid differs from the path grid")
         optical_depth += spectrum.kappa * length
@@ -178,10 +179,23 @@ def cloud_attenuation(f, density: float, path: float,
     freqs, log_freqs, temps, log_kl = _cloud_table()
     extrapolated = (f_ghz > CLOUD_VALID_MAX_GHZ) | (f_ghz < freqs[0])
     log_f = _clamped_logs(f_ghz, freqs)
-    per_temp = np.column_stack([_exps(np.interp(log_f, log_freqs, column))
-                                for column in log_kl.T])
-    # np.interp holds the edge value outside the table's temperatures
-    coefficient = np.array([np.interp(t, temps, row) for row in per_temp])
+
+    def column(j: int) -> np.ndarray:
+        return np.array(_exps(np.interp(log_f, log_freqs, log_kl[:, j])))
+
+    # np.interp(t, temps, row) at every frequency: the edge column outside
+    # the table, else its slope formula on the one bracketing pair. At a
+    # table temperature the formula adds 0.0 to the finite column, and a
+    # NaN carries through.
+    j = min(int(np.searchsorted(temps, t, side="right")), temps.size - 1) - 1
+    if j < 0:
+        coefficient = column(0)
+    elif t >= temps[-1]:
+        coefficient = column(-1)
+    else:
+        low = column(j)
+        slope = (column(j + 1) - low) / (temps[j + 1] - temps[j])
+        coefficient = slope * (t - temps[j]) + low
     return Attenuation(coefficient * density * (path / 1000.0), extrapolated)
 
 

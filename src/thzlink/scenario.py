@@ -200,6 +200,10 @@ class Scenario:
         require(span < MAX_GRID_POINTS, "f_step_ghz",
                 f"grid of more than {MAX_GRID_POINTS} points ({self.f_min:g} "
                 f"to {self.f_max:g} Hz in steps of {self.f_step:g} Hz)")
+        grid = make_grid(self.f_min, self.f_max, self.f_step)
+        require(np.all(np.diff(grid) > 0.0), "f_step_ghz",
+                f"{self.f_step:g} Hz from {self.f_min:g} Hz does not give "
+                f"distinct frequencies")
         tx = self.transceiver
         require(tx.center_frequency - tx.bandwidth / 2.0 > 0.0,
                 "center_frequency_ghz", "band must not extend below 0 Hz")
@@ -232,7 +236,6 @@ class Scenario:
         # finite and nonzero. The free-space loss with both dish gains and
         # the thermal noise each fall with frequency, so the ends of the
         # grid and of the band bound every point.
-        grid = make_grid(self.f_min, self.f_max, self.f_step)
         freqs = np.array([grid[0], grid[-1], band[0], band[-1]])
         keys = ("f_min_ghz", "f_max_ghz") + ("center_frequency_ghz",) * 2
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -726,10 +729,16 @@ def describe(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-def _float_columns(*columns: np.ndarray):
-    """Rows of the arrays ``columns`` as Python floats, which format faster
-    than numpy scalars and to the same text."""
-    return zip(*(column.tolist() for column in columns))
+def _texts(column: np.ndarray) -> list[str]:
+    """The values of ``column`` at ``.10g``, as the CSVs write numbers."""
+    return list(map("%.10g".__mod__, column.tolist()))
+
+
+def _rows(template: str, *columns: list):
+    """One ``%``-``template`` line per row of the lists ``columns``. Python
+    floats format faster than numpy scalars, and ``"%.10g" % x`` gives the
+    text of ``f"{x:.10g}"``."""
+    return map(template.__mod__, zip(*columns))
 
 
 def _write_csv(path: Path, provenance: str, header: str, rows) -> None:
@@ -749,19 +758,20 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     paths = [out_dir / name for name in ("path_loss.csv", "snr.csv",
                                          "capacity.csv", "summary.txt")]
 
+    freqs = _texts(resolved.grid)
     _write_csv(paths[0], prov,
                "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db",
-               (f"{f:.10g},{pl:.10g},{t:.10g},{fs:.10g},{rn:.10g},{cl:.10g}\n"
-                for f, pl, t, fs, rn, cl in _float_columns(
-                    resolved.grid, resolved.path_loss_db, resolved.tau,
-                    resolved.fspl_db, resolved.rain_db, resolved.cloud_db)))
+               _rows("%s,%.10g,%.10g,%.10g,%.10g,%.10g\n", freqs,
+                     *(column.tolist() for column in (
+                         resolved.path_loss_db, resolved.tau,
+                         resolved.fspl_db, resolved.rain_db,
+                         resolved.cloud_db))))
 
     with np.errstate(divide="ignore"):
         noise_db = 10.0 * np.log10(resolved.noise_psd)
     _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
-               (f"{f:.10g},{s:.10g},{n:.10g}\n"
-                for f, s, n in _float_columns(resolved.grid, resolved.snr_db,
-                                              noise_db)))
+               _rows("%s,%.10g,%.10g\n", freqs, resolved.snr_db.tolist(),
+                     noise_db.tolist()))
 
     tx = scenario.transceiver
     bpsk = modulation_threshold("BPSK", 1e-6)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+from itertools import groupby
 from typing import Iterable
 
 from .errors import ConfigError
@@ -19,8 +20,9 @@ from .scenario import (
     ResolvedLink,
     Scenario,
     SpectrumCache,
-    _float_columns,
     _grid_span,
+    _rows,
+    _texts,
     _write_csv,
     load_scenario_catalog,
     make_grid,
@@ -106,26 +108,35 @@ def write_sweep_csv(path, axis: str, points: Iterable[float],
     A frequency sweep is one result whose rows take their frequency in GHz
     as the axis value, and it has no capacity row.
     """
-    by_frequency = axis == "frequency"
 
     def rows():
         for value, resolved in zip(points, results):
-            point = []
-            if not by_frequency:
-                point.append((value,
-                              resolved.scenario.transceiver.center_frequency,
-                              "capacity_bit_s", resolved.budget.capacity))
-            for f, pl, s in _float_columns(resolved.grid,
-                                           resolved.path_loss_db,
-                                           resolved.snr_db):
-                v0 = f / 1e9 if by_frequency else value
-                point.append((v0, f, "path_loss_db", pl))
-                point.append((v0, f, "snr_db", s))
-            # rows run by axis value, metric, then frequency; in a frequency
-            # sweep distinct frequencies can share one GHz axis value
-            for v0, f, metric, v in sorted(
-                    point, key=lambda r: (r[0], r[2], r[1])):
-                yield f"{v0:.10g},{f:.10g},{metric},{v:.10g}\n"
+            freqs = _texts(resolved.grid)
+            metrics = (("path_loss_db", resolved.path_loss_db.tolist()),
+                       ("snr_db", resolved.snr_db.tolist()))
+            if axis == "frequency":
+                # distinct frequencies can share one GHz axis value; the rows
+                # of such a run list its path losses, then its SNRs
+                ghz = resolved.grid / 1e9
+                at = _texts(ghz)
+                start = 0
+                for _, run in groupby(ghz.tolist()):
+                    stop = start + sum(1 for _ in run)
+                    for metric, values in metrics:
+                        yield from _rows(f"%s,%s,{metric},%.10g\n",
+                                         at[start:stop], freqs[start:stop],
+                                         values[start:stop])
+                    start = stop
+            else:
+                # a point's rows, capacity first, are already in metric,
+                # then frequency order
+                at = "%.10g" % value
+                yield "%s,%.10g,capacity_bit_s,%.10g\n" % (
+                    at, resolved.scenario.transceiver.center_frequency,
+                    resolved.budget.capacity)
+                for metric, values in metrics:
+                    yield from _rows(f"{at},%s,{metric},%.10g\n", freqs,
+                                     values)
 
     _write_csv(path, results[0].provenance,
                "axis_value,frequency_hz,metric,value", rows())

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thzlink import channel
 from thzlink.absorption import AbsorptionSpectrum, absorption_coefficient
 from thzlink.atmosphere import AtmosphericState, build_layers, profile_at
 from thzlink.channel import (
@@ -69,6 +70,15 @@ class TestTransmittance:
         other_grid = np.linspace(1e11, 2e11, 7)
         with pytest.raises(MisalignedLayers):
             transmittance(other_grid, [(0, 1.0)], {0: spectrum})
+
+    def test_other_grid_objects_are_compared(self):
+        grid = np.linspace(1e11, 2e11, 5)
+        spectrum = self.make_uniform_spectrum(grid, 1e-3)
+        tau = transmittance(grid, [(0, 1.0)], {0: spectrum})
+        assert transmittance(grid.copy(), [(0, 1.0)],
+                             {0: spectrum}).tobytes() == tau.tobytes()
+        with pytest.raises(MisalignedLayers):
+            transmittance(grid + 1.0, [(0, 1.0)], {0: spectrum})
 
     def test_refinement_convergence(self, mini_catalog):
         # ten-fold layer refinement moves tau by less than 0.1% everywhere
@@ -298,12 +308,29 @@ class TestWeatherBytes:
         assert np.isinf(db).any() and np.isfinite(db).any()
 
     @pytest.mark.parametrize("grid", sorted(WEATHER_GRIDS))
-    @pytest.mark.parametrize("t", [200.0, 268.4, 300.0, 330.0])
+    @pytest.mark.parametrize("t", [200.0, 240.0, 268.4, 300.0,
+                                   math.nextafter(310.0, 0.0), 310.0, 330.0])
     def test_cloud(self, grid, t):
         f = WEATHER_GRIDS[grid]
         assert_same_weather(
             cloud_attenuation(f, 0.37, 1_555.2, t),
             [scalar_cloud_attenuation(float(x), 0.37, 1_555.2, t) for x in f])
+
+    @pytest.mark.parametrize("t", [200.0, 240.0, 268.4, 300.0, 330.0])
+    def test_cloud_evaluates_at_most_the_bracketing_columns(
+            self, monkeypatch, t):
+        columns = []
+
+        def spy(values):
+            columns.append(values.size)
+            return exps(values)
+
+        exps = channel._exps
+        monkeypatch.setattr(channel, "_exps", spy)
+        f = WEATHER_GRIDS["survey_0.1ghz"]
+        cloud_attenuation(f, 0.37, 1_555.2, t)
+        assert 1 <= len(columns) <= 2
+        assert columns == [f.size] * len(columns)
 
     def test_no_weather_is_zero_and_unflagged(self):
         f = WEATHER_GRIDS["edges"]

@@ -241,6 +241,16 @@ class TestRunCommand:
         assert "field 'bandwidth_ghz'" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    def test_collapsed_survey_grid_is_config_error(self, tmp_path, capsys):
+        # 10,010 steps of 1e-6 Hz that all round back to 1e11 Hz
+        cfg = tmp_path / "collapsed.cfg"
+        cfg.write_text("kind = A2S\nf_min_ghz = 100\n"
+                       "f_max_ghz = 100.00000000001\nf_step_ghz = 1e-15\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "field 'f_step_ghz'" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("kind, key, value", [
         ("A2A", "f_step_ghz", "1e-9"),
         ("A2A", "bandwidth_ghz", "1e-300"),

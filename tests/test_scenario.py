@@ -353,6 +353,37 @@ class TestOutputs:
         assert "catalog_sha256=" in header[0]
         assert header[1] == "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db"
 
+    def test_rows_keep_the_f_string_text_of_every_value(
+            self, default_scenario, spectrum_cache, tmp_path):
+        scenario = dataclasses.replace(default_scenario, f_min=295e9,
+                                       f_max=305e9, f_step=1e9)
+        values = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                           1.7e308, -1.7e308, 0.1, 123456.7890123456])
+        size = values.size
+        columns = [np.roll(values, shift) for shift in range(8)]
+        resolved = dataclasses.replace(
+            resolve(scenario, spectrum_cache), grid=columns[0],
+            tau=columns[1], fspl_db=columns[2], rain_db=columns[3],
+            cloud_db=columns[4], path_loss=columns[5], noise_psd=columns[6],
+            snr=columns[7])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            write_outputs(resolved, tmp_path)
+            noise_db = 10.0 * np.log10(resolved.noise_psd)
+            path_loss_db = resolved.path_loss_db
+            snr_db = resolved.snr_db
+        path_loss_rows = [
+            f"{f:.10g},{pl:.10g},{t:.10g},{fs:.10g},{rn:.10g},{cl:.10g}"
+            for f, pl, t, fs, rn, cl in zip(*(c.tolist() for c in (
+                resolved.grid, path_loss_db, resolved.tau, resolved.fspl_db,
+                resolved.rain_db, resolved.cloud_db)))]
+        snr_rows = [f"{f:.10g},{s:.10g},{n:.10g}" for f, s, n in zip(
+            *(c.tolist() for c in (resolved.grid, snr_db, noise_db)))]
+        for name, rows in (("path_loss.csv", path_loss_rows),
+                           ("snr.csv", snr_rows)):
+            lines = (tmp_path / name).read_text().splitlines()[2:]
+            assert len(lines) == size
+            assert lines == rows
+
     def test_describe_lists_fields(self, default_scenario):
         text = describe(default_scenario)
         assert "kind" in text and "A2S" in text
@@ -406,6 +437,31 @@ class TestSweep:
         # 2 points x (3 freq x 2 metrics + 1 capacity row)
         assert len(lines) == 2 + 2 * 7
         assert lines[2].split(",")[2] == "capacity_bit_s"
+
+    def test_frequencies_sharing_a_ghz_value_keep_the_sorted_order(
+            self, default_scenario, spectrum_cache, tmp_path):
+        # below 2**38 Hz, adjacent doubles can divide to one GHz value
+        top = 2.0 ** 38
+        grid = top - np.arange(7, -1, -1) * np.spacing(np.nextafter(top, 0))
+        ghz = (grid / 1e9).tolist()
+        assert len(set(ghz)) < grid.size
+        scenario = dataclasses.replace(default_scenario, f_min=299e9,
+                                       f_max=301e9, f_step=1e9)
+        resolved = dataclasses.replace(
+            resolve(scenario, spectrum_cache, with_capacity=False),
+            grid=grid, path_loss=np.geomspace(1e3, 1e4, grid.size),
+            snr=np.geomspace(1e-2, 1e2, grid.size))
+        out = tmp_path / "sweep.csv"
+        write_sweep_csv(out, "frequency", [0.0], [resolved])
+        rows = [(v0, f, metric, value)
+                for v0, f, pl, s in zip(ghz, grid.tolist(),
+                                        resolved.path_loss_db.tolist(),
+                                        resolved.snr_db.tolist())
+                for metric, value in (("path_loss_db", pl), ("snr_db", s))]
+        expected = [f"{v0:.10g},{f:.10g},{metric},{value:.10g}"
+                    for v0, f, metric, value in sorted(
+                        rows, key=lambda r: (r[0], r[2], r[1]))]
+        assert out.read_text().splitlines()[2:] == expected
 
     def test_frequency_sweep_single_resolution(self, default_scenario,
                                                spectrum_cache):
