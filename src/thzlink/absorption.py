@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -48,6 +47,10 @@ _WAVENUMBER_TO_HZ = 100.0 * SPEED_OF_LIGHT
 
 DEFAULT_WING_CUTOFF = 750e9  # Hz, contributions farther from line center drop
 
+# Raised by any change that may move a bit of kappa, so that spectra cached on
+# disk by an older kernel miss instead of being served.
+KERNEL_VERSION = 2
+
 # Doppler half-widths from line center beyond which exp(-ln2 x^2) is exactly
 # 0.0 in double precision (it underflows past |x| of about 32.8).
 DOPPLER_WINDOW = 40.0
@@ -57,8 +60,8 @@ DOPPLER_WINDOW = 40.0
 SHAPE_SELECTION_RATIO = 5.0
 
 # Line-layer pairs that :func:`absorbing_layers` evaluates at once. A block's
-# arrays and pow operands then stay well under a megabyte; on the default
-# E2S stack larger and smaller blocks were both slower.
+# arrays then stay well under a megabyte; on the default E2S stack larger and
+# smaller blocks were both slower.
 _BLOCK_PAIRS = 1 << 12
 
 # Elements, lines times grid points, of one block of line shapes in
@@ -87,21 +90,10 @@ def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
     """
     alpha = ((1.0 - mu_i) * line.alpha_air + mu_i * line.alpha_self)
     alpha *= (p / STANDARD_PRESSURE)
-    alpha *= _libm(operator.pow, STANDARD_TEMPERATURE / t, line.gamma_t)
+    # not np.power, which takes sqrt for a scalar exponent of 0.5 and so
+    # would part a lone line from its column in the last bit
+    alpha *= np.exp(line.gamma_t * np.log(STANDARD_TEMPERATURE / t))
     return alpha * _WAVENUMBER_TO_HZ
-
-
-def _libm(function, *args):
-    """``function(*args)``, element-wise over array arguments, which
-    broadcast. ``function`` is one of ``math``'s or ``operator.pow``, so
-    each element goes through the C library: numpy's own transcendentals
-    and power differ from it in the last bit on some inputs.
-    """
-    if not any(isinstance(a, np.ndarray) for a in args):
-        return function(*args)
-    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
-    values = map(function, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float).reshape(arrays[0].shape)
 
 
 def doppler_halfwidth(line: SpectralLine | LineColumns, t: float):
@@ -123,7 +115,7 @@ def van_vleck_huber_shape(f, f_c: float, alpha_l: float, t: float):
     """Collision shape with radiation-field (far-wing) adjustments, 1/Hz."""
     half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
     return _vvh_shape(f, np.tanh(half_quantum * f), f_c,
-                      math.tanh(half_quantum * f_c), alpha_l)
+                      np.tanh(half_quantum * f_c), alpha_l)
 
 
 def _vvh_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
@@ -223,10 +215,10 @@ def _scaled_intensity(s0_ref, e_lower, t: float, f_c, q_ratio):
     line's values may be arrays over lines."""
     t0 = STANDARD_TEMPERATURE
     hc_e_lower = PLANCK * SPEED_OF_LIGHT * 100.0 * e_lower
-    boltzmann = _libm(math.exp, -hc_e_lower / (BOLTZMANN * t)) / _libm(
-        math.exp, -hc_e_lower / (BOLTZMANN * t0))
-    stimulated = (-_libm(math.expm1, -PLANCK * f_c / (BOLTZMANN * t))) / (
-        -_libm(math.expm1, -PLANCK * f_c / (BOLTZMANN * t0)))
+    boltzmann = (np.exp(-hc_e_lower / (BOLTZMANN * t))
+                 / np.exp(-hc_e_lower / (BOLTZMANN * t0)))
+    stimulated = (-np.expm1(-PLANCK * f_c / (BOLTZMANN * t))) / (
+        -np.expm1(-PLANCK * f_c / (BOLTZMANN * t0)))
     return s0_ref * q_ratio * boltzmann * stimulated
 
 
@@ -355,7 +347,7 @@ def absorption_coefficient(
         # element's bytes do not depend on the slice it is computed in
         half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
         tanh_grid = np.tanh(half_quantum * grid)
-        tanh_c = _libm(math.tanh, half_quantum * f_c)
+        tanh_c = np.tanh(half_quantum * f_c)
     other = ~(collisional | thermal)
     branches = [(m, np.flatnonzero(m)) for m in (collisional, thermal, other)
                 if m.any()]

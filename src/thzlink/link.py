@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 from .constants import BOLTZMANN, PLANCK
 from .errors import ConfigError, UnsupportedScheme
@@ -217,24 +217,14 @@ def bit_error_probability(scheme: str, snr_linear: float) -> float:
 def modulation_threshold(scheme: str, target_bep: float) -> float:
     """Linear SNR at which the scheme's uncoded BEP reaches ``target_bep``.
 
-    Inverts :func:`bit_error_probability`. Targets at or above the zero-SNR
-    error rate return 0 (no SNR needed).
+    Inverts :func:`bit_error_probability` in closed form: BPSK needs
+    erfcinv(2 p)^2, 16-QAM 10 erfcinv(2 p / 0.75)^2. Targets at or above the
+    zero-SNR error rate return 0 (no SNR needed).
     """
     if not 0.0 < target_bep <= 0.5:
         raise ValueError("target_bep must be in (0, 0.5]")
     if bit_error_probability(scheme, 0.0) <= target_bep:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while bit_error_probability(scheme, hi) > target_bep:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError(f"no SNR reaches BEP {target_bep}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if bit_error_probability(scheme, mid) > target_bep:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    if scheme.upper() == "BPSK":
+        return float(erfcinv(2.0 * target_bep) ** 2)
+    return float(10.0 * erfcinv(2.0 * target_bep / 0.75) ** 2)

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .absorption import (
     DEFAULT_WING_CUTOFF,
+    KERNEL_VERSION,
     AbsorptionSpectrum,
     absorbing_layers,
     absorption_coefficient,
@@ -443,11 +444,12 @@ class SpectrumCache:
 
     In memory a layer is kept by its bounds and sampled altitude under the
     stack-wide facts, so the points of a sweep share each distinct layer.
-    On disk, keys combine the digest of the loaded lines, the atmospheric
-    state, the grid, and the wing cutoff, so catalogs holding the same lines
-    share their entries. Values are exact, so caching never changes results.
-    A disk entry that is not a finite, non-negative float64 array of the
-    grid's length is a miss: it is computed again and rewritten.
+    On disk, keys combine the kernel version, the digest of the loaded lines,
+    the atmospheric state, the grid, and the wing cutoff, so catalogs holding
+    the same lines share their entries, and entries of an older kernel miss.
+    Values are exact, so caching never changes results. A disk entry that is
+    not a finite, non-negative float64 array of the grid's length is a miss:
+    it is computed again and rewritten.
     """
 
     def __init__(self, directory: Path | str | None = None):
@@ -460,7 +462,7 @@ class SpectrumCache:
     @staticmethod
     def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
             wing_cutoff: float) -> str:
-        hasher = hashlib.sha256()
+        hasher = hashlib.sha256(struct.pack("<q", KERNEL_VERSION))
         hasher.update(lines_sha.encode())
         hasher.update(struct.pack("<ddd", state.altitude, state.pressure,
                                   state.temperature))

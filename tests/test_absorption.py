@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import random
 import tracemalloc
 
@@ -16,6 +17,8 @@ from thzlink.absorption import (
     _dominance,
     _line_blocks,
     _line_windows,
+    _reference_partition,
+    _scaled_intensity,
     absorbing_layers,
     absorption_coefficient,
     doppler_halfwidth,
@@ -832,3 +835,58 @@ class TestKernelErrors:
         assert not absorption_coefficient(cat, hot, outside).kappa.any()
         with pytest.raises(TemperatureOutOfFitRange):
             per_line_kappa(cat, hot, outside)
+
+
+class TestLoneLineAndColumn:
+    """A lone :class:`SpectralLine` and its entry in the catalog's columns
+    give the same bits, whatever the temperature exponent."""
+
+    @pytest.mark.parametrize("gamma_t", [-1.0, 0.0, 0.5, 1.0, 2.0])
+    def test_width_intensity_and_shape(self, gamma_t):
+        catalog = LineCatalog(tuple(
+            dataclasses.replace(line, gamma_t=gamma_t) for line in SYNTHETIC),
+            f"gamma {gamma_t}")
+        columns = catalog.columns
+        for state in SYNTHETIC_STATES:
+            p, t = state.pressure, state.temperature
+            mu = columns.mixing_ratios(state.mixing_ratios)
+            f_c = line_center(columns, p)
+            widths = lorentz_halfwidth(columns, p, t, mu)
+            q_ratio = np.array([
+                _reference_partition(line.molecule_id)
+                / partition_function(line.molecule_id, t) for line in catalog])
+            intensities = _scaled_intensity(columns.S0_ref, columns.E_lower,
+                                            t, f_c, q_ratio)
+            shapes = van_vleck_huber_shape(FINE_GRID, f_c[:, None],
+                                           widths[:, None], t)
+            for j, line in enumerate(catalog):
+                width = lorentz_halfwidth(line, p, t, mu[j])
+                assert np.float64(width).tobytes() == widths[j].tobytes()
+                assert (np.float64(line_intensity(line, t, f_c[j])).tobytes()
+                        == intensities[j].tobytes())
+                assert (van_vleck_huber_shape(FINE_GRID, f_c[j], width,
+                                              t).tobytes()
+                        == shapes[j].tobytes())
+        assert_same_bytes(catalog, SYNTHETIC_STATES, FINE_GRID)
+
+
+class TestNoPerElementCalls:
+    def test_the_kernel_calls_no_scalar_math(self, monkeypatch,
+                                             default_scenario):
+        catalog = dense_catalog(random.Random(20260808), 800)
+        survey = make_grid(100e9, 400e9, 1e9)
+        grid = np.union1d(survey, capacity_band(default_scenario.transceiver))
+        states = [layer.state for layer in build_layers(0.0, 11e3, 500.0)]
+        calls = []
+        for module, name in ((math, "exp"), (math, "expm1"), (math, "tanh"),
+                             (operator, "pow")):
+            def spy(*args, _function=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _function(*args)
+            monkeypatch.setattr(module, name, spy)
+        assert absorbing_layers(catalog, states, grid).all()
+        kappas = [absorption_coefficient(catalog, s, grid).kappa
+                  for s in states]
+        monkeypatch.undo()
+        assert calls == []
+        assert all(kappa.any() for kappa in kappas)

@@ -92,6 +92,30 @@ bandwidth_ghz = 10
 for _kind, _km in (("A2S", 80), ("S2A", 80), ("A2S", 120)):
     CASES[f"run_{_kind.lower()}_{_km}km"] = (
         f"kind = {_kind}\nh_airplane_km = {_km}\n", ["run"])
+# A 0.25 MHz grid around the 380.2 GHz H2O line from 80 km: the thin upper
+# layers put 840 line-layer pairs on the Doppler branch with at least 3 grid
+# points in their window, so the Doppler core itself reaches the outputs.
+CASES["run_a2s_doppler_core"] = ("""
+kind = A2S
+h_airplane_km = 80
+f_min_ghz = 379.99
+f_max_ghz = 380.39
+f_step_ghz = 0.00025
+center_frequency_ghz = 380.19
+bandwidth_ghz = 0.4
+""", ["run"])
+# The same around the 118.75 GHz O2 line, whose Doppler cores carry enough
+# optical depth to move printed path loss, SNR and capacity: doubling the
+# Doppler shape changes all three, where it changes no byte of the case above.
+CASES["run_a2s_doppler_core_o2"] = ("""
+kind = A2S
+h_airplane_km = 80
+f_min_ghz = 118.55
+f_max_ghz = 118.95
+f_step_ghz = 0.00025
+center_frequency_ghz = 118.75
+bandwidth_ghz = 0.4
+""", ["run"])
 CASES["sweep_altitude_a2s"] = (
     _COMMON + "kind = A2S\n",
     ["sweep", "--axis", "altitude", "--from", "0", "--to", "4000",

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +335,50 @@ class TestSpectrumCacheKey:
         reused = resolve(a, shared, with_capacity=False)
         fresh = resolve(a, SpectrumCache(), with_capacity=False)
         assert reused.tau.tobytes() == fresh.tau.tobytes()
+
+    def test_an_entry_of_an_unversioned_key_is_not_served(
+            self, default_scenario, tmp_path, monkeypatch):
+        # a directory filled by a kernel whose keys carried no version holds
+        # valid spectra that may differ from this kernel's in the last bit;
+        # they stand in here as valid spectra twice this kernel's
+        scenario = dataclasses.replace(default_scenario, f_min=299e9,
+                                       f_max=301e9, f_step=1e9)
+        keys = []
+        key = SpectrumCache.key
+
+        def recorded(*args):
+            keys.append((args, key(*args)))
+            return keys[-1][1]
+
+        monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded))
+        clean = write_outputs(resolve(scenario, SpectrumCache(
+            tmp_path / "clean")), tmp_path / "clean_out")
+        monkeypatch.undo()
+        old = tmp_path / "old"
+        old.mkdir()
+        for args, new_key in keys:
+            kappa = np.load(tmp_path / "clean" / f"{new_key}.npy")
+            np.save(old / f"{_unversioned_key(*args)}.npy", 2.0 * kappa)
+        assert any(np.load(path).any() for path in old.iterdir())
+        stale = write_outputs(resolve(scenario, SpectrumCache(old)),
+                              tmp_path / "stale_out")
+        for a, b in zip(clean, stale):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def _unversioned_key(lines_sha, state, grid, wing_cutoff):
+    """:meth:`SpectrumCache.key` as it was before keys carried the kernel
+    version."""
+    hasher = hashlib.sha256()
+    hasher.update(lines_sha.encode())
+    hasher.update(struct.pack("<ddd", state.altitude, state.pressure,
+                              state.temperature))
+    for name in sorted(state.mixing_ratios):
+        hasher.update(name.encode())
+        hasher.update(struct.pack("<d", state.mixing_ratios[name]))
+    hasher.update(struct.pack("<d", wing_cutoff))
+    hasher.update(grid.tobytes())
+    return f"{hasher.hexdigest()}-{grid.size}"
 
 
 class TestOutputs:
