@@ -111,16 +111,10 @@ def lorentz_shape(df, alpha_l: float):
     return (alpha_l / math.pi) / (df * df + alpha_l * alpha_l)
 
 
-def van_vleck_huber_shape(f, f_c: float, alpha_l: float, t: float):
-    """Collision shape with radiation-field (far-wing) adjustments, 1/Hz."""
-    half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
-    return _vvh_shape(f, np.tanh(half_quantum * f), f_c,
-                      np.tanh(half_quantum * f_c), alpha_l)
-
-
 def _vvh_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
-    """:func:`van_vleck_huber_shape` given tanh(hf/2kT) at ``f`` and at
-    ``f_c``. Centers and widths may be a column, one row per line."""
+    """Collision shape with radiation-field (far-wing) adjustments, 1/Hz,
+    given tanh(hf/2kT) at ``f`` and at ``f_c``. Centers and widths may be a
+    column, one row per line."""
     prefactor = (f / f_c) * tanh_f / tanh_fc
     return prefactor * (lorentz_shape(f - f_c, alpha_l)
                         + lorentz_shape(f + f_c, alpha_l))
@@ -194,25 +188,15 @@ def _reference_partition(species) -> float:
     return partition_function(species, STANDARD_TEMPERATURE)
 
 
-def line_intensity(line: SpectralLine, t: float,
-                   f_c: float | None = None) -> float:
-    """Line intensity scaled from the 296 K reference to ``t``.
+def _scaled_intensity(s0_ref, e_lower, t: float, f_c, q_ratio):
+    """Line intensity scaled from the 296 K reference to ``t``, given
+    Q(296 K) / Q(t) as ``q_ratio``. The line's values may be arrays over
+    lines.
 
     Same units as the catalog intensity. The Boltzmann factor uses the
     lower-state energy in 1/cm, hence the hc conversion; the stimulated
-    emission factor uses the resonance frequency (the unshifted center by
-    default).
+    emission factor uses the resonance frequency ``f_c``.
     """
-    if f_c is None:
-        f_c = line.f0
-    q_ratio = (_reference_partition(line.molecule_id)
-               / partition_function(line.molecule_id, t))
-    return _scaled_intensity(line.S0_ref, line.E_lower, t, f_c, q_ratio)
-
-
-def _scaled_intensity(s0_ref, e_lower, t: float, f_c, q_ratio):
-    """:func:`line_intensity` given Q(296 K) / Q(t) as ``q_ratio``. The
-    line's values may be arrays over lines."""
     t0 = STANDARD_TEMPERATURE
     hc_e_lower = PLANCK * SPEED_OF_LIGHT * 100.0 * e_lower
     boltzmann = (np.exp(-hc_e_lower / (BOLTZMANN * t))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -74,10 +75,6 @@ class Layer:
     upper: float
     state: AtmosphericState
 
-    @property
-    def thickness(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class LayerStack:
@@ -99,10 +96,7 @@ def _geopotential(z: float) -> float:
 
 def _pressure_temperature_below_86km(z: float) -> tuple[float, float]:
     h = _geopotential(z)
-    idx = 0
-    for i, base in enumerate(_H_BASE):
-        if h >= base:
-            idx = i
+    idx = bisect_right(_H_BASE, h) - 1
     t_b, l_b, p_b, h_b = _T_BASE[idx], _LAPSE[idx], _P_BASE[idx], _H_BASE[idx]
     dh = min(h, _H_TOP) - h_b
     if l_b == 0.0:
@@ -116,6 +110,7 @@ def _pressure_temperature_below_86km(z: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=1)
 def _upper_atmosphere_table():
+    """The table's altitudes, ascending, and its rows in the same order."""
     path = Path(__file__).parent / "data" / "ussa1976_upper.csv"
     rows = []
     with path.open(newline="") as fh:
@@ -129,24 +124,21 @@ def _upper_atmosphere_table():
                 float(row["o2_vmr"]),
             ))
     rows.sort()
-    return rows
+    return [row[0] for row in rows], rows
 
 
 def _interp_upper(z: float) -> tuple[float, float, float, float]:
-    table = _upper_atmosphere_table()
-    if z <= table[0][0]:
-        _, p, t, n2, o2 = table[0]
-        return p, t, n2, o2
-    for (z0, p0, t0, n20, o20), (z1, p1, t1, n21, o21) in zip(table, table[1:]):
-        if z0 <= z <= z1:
-            w = (z - z0) / (z1 - z0)
-            p = math.exp(math.log(p0) * (1 - w) + math.log(p1) * w)
-            return (p,
-                    t0 * (1 - w) + t1 * w,
-                    n20 * (1 - w) + n21 * w,
-                    o20 * (1 - w) + o21 * w)
-    _, p, t, n2, o2 = table[-1]
-    return p, t, n2, o2
+    """Table state at ``z`` in (86 km, 500 km], the table's span, from the
+    first bracket z0 < z <= z1."""
+    altitudes, table = _upper_atmosphere_table()
+    i = bisect_left(altitudes, z)
+    (z0, p0, t0, n20, o20), (z1, p1, t1, n21, o21) = table[i - 1], table[i]
+    w = (z - z0) / (z1 - z0)
+    p = math.exp(math.log(p0) * (1 - w) + math.log(p1) * w)
+    return (p,
+            t0 * (1 - w) + t1 * w,
+            n20 * (1 - w) + n21 * w,
+            o20 * (1 - w) + o21 * w)
 
 
 def water_vapor_vmr(
@@ -193,18 +185,20 @@ def profile_at(
 
 
 def layer_bounds(h_bottom: float, h_top: float,
-                 resolution: float) -> list[tuple[float, float]]:
-    """(lower, upper) of each layer :func:`build_layers` makes; stacks from
-    one ``h_bottom`` and ``resolution`` share their full layers exactly."""
+                 resolution: float) -> list[tuple[float, float, float]]:
+    """(lower, upper, sampled altitude) of each layer :func:`build_layers`
+    makes, sampled at its midpoint; stacks from one ``h_bottom`` and
+    ``resolution`` share their full layers exactly."""
     if not h_bottom < h_top:
         raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
     if resolution <= 0:
         raise InvalidRange(f"resolution must be positive, got {resolution}")
     # at least one layer, also where the ratio underflows to 0
     count = max(1, math.ceil((h_top - h_bottom) / resolution))
-    return [(h_bottom + i * resolution,
-             min(h_bottom + (i + 1) * resolution, h_top))
-            for i in range(count)]
+    bounds = [(h_bottom + i * resolution,
+               min(h_bottom + (i + 1) * resolution, h_top))
+              for i in range(count)]
+    return [(lower, upper, 0.5 * (lower + upper)) for lower, upper in bounds]
 
 
 def build_layers(
@@ -221,7 +215,6 @@ def build_layers(
     second-order accurate for smooth profiles.
     """
     layers = tuple(
-        Layer(lower, upper, profile_at(0.5 * (lower + upper), ground_humidity,
-                                       water_scale_height))
-        for lower, upper in layer_bounds(h_bottom, h_top, resolution))
+        Layer(lower, upper, profile_at(z, ground_humidity, water_scale_height))
+        for lower, upper, z in layer_bounds(h_bottom, h_top, resolution))
     return LayerStack(layers, layers[-1].upper)

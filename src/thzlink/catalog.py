@@ -138,10 +138,6 @@ class SpectralLine:
             raise ValueError(f"abundance must be in (0, 1], got {self.abundance}")
 
     @property
-    def species(self) -> str:
-        return MOLECULE_NAMES.get(self.molecule_id, f"MOL{self.molecule_id}")
-
-    @property
     def f0(self) -> float:
         """Unshifted line center in Hz."""
         return wavenumber_to_frequency(self.nu0)

@@ -40,27 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"thzlink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one scenario and write CSV reports")
-    run.add_argument("config", help="scenario config file")
-    run.add_argument("--out-dir", default="out", help="output directory")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="scenario config file")
+    common.add_argument("--out-dir", default="out", help="output directory")
+    common.add_argument("--cache-dir", default=None,
+                        help="directory for cached layer spectra "
+                             "(default: <out-dir>/.cache)")
+
+    run = sub.add_parser("run", parents=[common],
+                         help="run one scenario and write CSV reports")
     run.add_argument("--dry-run", action="store_true",
                      help="validate, print the resolved scenario, write nothing")
-    run.add_argument("--cache-dir", default=None,
-                     help="directory for cached layer spectra "
-                          "(default: <out-dir>/.cache)")
 
-    swp = sub.add_parser("sweep", help="sweep one axis and write a long CSV")
-    swp.add_argument("config", help="scenario config file")
+    swp = sub.add_parser("sweep", parents=[common],
+                         help="sweep one axis and write a long CSV")
     swp.add_argument("--axis", required=True, choices=AXES)
     swp.add_argument("--from", dest="start", type=float, required=True,
                      help="axis start (GHz, m, or deg)")
     swp.add_argument("--to", dest="stop", type=float, required=True,
                      help="axis end, inclusive")
     swp.add_argument("--step", type=float, required=True, help="axis step")
-    swp.add_argument("--out-dir", default="out", help="output directory")
-    swp.add_argument("--cache-dir", default=None,
-                     help="directory for cached layer spectra "
-                          "(default: <out-dir>/.cache)")
     return parser
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import math
 import struct
 import sys
@@ -356,9 +357,6 @@ def parse_config(path) -> Scenario:
             except ValueError:
                 raise ConfigError(f"not a number: {value!r}", field=key,
                                   line=lineno) from None
-            if not math.isfinite(values[key]):
-                raise ConfigError(f"must be finite, got {value!r}",
-                                  field=key, line=lineno)
     return build_scenario(values, seen)
 
 
@@ -400,7 +398,7 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
     fields.update(
         kind=str(values["kind"]).upper(),
         central_angle=0.0 if elevation is not None
-        else math.radians(float(values["central_angle_deg"])),
+        else math.radians(si("central_angle_deg")),
         tx_antenna=antenna("tx"),
         rx_antenna=antenna("rx"),
         catalog_path=str(values["catalog_path"]),
@@ -416,7 +414,7 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         scenario = Scenario(transceiver=TransceiverConfig(**transceiver),
                             **fields)
         if elevation is not None:
-            scenario = scenario.at_elevation(float(elevation))
+            scenario = scenario.at_elevation(si("elevation_deg"))
     except ConfigError as exc:
         fail(exc.field, exc.message)
     return scenario
@@ -447,9 +445,10 @@ class SpectrumCache:
     On disk, keys combine the kernel version, the digest of the loaded lines,
     the atmospheric state, the grid, and the wing cutoff, so catalogs holding
     the same lines share their entries, and entries of an older kernel miss.
-    Values are exact, so caching never changes results. A disk entry that is
-    not a finite, non-negative float64 array of the grid's length is a miss:
-    it is computed again and rewritten.
+    Values are exact, so caching never changes results. A disk entry is
+    ``np.save``'s bytes followed by the SHA-256 of the key and those bytes;
+    an entry whose digest is missing or does not match is a miss: it is
+    computed again and rewritten.
     """
 
     def __init__(self, directory: Path | str | None = None):
@@ -471,23 +470,27 @@ class SpectrumCache:
             hasher.update(struct.pack("<d", state.mixing_ratios[name]))
         hasher.update(struct.pack("<d", wing_cutoff))
         hasher.update(grid.tobytes())
-        # the grid length ends the key so a loaded entry can be checked
-        return f"{hasher.hexdigest()}-{grid.size}"
+        return hasher.hexdigest()
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
         """The valid disk entry of ``key``, else ``compute()``, saved."""
         if self.directory is None:
             return compute()
         path = self.directory / f"{key}.npy"
-        kappa = _load_spectrum(path, int(key.rsplit("-", 1)[1]))
-        if kappa is None:
-            kappa = compute()
-            # unique temp name per writer: processes sharing the directory
-            # may race on the same key, and both replacements carry
-            # identical bytes
-            tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-            np.save(tmp, kappa)
-            tmp.replace(path)
+        try:
+            entry = path.read_bytes()
+        except OSError:
+            entry = b""
+        if entry == _with_digest(key, entry[:-_DIGEST_SIZE]):
+            return np.load(io.BytesIO(entry))   # it stops before the digest
+        kappa = compute()
+        buffer = io.BytesIO()
+        np.save(buffer, kappa)
+        # unique temp name per writer: processes sharing the directory may
+        # race on the same key, and both replacements carry identical bytes
+        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
+        tmp.write_bytes(_with_digest(key, buffer.getvalue()))
+        tmp.replace(path)
         return kappa
 
     def layers(self, scenario: Scenario, catalog: LineCatalog,
@@ -512,18 +515,14 @@ class SpectrumCache:
         return [known[span] for span in spans]
 
 
-def _load_spectrum(path: Path, size: int) -> np.ndarray | None:
-    """The kappa array cached at ``path`` if valid for ``size`` points."""
-    try:
-        with path.open("rb") as fh:
-            kappa = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if (isinstance(kappa, np.ndarray) and kappa.dtype == np.float64
-            and kappa.shape == (size,) and np.all(np.isfinite(kappa))
-            and np.all(kappa >= 0.0)):
-        return kappa
-    return None
+_DIGEST_SIZE = 32   # bytes of the SHA-256 that ends a disk cache entry
+
+
+def _with_digest(key: str, body: bytes) -> bytes:
+    """A disk entry: ``body``, its ``np.save`` bytes, then the SHA-256 of its
+    key and those bytes. A changed, truncated or swapped entry does not end
+    in its own digest."""
+    return body + hashlib.sha256(key.encode() + body).digest()
 
 
 @dataclass
@@ -625,9 +624,8 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     else:
         bounds = layer_bounds(0.0, min(scenario.atmosphere_top, h_high),
                               scenario.layer_resolution)
-        entries = cache.layers(scenario, catalog, grid, [
-            (lower, upper, 0.5 * (lower + upper))
-            for lower, upper in bounds if upper > h_low])
+        entries = cache.layers(scenario, catalog, grid,
+                               [span for span in bounds if span[1] > h_low])
         stack = LayerStack(tuple(layer for layer, _ in entries), bounds[-1][1])
         segments = layer_path_segments(h_low, scenario.line_of_sight[1],
                                        stack)

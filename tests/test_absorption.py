@@ -19,17 +19,16 @@ from thzlink.absorption import (
     _line_windows,
     _reference_partition,
     _scaled_intensity,
+    _vvh_shape,
     absorbing_layers,
     absorption_coefficient,
     doppler_halfwidth,
     doppler_shape,
     line_center,
-    line_intensity,
     lorentz_halfwidth,
     lorentz_shape,
     number_density,
     partition_function,
-    van_vleck_huber_shape,
     voigt_shape,
 )
 from thzlink.atmosphere import AtmosphericState, build_layers, profile_at
@@ -419,6 +418,25 @@ class TestAbsorptionCoefficient:
                                    np.array([2e11, 1e11]))
 
 
+def line_intensity(line, t, f_c=None):
+    """Intensity of one line at ``t`` through the kernel's
+    ``_scaled_intensity``, its stimulated emission at ``f_c`` (the unshifted
+    center by default)."""
+    if f_c is None:
+        f_c = line.f0
+    q_ratio = (_reference_partition(line.molecule_id)
+               / partition_function(line.molecule_id, t))
+    return _scaled_intensity(line.S0_ref, line.E_lower, t, f_c, q_ratio)
+
+
+def van_vleck_huber_shape(f, f_c, alpha_l, t):
+    """The kernel's ``_vvh_shape`` at temperature ``t``; centers and widths
+    may be a column, one row per line."""
+    half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
+    return _vvh_shape(f, np.tanh(half_quantum * f), f_c,
+                      np.tanh(half_quantum * f_c), alpha_l)
+
+
 def per_line_kappa(catalog, state, grid, wing_cutoff=DEFAULT_WING_CUTOFF):
     """The kernel as a loop over every catalog line with a full wing window,
     kept as it stood before the array pass: the reference that pass must
@@ -562,7 +580,7 @@ class TestKernelBitIdentity:
         for state in SYNTHETIC_STATES:
             p, t = state.pressure, state.temperature
             for line in SYNTHETIC:
-                mu = state.mixing_ratios[line.species]
+                mu = state.mixing_ratios[MOLECULE_NAMES[line.molecule_id]]
                 alpha_d = doppler_halfwidth(line, t)
                 kind = branch(lorentz_halfwidth(line, p, t, mu), alpha_d)
                 kinds.add(kind)

@@ -166,6 +166,27 @@ class TestLoadCatalog:
         cat = load_catalog(stream, 0.0, 50.0)
         assert len(cat) == 1
 
+    def test_text_stream_input(self):
+        cat = load_catalog(io.StringIO(make_record()), 0.0, 50.0)
+        assert cat.lines == load_catalog(make_record().encode(), 0.0,
+                                         50.0).lines
+
+    def test_blank_lines_skipped_but_counted(self):
+        text = f"\n{make_record()}\n   \nxx\n"
+        cat = load_catalog(text.encode(), 0.0, 50.0)
+        assert len(cat) == 1
+        assert [error.line_number for error in cat.parse_errors] == [4]
+
+    @pytest.mark.parametrize("nu_min, nu_max", [(50.0, 50.0), (50.0, 0.0)])
+    def test_empty_or_reversed_window_rejected(self, nu_min, nu_max):
+        with pytest.raises(ValueError, match="must be <"):
+            load_catalog(make_record().encode(), nu_min, nu_max)
+
+    def test_non_ascii_bytes_are_io_failure(self):
+        data = (make_record() + "\n# caf\u00e9\n").encode("utf-8")
+        with pytest.raises(IoFailure, match="not ASCII"):
+            load_catalog(data, 0.0, 50.0)
+
     def test_bundled_catalog_loads_cleanly(self, mini_catalog):
         assert len(mini_catalog) == 50
         assert not mini_catalog.parse_errors

@@ -183,7 +183,8 @@ class TestRunCommand:
         assert warning in (out / "summary.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("corruption",
-                             ["text", "pickled", "wrong_length", "nan"])
+                             ["text", "pickled", "wrong_length", "nan",
+                              "changed_value", "swapped", "truncated"])
     def test_corrupt_cache_entry_is_recomputed(self, coarse_config, tmp_path,
                                                corruption):
         cache = tmp_path / "cache"
@@ -196,7 +197,7 @@ class TestRunCommand:
             runs[name] = {p.name: p.read_bytes() for p in out.iterdir()
                           if p.is_file()}
             if name == "clean":
-                entry = sorted(cache.glob("*.npy"))[0]
+                entry, other = sorted(cache.glob("*.npy"))[:2]
                 good = np.load(entry)
                 if corruption == "text":
                     entry.write_text("not an array\n")
@@ -205,8 +206,18 @@ class TestRunCommand:
                             allow_pickle=True)
                 elif corruption == "wrong_length":
                     np.save(entry, good[:-1])
-                else:
+                elif corruption == "nan":
                     np.save(entry, np.where(good == good.max(), np.nan, good))
+                elif corruption == "changed_value":
+                    # still finite, non-negative and of the grid's length
+                    np.save(entry, 1.5 * good)
+                elif corruption == "swapped":
+                    # a valid entry, of another layer
+                    assert not np.array_equal(np.load(other), good)
+                    entry.write_bytes(other.read_bytes())
+                else:
+                    data = entry.read_bytes()
+                    entry.write_bytes(data[:len(data) // 2])
         assert runs["rerun"] == runs["clean"]
         np.testing.assert_array_equal(np.load(entry, allow_pickle=False),
                                       good)
@@ -376,6 +387,18 @@ class TestBenchmarkHooks:
 
 
 class TestSweepCommand:
+    def test_dry_run_is_not_a_sweep_option(self, quick_config, tmp_path,
+                                           capsys):
+        # run and sweep share their common options, not run's own
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", str(quick_config), "--axis", "altitude",
+                  "--from", "0", "--to", "0", "--step", "1",
+                  "--out-dir", str(out), "--dry-run"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --dry-run" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_altitude_sweep_csv(self, quick_config, tmp_path):
         out = tmp_path / "out"
         code = main(["sweep", str(quick_config), "--axis", "altitude",

@@ -169,7 +169,8 @@ class TestLayerPathSegments:
     def test_segments_exceed_thickness_off_zenith(self, thin_stack):
         psi = math.radians(38.2)
         for (index, length) in layer_path_segments(0.0, psi, thin_stack):
-            assert length > thin_stack[index].thickness
+            layer = thin_stack[index]
+            assert length > layer.upper - layer.lower
 
     def test_curved_below_plane_parallel_pointwise(self, thin_stack):
         # flat layers overestimate every traversal length off zenith,
@@ -186,12 +187,21 @@ class TestPlaneParallel:
     def test_zenith_equals_thickness(self, thin_stack):
         for index, length in plane_parallel_segments(0.0, math.pi / 2,
                                                      thin_stack):
-            assert length == thin_stack[index].thickness
+            layer = thin_stack[index]
+            assert length == layer.upper - layer.lower
 
     def test_thirty_degrees_doubles(self, thin_stack):
         for _, length in plane_parallel_segments(0.0, math.radians(30.0),
                                                  thin_stack):
             assert length == pytest.approx(1_000.0)
+
+    def test_start_inside_the_stack_skips_the_layers_below(self, thin_stack):
+        # 1,750 m is 250 m into the fourth layer: the three below are not
+        # on the path, and the fourth counts from the start up
+        segments = plane_parallel_segments(1_750.0, math.pi / 2, thin_stack)
+        assert [i for i, _ in segments] == list(range(3, len(thin_stack)))
+        assert segments[0][1] == 250.0
+        assert all(length == 500.0 for _, length in segments[1:])
 
     def test_low_elevation_overestimates_total(self):
         stack = build_layers(0.0, 500e3, 5_000.0)

@@ -82,6 +82,13 @@ class TestConfigParsing:
             parse_config(path)
         assert "tx_power_mw" in str(err.value)
 
+    def test_line_without_equals_names_the_line(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "tx_power_mw 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.line == MINIMAL.count("\n") + 1
+        assert err.value.message == "expected 'key = value'"
+
     def test_altitude_ordering_enforced(self, tmp_path):
         path = write_config(tmp_path, MINIMAL.replace(
             "h_satellite_km = 500", "h_satellite_km = 5"))
@@ -468,6 +475,11 @@ class TestSweep:
         a2a = dataclasses.replace(default_scenario, kind="A2A")
         with pytest.raises(ConfigError):
             run_sweep(a2a, "elevation", 10.0, 90.0, 10.0)
+
+    def test_unknown_axis_is_config_error(self, default_scenario):
+        with pytest.raises(ConfigError) as err:
+            run_sweep(default_scenario, "pressure", 0.0, 10.0, 10.0)
+        assert err.value.field == "axis"
 
     def test_sweep_csv_shape(self, default_scenario, spectrum_cache,
                              tmp_path):
