@@ -360,7 +360,7 @@ class LineCatalog:
         return self.source_id.rsplit("sha256:", 1)[-1]
 
 
-def _read_stream(source) -> tuple[bytes, str]:
+def _read_stream(source) -> tuple[bytes | str, str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -374,8 +374,6 @@ def _read_stream(source) -> tuple[bytes, str]:
         data = source.read()
     except OSError as exc:
         raise IoFailure(f"cannot read stream: {exc}") from exc
-    if isinstance(data, str):
-        data = data.encode("ascii")
     name = getattr(source, "name", "<stream>")
     return data, str(name)
 
@@ -392,8 +390,10 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
         raise ValueError(f"nu_min ({nu_min}) must be < nu_max ({nu_max})")
     data, name = _read_stream(source)
     try:
+        if isinstance(data, str):   # a text stream
+            data = data.encode("ascii")
         text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise IoFailure(f"{name} is not ASCII text: {exc}") from exc
 
     digest = hashlib.sha256(data).hexdigest()

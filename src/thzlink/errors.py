@@ -49,33 +49,25 @@ class EmptyCatalogWarning(UserWarning):
 
 # --- atmosphere ----------------------------------------------------------
 
-class AtmosphereError(ThzLinkError):
+class AltitudeOutOfRange(ThzLinkError):
     pass
 
 
-class AltitudeOutOfRange(AtmosphereError):
-    pass
-
-
-class InvalidRange(AtmosphereError):
+class InvalidRange(ThzLinkError):
     pass
 
 
 # --- absorption ----------------------------------------------------------
 
-class AbsorptionError(ThzLinkError):
+class UnknownSpecies(ThzLinkError):
     pass
 
 
-class UnknownSpecies(AbsorptionError):
+class UnknownSpeciesMass(ThzLinkError):
     pass
 
 
-class UnknownSpeciesMass(AbsorptionError):
-    pass
-
-
-class TemperatureOutOfFitRange(AbsorptionError):
+class TemperatureOutOfFitRange(ThzLinkError):
     pass
 
 

@@ -292,7 +292,7 @@ class Scenario:
         return slant_range(ends), elevation_angle(ends)
 
 
-_DEFAULTS: dict[str, float | str] = {
+_DEFAULTS: dict[str, float | str | None] = {
     "kind": "A2S",
     "h_airplane_km": 11.0,
     "h_satellite_km": 500.0,
@@ -329,7 +329,7 @@ _DEFAULTS: dict[str, float | str] = {
 
 def parse_config(path) -> Scenario:
     """Parse and validate a scenario config file."""
-    values: dict[str, float | str | None] = dict(_DEFAULTS)
+    values: dict[str, float | str] = {}
     seen: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -343,8 +343,6 @@ def parse_config(path) -> Scenario:
         if "=" not in stripped:
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = (part.strip() for part in stripped.partition("="))
-        if key not in _DEFAULTS:
-            raise ConfigError("unknown key", field=key, line=lineno)
         if key in seen:
             raise ConfigError(f"duplicate of line {seen[key]}", field=key,
                               line=lineno)
@@ -361,18 +359,23 @@ def parse_config(path) -> Scenario:
 
 
 def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario:
-    """Construct a :class:`Scenario` from raw config values.
-
-    Here are only the conversion to SI units, checked finite, and the rule
-    that ``elevation_deg`` and ``central_angle_deg`` exclude each other.
-    Every other rule belongs to the type that owns the value; its error
-    gains the line of the key it names, and an antenna's error the
-    ``tx_`` or ``rx_`` prefix of its end.
+    """Construct a :class:`Scenario` from config values; a key left out
+    takes its default. Here are only the refusal of a key with no default,
+    the conversion to SI units, checked finite, and the rule that
+    ``elevation_deg`` and ``central_angle_deg`` exclude each other. Every
+    other rule belongs to the type that owns the value; its error gains the
+    line of the key it names, and an antenna's error the ``tx_`` or ``rx_``
+    prefix of its end.
     """
     seen = seen or {}
 
     def fail(field: str, message: str):
         raise ConfigError(message, field=field, line=seen.get(field))
+
+    for key in values:
+        if key not in _DEFAULTS:
+            fail(key, "unknown key")
+    given, values = values, _DEFAULTS | values
 
     def si(field: str) -> float:
         """The value of ``field`` in SI units, checked finite."""
@@ -389,8 +392,8 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         except ConfigError as exc:
             fail(f"{end}_{exc.field}", exc.message)
 
-    elevation = values.get("elevation_deg")
-    if elevation is not None and "central_angle_deg" in seen:
+    elevation = values["elevation_deg"]
+    if elevation is not None and "central_angle_deg" in given:
         fail("elevation_deg",
              "give either elevation_deg or central_angle_deg, not both")
 

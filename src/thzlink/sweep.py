@@ -13,7 +13,7 @@ import contextlib
 import dataclasses
 import math
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ConfigError
 from .scenario import (
@@ -69,6 +69,20 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
         return base.at_elevation(value)
 
 
+def _resolved(scenarios: Iterable[Scenario], cache: SpectrumCache | None,
+              with_capacity: bool) -> Iterator[ResolvedLink]:
+    """Resolve ``scenarios`` as they are drawn, over one cache, in memory if
+    none is given, and the catalog of the first, whose window they share."""
+    if cache is None:
+        cache = SpectrumCache()
+    catalog = None
+    for scenario in scenarios:
+        if catalog is None:
+            catalog = load_scenario_catalog(scenario, make_grid(
+                scenario.f_min, scenario.f_max, scenario.f_step))
+        yield resolve(scenario, cache, catalog, with_capacity)
+
+
 def run_sweep(
     base: Scenario,
     axis: str,
@@ -80,25 +94,22 @@ def run_sweep(
     """Resolve the scenario across the axis range. Returns (points, results).
 
     Axis units: frequency in GHz, altitude in m, elevation in degrees. A
-    frequency sweep is one result, on the grid from ``start`` to ``stop``,
-    and one point, ``start``; its bounds obey the scenario's ``f_*`` rules.
+    frequency sweep is one result, on the grid from ``start`` to ``stop``
+    with no capacity band, and one point, ``start``; its bounds obey the
+    scenario's ``f_*`` rules.
     """
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {', '.join(AXES)}",
                           field="axis")
     if axis == "frequency":
         with _at(f"frequency {start:g} to {stop:g} GHz"):
-            swept = dataclasses.replace(base, f_min=start * 1e9,
-                                        f_max=stop * 1e9, f_step=step * 1e9)
-        return [start], [resolve(swept, cache)]
-
-    points = sweep_points(start, stop, step)
-    scenarios = [_scenario_at(base, axis, value) for value in points]
-    grid = make_grid(base.f_min, base.f_max, base.f_step)
-    catalog = load_scenario_catalog(base, grid)
-    if cache is None:
-        cache = SpectrumCache()
-    return points, [resolve(s, cache, catalog) for s in scenarios]
+            scenarios = [dataclasses.replace(
+                base, f_min=start * 1e9, f_max=stop * 1e9, f_step=step * 1e9)]
+        points = [start]
+    else:
+        points = sweep_points(start, stop, step)
+        scenarios = [_scenario_at(base, axis, value) for value in points]
+    return points, list(_resolved(scenarios, cache, axis != "frequency"))
 
 
 def write_sweep_csv(path, axis: str, points: Iterable[float],
@@ -154,28 +165,21 @@ def crossover_altitude(
     Both links are evaluated zenith with the scenario's antennas, so antenna
     gains cancel in the comparison.
     """
-    altitudes = sorted(altitudes)
-    if cache is None:   # both links at every altitude share one stack
-        cache = SpectrumCache()
+    def links():
+        for h in sorted(altitudes):
+            down = dataclasses.replace(
+                base, kind="A2E", h_airplane=h, central_angle=0.0,
+                f_min=frequency, f_max=frequency + 2 * base.f_step)
+            yield down
+            yield dataclasses.replace(down, kind="A2S")
+
+    resolved = _resolved(links(), cache, with_capacity=False)
     previous = None
-    crossover = None
-    catalog = None
-    for h in altitudes:
-        down = dataclasses.replace(
-            base, kind="A2E", h_airplane=h, central_angle=0.0,
-            f_min=frequency, f_max=frequency + 2 * base.f_step)
-        up = dataclasses.replace(down, kind="A2S")
-        if catalog is None:   # every altitude reads the same lines
-            catalog = load_scenario_catalog(
-                down, make_grid(down.f_min, down.f_max, down.f_step))
-        pl_down = resolve(down, cache, catalog,
-                          with_capacity=False).path_loss_db[0]
-        pl_up = resolve(up, cache, catalog,
-                        with_capacity=False).path_loss_db[0]
-        delta = pl_down - pl_up
+    for down, up in zip(resolved, resolved):
+        h = down.scenario.h_airplane
+        delta = down.path_loss_db[0] - up.path_loss_db[0]
         if previous is not None and previous[1] < 0.0 <= delta:
             h0, d0 = previous
-            crossover = h0 + (h - h0) * (-d0) / (delta - d0)
-            break
+            return h0 + (h - h0) * (-d0) / (delta - d0)
         previous = (h, delta)
-    return crossover
+    return None

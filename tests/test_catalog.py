@@ -187,6 +187,10 @@ class TestLoadCatalog:
         with pytest.raises(IoFailure, match="not ASCII"):
             load_catalog(data, 0.0, 50.0)
 
+    def test_non_ascii_text_stream_is_io_failure(self):
+        with pytest.raises(IoFailure, match="not ASCII"):
+            load_catalog(io.StringIO("caf\u00e9\n"), 0.0, 50.0)
+
     def test_bundled_catalog_loads_cleanly(self, mini_catalog):
         assert len(mini_catalog) == 50
         assert not mini_catalog.parse_errors

@@ -1,4 +1,5 @@
-"""The README's tables state the same facts as the code they document."""
+"""The README's tables and example state the same facts as the code they
+document."""
 
 import re
 from pathlib import Path
@@ -62,3 +63,11 @@ def test_export_list_is_the_package_exports():
     sentence = re.search(r"The package exports (.*?)\.\n", README, re.S)
     assert sentence is not None
     assert re.findall(r"`(\w+)`", sentence.group(1)) == sorted(thzlink.__all__)
+
+
+def test_library_use_example_runs(capsys):
+    section = README.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S)
+    assert code is not None
+    exec(compile(code.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.endswith("Gbit/s\n")

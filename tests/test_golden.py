@@ -6,7 +6,8 @@ the cloud table's 200 GHz limit while the capacity band sits at 300 GHz, so
 only the band is extrapolated; rain and cloud on a grid that crosses 200 GHz
 and 1000 GHz; a capacity band outside the survey grid;
 near-transparent and fully transparent paths on the default grid and layers;
-and one sweep on each axis. Other grids are short and layers coarse so the
+one sweep on each axis; and a frequency sweep whose capacity band lies
+outside its points. Other grids are short and layers coarse so the
 suite stays fast. No case may emit a RuntimeWarning.
 
 Regenerate the fixtures only for a change that is meant to alter outputs:
@@ -134,6 +135,14 @@ CASES["sweep_frequency_a2e"] = (
     _COMMON + "kind = A2E\n",
     ["sweep", "--axis", "frequency", "--from", "280", "--to", "320",
      "--step", "10"])
+
+# A frequency sweep whose scenario band sits at the 557 GHz water line, far
+# outside the swept 300-320 GHz: most traversed layers are live only
+# through that line, yet no output row reads the band.
+CASES["sweep_frequency_band_outside"] = (
+    _COMMON + "kind = A2S\ncenter_frequency_ghz = 557\nelevation_deg = 40\n",
+    ["sweep", "--axis", "frequency", "--from", "300", "--to", "320",
+     "--step", "0.5"])
 
 
 def produce(case: str, work: Path) -> Path:

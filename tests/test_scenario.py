@@ -70,6 +70,29 @@ class TestConfigParsing:
             parse_config(path)
         assert "launch_speed" in str(err.value)
 
+    def test_unknown_key_names_its_line(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "launch_speed = 7\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert (err.value.field, err.value.line) == ("launch_speed", 8)
+
+    def test_library_values_take_defaults_for_left_out_keys(self):
+        scenario = build_scenario({"kind": "E2A", "f_min_ghz": 200.0})
+        assert (scenario.kind, scenario.f_min) == ("E2A", 200e9)
+        assert scenario == dataclasses.replace(
+            build_scenario(dict(_DEFAULTS)), kind="E2A", f_min=200e9)
+
+    def test_unknown_library_key_is_refused(self):
+        with pytest.raises(ConfigError) as err:
+            build_scenario({"f_min_gz": 250.0})
+        assert err.value.field == "f_min_gz"
+        assert "f_min_gz" in str(err.value)
+
+    def test_library_values_with_elevation_and_central_angle_refused(self):
+        with pytest.raises(ConfigError) as err:
+            build_scenario({"elevation_deg": 40.0, "central_angle_deg": 5.0})
+        assert err.value.field == "elevation_deg"
+
     def test_negative_bandwidth_names_field(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "bandwidth_ghz = -5\n")
         with pytest.raises(ConfigError) as err:
@@ -528,6 +551,24 @@ class TestSweep:
         assert len(results) == 1
         assert results[0].grid[0] == 290e9
         assert results[0].grid[-1] == 310e9
+
+    def test_frequency_sweep_keys_only_its_own_points(self,
+                                                      default_scenario,
+                                                      monkeypatch):
+        # the band at 300 GHz lies inside the sweep but off its 10 GHz points
+        grids = []
+        key = SpectrumCache.key
+
+        def recorded_key(lines_sha, state, grid, wing_cutoff):
+            grids.append(grid.copy())
+            return key(lines_sha, state, grid, wing_cutoff)
+
+        monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded_key))
+        run_sweep(default_scenario, "frequency", 280.0, 320.0, 10.0,
+                  cache=SpectrumCache())
+        swept = make_grid(280e9, 320e9, 10e9)
+        assert grids
+        assert all(grid.tobytes() == swept.tobytes() for grid in grids)
 
     def test_elevation_sweep_loss_increases_toward_horizon(
             self, default_scenario, spectrum_cache):
