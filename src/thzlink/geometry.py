@@ -81,12 +81,17 @@ def atmospheric_path_length(
             f"{atmosphere_top}")
     if not 0.0 < psi <= math.pi / 2:
         raise GeometryError(f"elevation must be in (0, pi/2], got {psi}")
-    r = EARTH_RADIUS + h_start
-    b = EARTH_RADIUS + atmosphere_top
+    return float(_ray_lengths(h_start, psi, atmosphere_top))
+
+
+def _ray_lengths(h_start: float, psi: float, top):
+    """:func:`atmospheric_path_length` without its checks, elementwise over
+    an array of tops."""
+    r, sin_psi = EARTH_RADIUS + h_start, math.sin(psi)
+    b = EARTH_RADIUS + top
     # -r sin(psi) is r cos(psi + 90 deg); the discriminant is never
     # negative here since b >= r.
-    disc = r * r * math.sin(psi) ** 2 + (b * b - r * r)
-    return -r * math.sin(psi) + math.sqrt(disc)
+    return -r * sin_psi + np.sqrt(r * r * sin_psi ** 2 + (b * b - r * r))
 
 
 def layer_path_segments(
@@ -109,12 +114,8 @@ def layer_path_segments(
         atmospheric_path_length(h_start, psi, float(upper[index[0]]))
     upper = upper[index]
     lower = np.maximum([layers[i].lower for i in index], h_start)
-    # atmospheric_path_length to each upper and lower bound, in its order of
-    # IEEE operations, so each segment equals its shell_path_length exactly
-    r, sin_psi = EARTH_RADIUS + h_start, math.sin(psi)
-    b = EARTH_RADIUS + np.array([upper, lower])
-    to_upper, to_lower = (-r * sin_psi
-                          + np.sqrt(r * r * sin_psi ** 2 + (b * b - r * r)))
+    # shell_path_length's formula, so each segment equals it exactly
+    to_upper, to_lower = _ray_lengths(h_start, psi, np.array([upper, lower]))
     lengths = to_upper - np.where(lower > h_start, to_lower, 0.0)
     lengths[upper <= lower] = 0.0
     return tuple(zip(index.tolist(), lengths.tolist()))

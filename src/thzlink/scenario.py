@@ -571,19 +571,13 @@ class ResolvedLink:
 
 
 def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
-    """Load the scenario's catalog over the grid window plus the wing cutoff.
-
-    The window also covers the transceiver band so the capacity integral
-    sees the same lines even when the band sits outside the survey grid.
-    """
+    """Load the scenario's catalog over the grid window plus the wing cutoff."""
     path = scenario.catalog_path
     if path == "bundled":
         path = bundled_catalog_path()
-    band = capacity_band(scenario.transceiver)
-    f_low = min(float(grid[0]), float(band[0]))
-    f_high = max(float(grid[-1]), float(band[-1]))
-    nu_min = max(frequency_to_wavenumber(f_low - scenario.wing_cutoff), 0.0)
-    nu_max = frequency_to_wavenumber(f_high + scenario.wing_cutoff)
+    nu_min = max(frequency_to_wavenumber(
+        float(grid[0]) - scenario.wing_cutoff), 0.0)
+    nu_max = frequency_to_wavenumber(float(grid[-1]) + scenario.wing_cutoff)
     catalog = load_catalog(path, nu_min, nu_max)
     if catalog.parse_errors:
         print(_parse_error_warning(catalog), file=sys.stderr)
@@ -666,18 +660,19 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     and each part is taken from it by index; every stage is pointwise in
     frequency, so a part equals a run on its own grid.
     ``with_capacity=False`` leaves the band out and the capacity NaN.
+    Without a ``catalog``, one is loaded over the grid the model runs on.
     Without a ``cache``, the spectra are kept in a new in-memory one.
     """
     if cache is None:
         cache = SpectrumCache()
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
-    if catalog is None:
-        catalog = load_scenario_catalog(scenario, survey)
     tx = scenario.transceiver
     grid = survey
     if with_capacity:
         band = capacity_band(tx)
         grid = np.union1d(survey, band)
+    if catalog is None:
+        catalog = load_scenario_catalog(scenario, grid)
     part = np.searchsorted(grid, survey)
 
     tau, sky = _path_quantities(scenario, catalog, grid, cache)

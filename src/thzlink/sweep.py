@@ -24,7 +24,6 @@ from .scenario import (
     _rows,
     _texts,
     _write_csv,
-    load_scenario_catalog,
     make_grid,
     resolve,
 )
@@ -71,16 +70,15 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
 
 def _resolved(scenarios: Iterable[Scenario], cache: SpectrumCache | None,
               with_capacity: bool) -> Iterator[ResolvedLink]:
-    """Resolve ``scenarios`` as they are drawn, over one cache, in memory if
-    none is given, and the catalog of the first, whose window they share."""
+    """Resolve ``scenarios``, which share one grid and band, as they are
+    drawn, over one cache, in memory if none is given, and one catalog."""
     if cache is None:
         cache = SpectrumCache()
     catalog = None
     for scenario in scenarios:
-        if catalog is None:
-            catalog = load_scenario_catalog(scenario, make_grid(
-                scenario.f_min, scenario.f_max, scenario.f_step))
-        yield resolve(scenario, cache, catalog, with_capacity)
+        resolved = resolve(scenario, cache, catalog, with_capacity)
+        catalog = resolved.catalog
+        yield resolved
 
 
 def run_sweep(

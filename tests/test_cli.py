@@ -125,6 +125,20 @@ class TestRunCommand:
         assert tau[325e9] < tau[350e9]
         assert loss[325e9] > 0.5 * (loss[300e9] + loss[350e9])
 
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")),
+                             ids=lambda path: path.stem)
+    def test_bundled_config_runs_to_finite_outputs(self, config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == EXIT_OK
+        csvs = sorted(out.glob("*.csv"))
+        assert [path.name for path in csvs] == [
+            "capacity.csv", "path_loss.csv", "snr.csv"]
+        for path in csvs:
+            first = path.name == "capacity.csv"   # skip the quantity's name
+            values = np.array([line.split(",")[first:] for line in
+                               path.read_text().splitlines()[2:]], dtype=float)
+            assert values.size and np.isfinite(values).all(), path.name
+
     def test_custom_catalog_path(self, tmp_path, quick_config):
         custom = tmp_path / "lines.par"
         custom.write_bytes(bundled_catalog_path().read_bytes())

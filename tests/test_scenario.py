@@ -570,6 +570,43 @@ class TestSweep:
         assert grids
         assert all(grid.tobytes() == swept.tobytes() for grid in grids)
 
+    def test_frequency_sweeps_share_disk_entries_whatever_the_band(
+            self, default_scenario, tmp_path):
+        # the band at 557 GHz lies outside the sweep, which never evaluates
+        # it, so it must not widen the load window and change the key
+        base = dataclasses.replace(default_scenario, kind="A2S",
+                                   layer_resolution=10_000.0)
+        base = base.at_elevation(40.0)
+        directory = tmp_path / "cache"
+        digests, written = [], []
+        for center in (310e9, 557e9):
+            before = set(directory.glob("*.npy"))
+            scenario = dataclasses.replace(base, transceiver=dataclasses.replace(
+                base.transceiver, center_frequency=center))
+            _, results = run_sweep(scenario, "frequency", 300.0, 320.0, 0.5,
+                                   cache=SpectrumCache(directory))
+            digests.append(results[0].catalog.lines_sha256)
+            written.append(set(directory.glob("*.npy")) - before)
+        assert digests[0] == digests[1]
+        assert written[0] and not written[1]
+
+    @pytest.mark.parametrize("axis, start, stop, step", [
+        ("altitude", 1_000.0, 11_000.0, 5_000.0),
+        ("elevation", 30.0, 90.0, 30.0),
+    ])
+    def test_one_catalog_load_for_the_whole_sweep(
+            self, default_scenario, monkeypatch, axis, start, stop, step):
+        base = dataclasses.replace(default_scenario, f_min=299e9,
+                                   f_max=301e9, f_step=1e9,
+                                   layer_resolution=10_000.0)
+        loads = []
+        load = scenario_module.load_catalog
+        monkeypatch.setattr(scenario_module, "load_catalog",
+                            lambda *args: loads.append(args) or load(*args))
+        points, results = run_sweep(base, axis, start, stop, step)
+        assert len(points) == len(results) == 3
+        assert len(loads) == 1
+
     def test_elevation_sweep_loss_increases_toward_horizon(
             self, default_scenario, spectrum_cache):
         base = dataclasses.replace(default_scenario, kind="E2S",
