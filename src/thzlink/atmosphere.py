@@ -60,13 +60,12 @@ class AtmosphericState:
 
     def __post_init__(self):
         if self.pressure <= 0:
-            raise ValueError(f"pressure must be positive, got {self.pressure}")
+            raise InvalidRange(f"nonpositive pressure {self.pressure}")
         if self.temperature <= 0:
-            raise ValueError(
-                f"temperature must be positive, got {self.temperature}")
+            raise InvalidRange(f"nonpositive temperature {self.temperature}")
         for name, vmr in self.mixing_ratios.items():
             if not 0.0 <= vmr <= 1.0:
-                raise ValueError(f"mixing ratio of {name} out of [0, 1]: {vmr}")
+                raise InvalidRange(f"{name} mixing ratio {vmr} out of [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .absorption import AbsorptionSpectrum
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, MisalignedLayers
+from .errors import ConfigError, InvalidRange, MisalignedLayers
 
 RAIN_TABLE_RANGE_GHZ = (1.0, 1000.0)
 CLOUD_VALID_MAX_GHZ = 200.0
@@ -76,18 +76,22 @@ def transmittance(
     maps the same indices to absorption spectra on the same grid.
     """
     grid = np.asarray(grid, dtype=float)
-    optical_depth = np.zeros_like(grid)
-    for index, length in segments:
+    kappa = np.empty((len(segments), grid.size))
+    for row, (index, _) in zip(kappa, segments):
         spectrum = layer_spectra.get(index)
         if spectrum is None:
             raise MisalignedLayers(f"no spectrum for layer {index}")
-        # the pipeline hands every spectrum the path's own grid object
-        if spectrum.grid is not grid and not np.array_equal(spectrum.grid,
-                                                            grid):
+        if not np.array_equal(spectrum.grid, grid):
             raise MisalignedLayers(
                 f"layer {index} spectrum grid differs from the path grid")
-        optical_depth += spectrum.kappa * length
-    return np.exp(-optical_depth)
+        row[:] = spectrum.kappa
+    return np.exp(-_optical_depth(kappa, [length for _, length in segments]))
+
+
+def _optical_depth(layers: np.ndarray, lengths) -> np.ndarray:
+    """Scale rows of kappa (1/m) by ``lengths`` (m) in place; sum in order."""
+    layers *= np.reshape(lengths, (-1, 1))
+    return sum(layers, np.zeros(layers.shape[1]))
 
 
 @lru_cache(maxsize=1)
@@ -128,7 +132,7 @@ def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
     is flagged extrapolated.
     """
     if rain_rate < 0.0:
-        raise ValueError("rain_rate must be nonnegative")
+        raise InvalidRange("rain_rate must be nonnegative")
     f_ghz = np.asarray(f, dtype=float) / 1e9
     if rain_rate == 0.0 or path <= 0.0:
         return _no_attenuation(f_ghz)
@@ -172,7 +176,7 @@ def cloud_attenuation(f, density: float, path: float,
     get the computed value and are flagged extrapolated.
     """
     if density < 0.0:
-        raise ValueError("cloud density must be nonnegative")
+        raise InvalidRange("cloud density must be nonnegative")
     f_ghz = np.asarray(f, dtype=float) / 1e9
     if density == 0.0 or path <= 0.0:
         return _no_attenuation(f_ghz)

@@ -53,8 +53,8 @@ class AltitudeOutOfRange(ThzLinkError):
     pass
 
 
-class InvalidRange(ThzLinkError):
-    pass
+class InvalidRange(ThzLinkError, ValueError):
+    """A value outside the range its quantity allows."""
 
 
 # --- absorption ----------------------------------------------------------

@@ -108,17 +108,22 @@ def layer_path_segments(
     if h_start >= top:
         raise GeometryError(
             f"start altitude {h_start} m is above the stack top {top} m")
-    upper = np.array([layer.upper for layer in layers.layers])
+    lower, upper = np.array([(layer.lower, layer.upper)
+                             for layer in layers.layers]).reshape(-1, 2).T
     index = np.flatnonzero(upper > h_start)
     if index.size:   # the rules on h_start and psi, as the first layer's
         atmospheric_path_length(h_start, psi, float(upper[index[0]]))
-    upper = upper[index]
-    lower = np.maximum([layers[i].lower for i in index], h_start)
-    # shell_path_length's formula, so each segment equals it exactly
+    lengths = _segment_lengths(h_start, psi, lower[index], upper[index])
+    return tuple(zip(index.tolist(), lengths.tolist()))
+
+
+def _segment_lengths(h_start: float, psi: float, lower, upper) -> np.ndarray:
+    """Exact :func:`shell_path_length`s, unchecked, of shells above h_start."""
+    lower = np.maximum(lower, h_start)
     to_upper, to_lower = _ray_lengths(h_start, psi, np.array([upper, lower]))
     lengths = to_upper - np.where(lower > h_start, to_lower, 0.0)
     lengths[upper <= lower] = 0.0
-    return tuple(zip(index.tolist(), lengths.tolist()))
+    return lengths
 
 
 def shell_path_length(h_start: float, psi: float, lower: float,
@@ -128,13 +133,11 @@ def shell_path_length(h_start: float, psi: float, lower: float,
     The part of the shell below ``h_start`` is not on the ray; a shell
     entirely below it, or an empty one, has length 0.
     """
-    lower = max(lower, h_start)
-    if upper <= lower:
+    if upper <= max(lower, h_start):
         return 0.0
-    to_upper = atmospheric_path_length(h_start, psi, upper)
-    to_lower = (0.0 if lower <= h_start
-                else atmospheric_path_length(h_start, psi, lower))
-    return to_upper - to_lower
+    atmospheric_path_length(h_start, psi, upper)   # its rules
+    return float(_segment_lengths(h_start, psi, np.array([lower]),
+                                  np.array([upper]))[0])
 
 
 def plane_parallel_segments(

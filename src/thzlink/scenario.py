@@ -30,7 +30,6 @@ from . import __version__
 from .absorption import (
     DEFAULT_WING_CUTOFF,
     KERNEL_VERSION,
-    AbsorptionSpectrum,
     absorbing_layers,
     absorption_coefficient,
 )
@@ -40,8 +39,6 @@ from .atmosphere import (
     DEFAULT_WATER_SCALE_HEIGHT,
     MAX_ALTITUDE,
     AtmosphericState,
-    Layer,
-    LayerStack,
     build_layers,  # noqa: F401  perfbench/layertrace.py traces it by this name
     layer_bounds,
     profile_at,
@@ -54,19 +51,21 @@ from .catalog import (
 )
 from .channel import (
     AntennaConfig,
+    _optical_depth,
     cloud_attenuation,
     dish_gain,
     rain_attenuation,
     spreading_loss,
     total_path_loss,
-    transmittance,
+    transmittance,  # noqa: F401  traced by this name, as build_layers is
 )
 from .errors import ConfigError, DegenerateGeometry
 from .geometry import (
     LinkEndpoints,
+    _segment_lengths,
     central_angle_for_elevation,
     elevation_angle,
-    layer_path_segments,
+    layer_path_segments,  # noqa: F401  traced by this name, as build_layers is
     shell_path_length,
     slant_range,
 )
@@ -441,25 +440,24 @@ def capacity_band(tx: TransceiverConfig) -> np.ndarray:
 
 
 class SpectrumCache:
-    """Cache of per-layer states, live marks and absorption spectra.
+    """Cache of layer stacks, live marks and absorption spectra.
 
-    In memory a layer is kept by its bounds and sampled altitude under the
-    stack-wide facts, so the points of a sweep share each distinct layer.
-    On disk, keys combine the kernel version, the digest of the loaded lines,
-    the atmospheric state, the grid, and the wing cutoff, so catalogs holding
-    the same lines share their entries, and entries of an older kernel miss.
-    Values are exact, so caching never changes results. A disk entry is
-    ``np.save``'s bytes followed by the SHA-256 of the key and those bytes;
-    an entry whose digest is missing or does not match is a miss: it is
-    computed again and rewritten.
+    In memory, under the stack-wide facts, each distinct layer has its
+    temperature and its row in one kappa matrix, and each stack its layers
+    as arrays, so the points of a sweep share layers and stacks. On disk,
+    keys combine the kernel version, the digest of the loaded lines, the
+    state, the grid, and the wing cutoff. An entry is the ``np.save`` bytes
+    of a float64 vector of the grid's length, then the SHA-256 of the key
+    and those bytes; any other entry is a miss, computed again and
+    rewritten. Values are exact, so caching never changes results.
     """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        # stack-wide facts -> {(lower, upper, altitude): (layer, kappa)}
-        self._layers: dict[tuple, dict[tuple, tuple]] = {}
+        self._facts: dict[tuple, _Facts] = {}
+        self._entry = b"", 0   # np.save header, data bytes: set per fill
 
     @staticmethod
     def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
@@ -484,38 +482,80 @@ class SpectrumCache:
             entry = path.read_bytes()
         except OSError:
             entry = b""
-        if entry == _with_digest(key, entry[:-_DIGEST_SIZE]):
-            return np.load(io.BytesIO(entry))   # it stops before the digest
+        header, size = self._entry
+        data = entry[len(header):len(header) + size]
+        if entry == _with_digest(key, header + data):
+            return np.frombuffer(data)
         kappa = compute()
-        buffer = io.BytesIO()
-        np.save(buffer, kappa)
         # unique temp name per writer: processes sharing the directory may
         # race on the same key, and both replacements carry identical bytes
         tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-        tmp.write_bytes(_with_digest(key, buffer.getvalue()))
+        tmp.write_bytes(_with_digest(key, header + kappa.tobytes()))
         tmp.replace(path)
         return kappa
 
-    def layers(self, scenario: Scenario, catalog: LineCatalog,
-               grid: np.ndarray,
-               spans) -> list[tuple[Layer, np.ndarray | None]]:
-        """(layer, kappa) of each ``(lower, upper, altitude)`` span, the state
-        sampled at ``altitude`` and kappa None where no line is live. Only a
-        span new under these facts gets a state, a live mark and a key."""
+    def stack(self, scenario: Scenario, catalog: LineCatalog,
+              grid: np.ndarray, h_start: float):
+        """The kappa matrix, the stack, and its first layer above ``h_start``,
+        filled from there up; only new layers get a state, mark and key."""
         w0, scale = scenario.ground_humidity, scenario.water_scale_height
         cutoff, sha = scenario.wing_cutoff, catalog.lines_sha256
-        known = self._layers.setdefault(
-            (sha, grid.tobytes(), cutoff, w0, scale), {})
-        new = [span for span in spans if span not in known]
-        states = [profile_at(z, w0, scale) for _, _, z in new]
-        live = absorbing_layers(catalog, states, grid, cutoff)
-        for span, state, on in zip(new, states, live):
-            kappa = self.get_or_compute(
-                self.key(sha, state, grid, cutoff),
-                lambda: absorption_coefficient(
-                    catalog, state, grid, cutoff).kappa) if on else None
-            known[span] = Layer(span[0], span[1], state), kappa
-        return [known[span] for span in spans]
+        facts = self._facts.setdefault(
+            (sha, grid.tobytes(), cutoff, w0, scale), _Facts(grid.size))
+        if scenario.kind == "A2A":
+            # one homogeneous layer stands in for the constant-altitude path
+            stack = _Stack([(h_start, h_start + 1.0, h_start)])
+        else:
+            shape = (min(scenario.atmosphere_top, scenario.endpoints()[1]),
+                     scenario.layer_resolution)
+            if (stack := facts.stacks.get(shape)) is None:
+                stack = facts.stacks[shape] = _Stack(layer_bounds(0.0, *shape))
+        first = int(np.searchsorted(stack.upper, h_start, side="right"))
+        if first < stack.filled:
+            spans = stack.bounds[first:stack.filled]
+            new = [span for span in spans if span not in facts.layers]
+            states = [profile_at(z, w0, scale) for _, _, z in new]
+            live = absorbing_layers(catalog, states, grid, cutoff)
+            rows = facts.count + int(live.sum())
+            if rows > len(facts.kappa):   # grows at least twofold
+                facts.kappa = np.resize(facts.kappa, (
+                    max(rows, 2 * len(facts.kappa)), grid.size))
+            np.save(buffer := io.BytesIO(), np.zeros(grid.size))
+            self._entry = buffer.getvalue()[:-grid.nbytes], grid.nbytes
+            for span, state, on in zip(new, states, live):
+                if on:
+                    facts.kappa[facts.count] = self.get_or_compute(
+                        self.key(sha, state, grid, cutoff),
+                        lambda: absorption_coefficient(
+                            catalog, state, grid, cutoff).kappa)
+                    facts.count += 1
+                facts.layers[span] = (state.temperature,
+                                      facts.count - 1 if on else -1)
+            filled = slice(first, stack.filled)
+            stack.temperature[filled], stack.row[filled] = zip(
+                *map(facts.layers.__getitem__, spans))
+            stack.filled = first
+        return facts.kappa, stack, first
+
+
+class _Facts:
+    """Per set of stack-wide facts: each layer's temperature and kappa row
+    (-1: no live line), the live rows ``kappa[:count]``, and the stacks."""
+
+    def __init__(self, size: int):
+        self.layers, self.stacks = {}, {}
+        self.kappa, self.count = np.empty((0, size)), 0
+
+
+class _Stack:
+    """A stack's layers, bottom to top, as arrays: bounds, temperature and
+    kappa row, filled from ``filled`` up, lower once a path starts lower."""
+
+    def __init__(self, bounds: list[tuple[float, float, float]]):
+        self.bounds, self.filled = bounds, len(bounds)
+        self.lower, self.upper, _ = np.array(bounds).T
+        self.temperature = np.empty(self.filled)
+        self.row = np.empty(self.filled, int)
 
 
 _DIGEST_SIZE = 32   # bytes of the SHA-256 that ends a disk cache entry
@@ -613,41 +653,25 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     kernel; the sky is None, the vacuum's, where no layer has one.
     """
     h_low, h_high = scenario.endpoints()
-    if scenario.kind == "A2A":
-        # one homogeneous layer stands in for the constant-altitude path
-        entries = cache.layers(scenario, catalog, grid,
-                               [(h_low, h_low + 1.0, h_low)])
-        segments = ((0, scenario.link_distance),)
-    else:
-        bounds = layer_bounds(0.0, min(scenario.atmosphere_top, h_high),
-                              scenario.layer_resolution)
-        entries = cache.layers(scenario, catalog, grid,
-                               [span for span in bounds if span[1] > h_low])
-        stack = LayerStack(tuple(layer for layer, _ in entries), bounds[-1][1])
-        segments = layer_path_segments(h_low, scenario.line_of_sight[1],
-                                       stack)
-    layers, kappas = zip(*entries)
+    kappa, stack, first = cache.stack(scenario, catalog, grid, h_low)
     # A layer without a live line has kappa +0.0 everywhere: it adds +0.0
     # optical depth, has tau 1.0 and emits nothing, and the sums and
     # products over layers run row by row, so leaving it out moves no byte.
-    live = np.array([kappa is not None for kappa in kappas])
-    from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
-    temps = np.array([layer.state.temperature for layer in layers])
-    # the one figure of the sky that depends on every traversed layer
-    transparent_temperature = np.mean(temps[from_rx])
-    segments = [segment for segment, on in zip(segments, live) if on]
-    spectra = {i: AbsorptionSpectrum(grid=grid, kappa=kappas[i],
-                                     state=layers[i].state)
-               for i, _ in segments}
-    tau = transmittance(grid, segments, spectra)
-    if not segments:
+    live = first + np.flatnonzero(stack.row[first:] >= 0)
+    lengths = (np.full(live.size, scenario.link_distance)
+               if scenario.kind == "A2A" else
+               _segment_lengths(h_low, scenario.line_of_sight[1],
+                                stack.lower[live], stack.upper[live]))
+    layers = kappa[stack.row[live]]
+    tau = np.exp(-_optical_depth(layers, lengths))
+    if not live.size:
         return tau, None
 
-    layer_taus = np.empty((len(segments), grid.size))
-    for row, (i, length) in zip(layer_taus, segments):
-        np.exp(-spectra[i].kappa * length, out=row)
-    sky = SkyPath(temps[live][from_rx], layer_taus[from_rx],
-                  transparent_temperature)
+    from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
+    np.exp(np.negative(layers, out=layers), out=layers)
+    # the transparent temperature depends on every traversed layer
+    sky = SkyPath(stack.temperature[live][from_rx], layers[from_rx],
+                  np.mean(stack.temperature[first:][from_rx]))
     return tau, sky
 
 

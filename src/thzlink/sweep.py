@@ -3,8 +3,8 @@
 A sweep re-resolves the scenario at each axis point and emits one long-format
 CSV, ``axis_value,frequency_hz,metric,value``, with a deterministic row
 order (axis ascending, then metric name, then frequency). Sweep points run
-one after another over one spectrum cache, which holds each distinct layer's
-state, live mark and spectrum; a point adds at most a truncated top layer.
+one after another over one spectrum cache that holds each layer stack as
+arrays: a point adds at most a truncated top layer and reads its live rows.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from thzlink.atmosphere import (
+    AtmosphericState,
     build_layers,
     profile_at,
     water_vapor_vmr,
 )
-from thzlink.errors import AltitudeOutOfRange, InvalidRange
+from thzlink.errors import AltitudeOutOfRange, InvalidRange, ThzLinkError
 
 
 class TestProfileAt:
@@ -110,3 +111,20 @@ class TestBuildLayers:
             build_layers(1_000.0, 1_000.0, 500.0)
         with pytest.raises(InvalidRange):
             build_layers(0.0, 1_000.0, 0.0)
+
+
+class TestStateRules:
+    """An unphysical state is an InvalidRange: a ThzLinkError, which the CLI
+    reports with exit 3, and a ValueError, as it was before."""
+
+    @pytest.mark.parametrize("pressure, temperature, ratios", [
+        (0.0, 288.0, {"H2O": 0.01}),
+        (101_325.0, -1.0, {"H2O": 0.01}),
+        (101_325.0, 288.0, {"H2O": 1.5}),
+    ], ids=["pressure", "temperature", "mixing_ratio"])
+    def test_each_rule_raises_invalid_range(self, pressure, temperature,
+                                            ratios):
+        with pytest.raises(InvalidRange) as caught:
+            AtmosphericState(0.0, pressure, temperature, ratios)
+        assert isinstance(caught.value, ThzLinkError)
+        assert isinstance(caught.value, ValueError)

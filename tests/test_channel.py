@@ -18,7 +18,12 @@ from thzlink.channel import (
     total_path_loss,
     transmittance,
 )
-from thzlink.errors import ConfigError, MisalignedLayers
+from thzlink.errors import (
+    ConfigError,
+    InvalidRange,
+    MisalignedLayers,
+    ThzLinkError,
+)
 from thzlink.geometry import atmospheric_path_length, layer_path_segments
 from thzlink.scenario import make_grid
 
@@ -188,6 +193,23 @@ class TestRainAttenuation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             rain(100e9, -1.0, 1.0)
+
+
+class TestWeatherRules:
+    """A negative rain rate or cloud density is an InvalidRange: a
+    ThzLinkError, which the CLI reports with exit 3, and a ValueError."""
+
+    def test_negative_rain_rate(self):
+        with pytest.raises(InvalidRange) as caught:
+            rain_attenuation(np.array([100e9]), -1.0, 1_000.0)
+        assert isinstance(caught.value, ThzLinkError)
+        assert isinstance(caught.value, ValueError)
+
+    def test_negative_cloud_density(self):
+        with pytest.raises(InvalidRange) as caught:
+            cloud_attenuation(np.array([100e9]), -0.5, 1_000.0, 280.0)
+        assert isinstance(caught.value, ThzLinkError)
+        assert isinstance(caught.value, ValueError)
 
 
 class TestCloudAttenuation:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thzlink import scenario as scenario_module
 from thzlink.catalog import bundled_catalog_path
 from thzlink.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from thzlink.scenario import _DEFAULTS, KINDS
@@ -324,6 +325,20 @@ def test_directory_that_is_a_file_is_io_error(quick_config, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"I/O error ({command[0]} ")
     assert str(blocker) in err
+
+
+def test_unphysical_value_in_a_run_is_computation_error(quick_config,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    # no scenario reaches these checks; a negative rain rate stands in
+    rain = scenario_module.rain_attenuation
+    monkeypatch.setattr(scenario_module, "rain_attenuation",
+                        lambda f, rate, path: rain(f, -1.0, path))
+    code = main(["run", str(quick_config), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("computation error (run ")
+    assert "rain_rate must be nonnegative" in err
 
 
 class TestBenchmarkHooks:

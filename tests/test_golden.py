@@ -6,9 +6,10 @@ the cloud table's 200 GHz limit while the capacity band sits at 300 GHz, so
 only the band is extrapolated; rain and cloud on a grid that crosses 200 GHz
 and 1000 GHz; a capacity band outside the survey grid;
 near-transparent and fully transparent paths on the default grid and layers;
-one sweep on each axis; and a frequency sweep whose capacity band lies
-outside its points. Other grids are short and layers coarse so the
-suite stays fast. No case may emit a RuntimeWarning.
+one sweep on each axis; an altitude sweep on the default 500 m layers; and
+a frequency sweep whose capacity band lies outside its points. Other grids
+are short and layers coarse so the suite stays fast. No case may emit a
+RuntimeWarning.
 
 Regenerate the fixtures only for a change that is meant to alter outputs:
 
@@ -121,6 +122,12 @@ CASES["sweep_altitude_a2s"] = (
     _COMMON + "kind = A2S\n",
     ["sweep", "--axis", "altitude", "--from", "0", "--to", "4000",
      "--step", "2000"])
+# The same sweep on the default 500 m layers, so each point resolves over
+# a 1,000-layer stack, the size the benchmark's sweeps reach.
+CASES["sweep_altitude_a2s_fine"] = (
+    "kind = A2S\nf_min_ghz = 280\nf_max_ghz = 320\nf_step_ghz = 20\n",
+    ["sweep", "--axis", "altitude", "--from", "0", "--to", "12000",
+     "--step", "3000"])
 # The only sweep whose stacks differ in their top layer: on 10 km layers the
 # airplane tops the stack at a truncated, an exact and a truncated layer.
 CASES["sweep_altitude_a2e"] = (

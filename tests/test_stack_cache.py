@@ -1,0 +1,133 @@
+"""The spectrum cache's stack arrays and its disk entries.
+
+A stack is filled only where a path runs: a cold run keys the live layers
+above its lower terminal and nothing below, and a later path that starts
+lower fills only the layers it adds. A disk entry is the bytes ``np.save``
+writes followed by a digest; an entry whose digest holds but whose header
+is not that of a float64 vector of the grid's length is computed again.
+"""
+
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from thzlink.absorption import absorbing_layers
+from thzlink.atmosphere import layer_bounds, profile_at
+from thzlink.cli import EXIT_OK, main
+from thzlink.scenario import (
+    SpectrumCache,
+    _with_digest,
+    capacity_band,
+    load_scenario_catalog,
+    make_grid,
+    parse_config,
+    resolve,
+)
+
+
+@pytest.fixture()
+def keyed_states(monkeypatch):
+    """The states :meth:`SpectrumCache.key` is called with, in order."""
+    states = []
+    key = SpectrumCache.key
+
+    def recorded(lines_sha, state, grid, wing_cutoff):
+        states.append(state)
+        return key(lines_sha, state, grid, wing_cutoff)
+
+    monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded))
+    return states
+
+
+def test_cold_run_keys_only_the_live_layers_above_the_airplane(tmp_path,
+                                                               keyed_states):
+    cfg = tmp_path / "a2s.cfg"
+    cfg.write_text("kind = A2S\nh_airplane_km = 11\n")   # 500 m layers
+    code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out"),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == EXIT_OK
+    scenario = parse_config(cfg)
+    grid = np.union1d(
+        make_grid(scenario.f_min, scenario.f_max, scenario.f_step),
+        capacity_band(scenario.transceiver))
+    above = [profile_at(z, scenario.ground_humidity,
+                        scenario.water_scale_height)
+             for _, upper, z in layer_bounds(0.0, 500e3, 500.0)
+             if upper > 11e3]
+    live = absorbing_layers(load_scenario_catalog(scenario, grid), above,
+                            grid, scenario.wing_cutoff)
+    assert 0 < live.sum() < len(above)
+    # one key per live layer above the airplane, and none below it
+    assert ([state.altitude for state in keyed_states]
+            == [state.altitude for state, on in zip(above, live) if on])
+
+
+def test_a_lower_start_fills_only_the_layers_it_adds(default_scenario,
+                                                     keyed_states):
+    base = dataclasses.replace(default_scenario, f_min=299e9, f_max=301e9,
+                               f_step=1e9)
+    high, low = (dataclasses.replace(base, h_airplane=h)
+                 for h in (11e3, 2e3))
+    shared = SpectrumCache()
+    resolve(high, shared, with_capacity=False)
+    first = len(keyed_states)
+    reused = resolve(low, shared, with_capacity=False)
+    added = keyed_states[first:]
+    fresh = resolve(low, SpectrumCache(), with_capacity=False)
+    assert added
+    assert all(2e3 < state.altitude < 11e3 for state in added)
+    for name in ("tau", "path_loss", "noise_psd", "snr"):
+        assert (getattr(reused, name).tobytes()
+                == getattr(fresh, name).tobytes()), name
+
+
+def _run(config, tmp_path, name):
+    out = tmp_path / name
+    code = main(["run", str(config), "--out-dir", str(out), "--cache-dir",
+                 str(tmp_path / "cache")])
+    assert code == EXIT_OK
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+
+@pytest.fixture()
+def coarse_config(tmp_path):
+    path = tmp_path / "coarse.cfg"
+    path.write_text("kind = E2A\nelevation_deg = 50\n"
+                    "layer_resolution_m = 2000\n"
+                    "f_min_ghz = 298\nf_max_ghz = 302\nf_step_ghz = 1\n")
+    return path
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def test_entry_is_np_save_bytes_then_the_digest(coarse_config, tmp_path):
+    _run(coarse_config, tmp_path, "out")
+    entries = sorted((tmp_path / "cache").glob("*.npy"))
+    assert entries
+    for entry in entries:
+        kappa = np.load(entry)   # reads the array, ignores the digest
+        assert kappa.dtype == np.float64 and kappa.ndim == 1
+        assert entry.read_bytes() == _with_digest(entry.stem, _npy(kappa))
+
+
+@pytest.mark.parametrize("forgery", {
+    "shorter": lambda kappa: kappa[:-1],
+    "column": lambda kappa: kappa.reshape(-1, 1),
+    "float32": lambda kappa: kappa.astype("<f4"),
+    "big_endian": lambda kappa: kappa.astype(">f8"),
+}.items(), ids=lambda item: item[0])
+def test_entry_with_its_digest_and_another_header_is_recomputed(
+        coarse_config, tmp_path, forgery):
+    clean = _run(coarse_config, tmp_path, "clean")
+    entry = sorted((tmp_path / "cache").glob("*.npy"))[0]
+    good = entry.read_bytes()
+    entry.write_bytes(_with_digest(entry.stem,
+                                   _npy(forgery[1](np.load(entry)))))
+    assert _run(coarse_config, tmp_path, "rerun") == clean
+    assert entry.read_bytes() == good
