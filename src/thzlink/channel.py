@@ -108,17 +108,6 @@ def _rain_table():
     return freqs, np.log(freqs), np.log(ks), np.log(alphas)
 
 
-# Weather takes math.log, math.exp and float ** per element: numpy's log,
-# exp and power differ from them in the last bit.
-def _clamped_logs(f_ghz, freqs) -> np.ndarray:
-    return np.array([math.log(x) for x in
-                     np.clip(f_ghz, freqs[0], freqs[-1]).tolist()])
-
-
-def _exps(values) -> list[float]:
-    return [math.exp(x) for x in values.tolist()]
-
-
 def _no_attenuation(f_ghz) -> Attenuation:
     return Attenuation(np.zeros_like(f_ghz), np.zeros(f_ghz.shape, bool))
 
@@ -139,16 +128,12 @@ def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
     freqs, log_freqs, log_ks, log_alphas = _rain_table()
     low, high = RAIN_TABLE_RANGE_GHZ
     extrapolated = ~((low <= f_ghz) & (f_ghz <= high))
-    log_f = _clamped_logs(f_ghz, freqs)
-    scale = path / 1000.0
-    db = []
-    for k, alpha in zip(_exps(np.interp(log_f, log_freqs, log_ks)),
-                        _exps(np.interp(log_f, log_freqs, log_alphas))):
-        try:
-            db.append(k * rain_rate ** alpha * scale)
-        except OverflowError:  # float ** raises where * gives inf
-            db.append(math.inf)
-    return Attenuation(np.array(db), extrapolated)
+    log_f = np.log(np.clip(f_ghz, freqs[0], freqs[-1]))
+    k = np.exp(np.interp(log_f, log_freqs, log_ks))
+    alpha = np.exp(np.interp(log_f, log_freqs, log_alphas))
+    with np.errstate(over="ignore"):  # a huge rate's power is an inf loss
+        db = k * rain_rate ** alpha * (path / 1000.0)
+    return Attenuation(db, extrapolated)
 
 
 @lru_cache(maxsize=1)
@@ -182,10 +167,10 @@ def cloud_attenuation(f, density: float, path: float,
         return _no_attenuation(f_ghz)
     freqs, log_freqs, temps, log_kl = _cloud_table()
     extrapolated = (f_ghz > CLOUD_VALID_MAX_GHZ) | (f_ghz < freqs[0])
-    log_f = _clamped_logs(f_ghz, freqs)
+    log_f = np.log(np.clip(f_ghz, freqs[0], freqs[-1]))
 
     def column(j: int) -> np.ndarray:
-        return np.array(_exps(np.interp(log_f, log_freqs, log_kl[:, j])))
+        return np.exp(np.interp(log_f, log_freqs, log_kl[:, j]))
 
     # np.interp(t, temps, row) at every frequency: the edge column outside
     # the table, else its slope formula on the one bracketing pair. At a

@@ -224,8 +224,7 @@ class Scenario:
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
             # layer_bounds makes ceil(stack top / resolution) layers
-            layers = (min(self.atmosphere_top, self.endpoints()[1])
-                      / self.layer_resolution)
+            layers = self.stack_top / self.layer_resolution
             if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
                 layers = math.ceil(layers)
             points = math.floor(span) + 1 + BAND_POINTS
@@ -276,6 +275,12 @@ class Scenario:
         """(h_low, h_high) of the two terminals, lower first."""
         a, b = self._altitude(self.kind[0]), self._altitude(self.kind[2])
         return (min(a, b), max(a, b))
+
+    @property
+    def stack_top(self) -> float:
+        """Top of the layer stack: the atmosphere's, or the higher
+        terminal's when that is lower."""
+        return min(self.atmosphere_top, self.endpoints()[1])
 
     @property
     def rx_altitude(self) -> float:
@@ -500,14 +505,14 @@ class SpectrumCache:
         filled from there up; only new layers get a state, mark and key."""
         w0, scale = scenario.ground_humidity, scenario.water_scale_height
         cutoff, sha = scenario.wing_cutoff, catalog.lines_sha256
-        facts = self._facts.setdefault(
-            (sha, grid.tobytes(), cutoff, w0, scale), _Facts(grid.size))
+        facts_key = (sha, grid.tobytes(), cutoff, w0, scale)
+        if (facts := self._facts.get(facts_key)) is None:
+            facts = self._facts[facts_key] = _Facts(grid.size)
         if scenario.kind == "A2A":
             # one homogeneous layer stands in for the constant-altitude path
             stack = _Stack([(h_start, h_start + 1.0, h_start)])
         else:
-            shape = (min(scenario.atmosphere_top, scenario.endpoints()[1]),
-                     scenario.layer_resolution)
+            shape = (scenario.stack_top, scenario.layer_resolution)
             if (stack := facts.stacks.get(shape)) is None:
                 stack = facts.stacks[shape] = _Stack(layer_bounds(0.0, *shape))
         first = int(np.searchsorted(stack.upper, h_start, side="right"))
@@ -556,9 +561,6 @@ class _Stack:
         self.lower, self.upper, _ = np.array(bounds).T
         self.temperature = np.empty(self.filled)
         self.row = np.empty(self.filled, int)
-
-
-_DIGEST_SIZE = 32   # bytes of the SHA-256 that ends a disk cache entry
 
 
 def _with_digest(key: str, body: bytes) -> bytes:

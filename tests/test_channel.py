@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thzlink import channel
 from thzlink.absorption import AbsorptionSpectrum, absorption_coefficient
@@ -259,7 +260,7 @@ def _cloud_table_rows():
 
 def scalar_rain_attenuation(f, rain_rate, path):
     """The per-frequency rain formula the array code replaced, kept as the
-    byte reference: dB and the extrapolation flag of one frequency."""
+    reference: dB and the extrapolation flag of one frequency."""
     if rain_rate == 0.0 or path <= 0.0:
         return 0.0, False
     freqs, ks, alphas = _rain_table_rows()
@@ -278,7 +279,7 @@ def scalar_rain_attenuation(f, rain_rate, path):
 
 def scalar_cloud_attenuation(f, density, path, t):
     """The per-frequency cloud formula the array code replaced, kept as the
-    byte reference."""
+    reference."""
     if density == 0.0 or path <= 0.0:
         return 0.0, False
     freqs, temps, kl = _cloud_table_rows()
@@ -306,16 +307,31 @@ WEATHER_GRIDS = {
 }
 
 
-def assert_same_weather(got, expected):
-    db = np.array([e[0] for e in expected])
-    assert got.db.tobytes() == db.tobytes()
+EPS = 2.0 ** -52
+
+
+def rain_bound(rain_rate):
+    """Relative bound on rain dB: R ** alpha scales alpha's last-bit error
+    by ln R."""
+    return 16 * EPS * (1 + abs(math.log(rain_rate)))
+
+
+CLOUD_BOUND = 16 * EPS
+
+
+def assert_same_weather(got, expected, bound):
+    """The scalar references' flags and inf positions exactly, and each dB
+    within ``bound`` relative of theirs, or one step below the normal
+    range, where a subnormal result keeps no relative precision."""
     assert got.extrapolated.dtype == bool
     assert got.extrapolated.tolist() == [e[1] for e in expected]
+    np.testing.assert_allclose(got.db, [e[0] for e in expected],
+                               rtol=bound, atol=math.ulp(0.0))
 
 
 class TestWeatherBytes:
-    """The array weather functions give the scalar formulas' bytes and
-    flags at every frequency."""
+    """The array weather functions give the scalar formulas' flags at every
+    frequency, and their dB within a few units in the last place."""
 
     @pytest.mark.parametrize("grid", sorted(WEATHER_GRIDS))
     @pytest.mark.parametrize("rate", [1e-3, 25.0, 1e300])
@@ -323,7 +339,8 @@ class TestWeatherBytes:
         f = WEATHER_GRIDS[grid]
         assert_same_weather(
             rain_attenuation(f, rate, 1_555.6),
-            [scalar_rain_attenuation(float(x), rate, 1_555.6) for x in f])
+            [scalar_rain_attenuation(float(x), rate, 1_555.6) for x in f],
+            rain_bound(rate))
 
     def test_rain_overflow_reaches_the_reference(self):
         db = rain_attenuation(WEATHER_GRIDS["edges"], 1e300, 1_000.0).db
@@ -336,23 +353,32 @@ class TestWeatherBytes:
         f = WEATHER_GRIDS[grid]
         assert_same_weather(
             cloud_attenuation(f, 0.37, 1_555.2, t),
-            [scalar_cloud_attenuation(float(x), 0.37, 1_555.2, t) for x in f])
+            [scalar_cloud_attenuation(float(x), 0.37, 1_555.2, t) for x in f],
+            CLOUD_BOUND)
 
     @pytest.mark.parametrize("t", [200.0, 240.0, 268.4, 300.0, 330.0])
     def test_cloud_evaluates_at_most_the_bracketing_columns(
             self, monkeypatch, t):
+        # (grid size, column) of each np.interp over the table's log K_l
+        _, _, temps, log_kl = channel._cloud_table()
         columns = []
 
-        def spy(values):
-            columns.append(values.size)
-            return exps(values)
+        def spy(x, xp, fp, *args, **kwargs):
+            if np.shares_memory(fp, log_kl):
+                columns.append((np.asarray(x).size, next(
+                    j for j in range(log_kl.shape[1])
+                    if np.array_equal(fp, log_kl[:, j]))))
+            return interp(x, xp, fp, *args, **kwargs)
 
-        exps = channel._exps
-        monkeypatch.setattr(channel, "_exps", spy)
+        interp = np.interp
+        monkeypatch.setattr(np, "interp", spy)
         f = WEATHER_GRIDS["survey_0.1ghz"]
         cloud_attenuation(f, 0.37, 1_555.2, t)
+        j = int(np.searchsorted(temps, t, side="right"))
+        bracketing = {max(j - 1, 0), min(j, temps.size - 1)}
         assert 1 <= len(columns) <= 2
-        assert columns == [f.size] * len(columns)
+        assert {size for size, _ in columns} == {f.size}
+        assert {column for _, column in columns} <= bracketing
 
     def test_no_weather_is_zero_and_unflagged(self):
         f = WEATHER_GRIDS["edges"]
@@ -362,6 +388,23 @@ class TestWeatherBytes:
                     cloud_attenuation(f, 0.5, 0.0, 280.0)):
             assert att.db.tobytes() == np.zeros(f.size).tobytes()
             assert not att.extrapolated.any()
+
+
+@settings(deadline=None)
+@given(f_ghz=st.lists(st.floats(0.1, 3000.0), min_size=1, max_size=8),
+       rain_rate=st.floats(1e-3, 1e3), path=st.floats(0.0, 1e5),
+       density=st.floats(0.01, 5.0), t=st.floats(180.0, 340.0))
+def test_weather_within_its_bound_of_the_scalar_references(
+        f_ghz, rain_rate, path, density, t):
+    f = np.array(f_ghz) * 1e9
+    assert_same_weather(
+        rain_attenuation(f, rain_rate, path),
+        [scalar_rain_attenuation(float(x), rain_rate, path) for x in f],
+        rain_bound(rain_rate))
+    assert_same_weather(
+        cloud_attenuation(f, density, path, t),
+        [scalar_cloud_attenuation(float(x), density, path, t) for x in f],
+        CLOUD_BOUND)
 
 
 class TestTotalPathLoss:
