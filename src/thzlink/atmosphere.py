@@ -183,6 +183,14 @@ def profile_at(
     return AtmosphericState(altitude, pressure, temperature, ratios)
 
 
+def layer_count(h_bottom: float, h_top: float,
+                resolution: float) -> int | float:
+    """Layers :func:`layer_bounds` makes: ceil((h_top - h_bottom) / resolution)
+    but at least 1; a ratio that is not finite is returned as it is."""
+    ratio = (h_top - h_bottom) / resolution
+    return max(1, math.ceil(ratio)) if math.isfinite(ratio) else ratio
+
+
 def layer_bounds(h_bottom: float, h_top: float,
                  resolution: float) -> list[tuple[float, float, float]]:
     """(lower, upper, sampled altitude) of each layer :func:`build_layers`
@@ -192,11 +200,9 @@ def layer_bounds(h_bottom: float, h_top: float,
         raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
     if resolution <= 0:
         raise InvalidRange(f"resolution must be positive, got {resolution}")
-    # at least one layer, also where the ratio underflows to 0
-    count = max(1, math.ceil((h_top - h_bottom) / resolution))
     bounds = [(h_bottom + i * resolution,
                min(h_bottom + (i + 1) * resolution, h_top))
-              for i in range(count)]
+              for i in range(layer_count(h_bottom, h_top, resolution))]
     return [(lower, upper, 0.5 * (lower + upper)) for lower, upper in bounds]
 
 

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .constants import BOLTZMANN, PLANCK
 from .errors import ConfigError, UnsupportedScheme
+
+# frequencies of the capacity band, the Shannon integral's grid
+BAND_POINTS = 129
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,21 @@ class TransceiverConfig:
             raise ConfigError(
                 f"must be finite and nonzero as a linear factor, got "
                 f"{self.noise_figure:g} dB", field="noise_figure_db")
+        if not self.center_frequency - self.bandwidth / 2.0 > 0.0:
+            raise ConfigError("band must not extend below 0 Hz",
+                              field="center_frequency_ghz")
+        if not np.all(np.diff(self.band) > 0.0):
+            raise ConfigError(
+                f"{self.bandwidth:g} Hz around {self.center_frequency:g} Hz "
+                f"does not hold {BAND_POINTS} distinct frequencies",
+                field="bandwidth_ghz")
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """The capacity integral's :data:`BAND_POINTS` frequencies."""
+        return np.linspace(self.center_frequency - self.bandwidth / 2.0,
+                           self.center_frequency + self.bandwidth / 2.0,
+                           BAND_POINTS)
 
 
 @dataclass(frozen=True)
@@ -175,7 +194,7 @@ def total_noise_psd(f, sky: SkyPath | None, rx: TransceiverConfig):
     return BOLTZMANN * np.asarray(t_b) + thermal
 
 
-def snr(grid, path_loss, noise_psd, tx: TransceiverConfig):
+def snr(path_loss, noise_psd, tx: TransceiverConfig):
     """Per-frequency SNR for a flat transmit density X = P_tx / W."""
     x = tx.tx_power / tx.bandwidth
     return x / (np.asarray(path_loss) * np.asarray(noise_psd))

@@ -41,6 +41,7 @@ from .atmosphere import (
     AtmosphericState,
     build_layers,  # noqa: F401  perfbench/layertrace.py traces it by this name
     layer_bounds,
+    layer_count,
     profile_at,
 )
 from .catalog import (
@@ -89,33 +90,34 @@ _SI_SCALE = {"km": _KM, "ghz": _GHZ, "mw": 1e-3}
 
 # Survey grids with more points are refused before any allocation.
 MAX_GRID_POINTS = 100_000
-BAND_POINTS = 129
 # Layers times frequencies (survey plus band) sizes every per-layer array;
 # E2S on the default config, the largest in use, needs 1,000 x 430.
 MAX_LAYER_POINTS = 20_000_000
 
-# Config key -> (Scenario field, whether it may be 0) of each number a
-# scenario holds in SI units; a value must also be finite. Config parsing
-# and the Scenario rules both read this table.
+# Config key -> (Scenario field, whether it may be 0, default) of each
+# number a scenario holds in SI units; a value must also be finite. Config
+# parsing, its defaults and the Scenario rules all read this table.
 _SCENARIO_KEYS = {
-    "h_airplane_km": ("h_airplane", True),
-    "h_ground_m": ("h_ground", True),
-    "rain_rate_mm_h": ("rain_rate", True),
-    "rain_base_km": ("rain_base", True),
-    "rain_thickness_km": ("rain_thickness", True),
-    "cloud_density_g_m3": ("cloud_density", True),
-    "cloud_base_km": ("cloud_base", True),
-    "cloud_thickness_km": ("cloud_thickness", True),
-    "ground_humidity_vmr": ("ground_humidity", True),
-    "h_satellite_km": ("h_satellite", False),
-    "link_distance_m": ("link_distance", False),
-    "f_min_ghz": ("f_min", False),
-    "f_max_ghz": ("f_max", False),
-    "f_step_ghz": ("f_step", False),
-    "atmosphere_top_km": ("atmosphere_top", False),
-    "layer_resolution_m": ("layer_resolution", False),
-    "water_scale_height_m": ("water_scale_height", False),
-    "wing_cutoff_ghz": ("wing_cutoff", False),
+    "h_airplane_km": ("h_airplane", True, 11.0),
+    "h_ground_m": ("h_ground", True, 0.0),
+    "rain_rate_mm_h": ("rain_rate", True, 0.0),
+    "rain_base_km": ("rain_base", True, 0.0),
+    "rain_thickness_km": ("rain_thickness", True, 0.0),
+    "cloud_density_g_m3": ("cloud_density", True, 0.0),
+    "cloud_base_km": ("cloud_base", True, 0.7),
+    "cloud_thickness_km": ("cloud_thickness", True, 1.0),
+    "ground_humidity_vmr": ("ground_humidity", True, DEFAULT_GROUND_HUMIDITY),
+    "h_satellite_km": ("h_satellite", False, 500.0),
+    "link_distance_m": ("link_distance", False, 100.0),
+    "f_min_ghz": ("f_min", False, 100.0),
+    "f_max_ghz": ("f_max", False, 400.0),
+    "f_step_ghz": ("f_step", False, 1.0),
+    "atmosphere_top_km": ("atmosphere_top", False, 500.0),
+    "layer_resolution_m": ("layer_resolution", False,
+                           DEFAULT_LAYER_RESOLUTION),
+    "water_scale_height_m": ("water_scale_height", False,
+                             DEFAULT_WATER_SCALE_HEIGHT),
+    "wing_cutoff_ghz": ("wing_cutoff", False, DEFAULT_WING_CUTOFF / _GHZ),
 }
 
 
@@ -162,7 +164,7 @@ class Scenario:
         kind = self.kind
         require(kind in KINDS, "kind", f"must be one of {', '.join(KINDS)}")
         # the comparisons are false for NaN, so they also reject it
-        for key, (name, zero_ok) in _SCENARIO_KEYS.items():
+        for key, (name, zero_ok, _) in _SCENARIO_KEYS.items():
             value = getattr(self, name)
             sign = "nonnegative" if zero_ok else "positive"
             require((value >= 0.0 if zero_ok else value > 0.0)
@@ -205,14 +207,8 @@ class Scenario:
         require(np.all(np.diff(grid) > 0.0), "f_step_ghz",
                 f"{self.f_step:g} Hz from {self.f_min:g} Hz does not give "
                 f"distinct frequencies")
-        tx = self.transceiver
-        require(tx.center_frequency - tx.bandwidth / 2.0 > 0.0,
-                "center_frequency_ghz", "band must not extend below 0 Hz")
-        band = capacity_band(tx)
-        require(np.all(np.diff(band) > 0.0), "bandwidth_ghz",
-                f"{tx.bandwidth:g} Hz around {tx.center_frequency:g} Hz does "
-                f"not hold {BAND_POINTS} distinct frequencies")
 
+        tx = self.transceiver
         try:
             distance, psi = self.line_of_sight
         except DegenerateGeometry:
@@ -223,11 +219,8 @@ class Scenario:
             require(psi > 0.0, "central_angle_deg",
                     f"geometry gives a non-positive elevation angle "
                     f"({math.degrees(psi):.4f} deg); reduce central_angle_deg")
-            # layer_bounds makes ceil(stack top / resolution) layers
-            layers = self.stack_top / self.layer_resolution
-            if layers < MAX_LAYER_POINTS:   # the ceiling of inf would raise
-                layers = math.ceil(layers)
-            points = math.floor(span) + 1 + BAND_POINTS
+            layers = layer_count(0.0, self.stack_top, self.layer_resolution)
+            points = math.floor(span) + 1 + tx.band.size
             require(layers * points <= MAX_LAYER_POINTS, "layer_resolution_m",
                     f"{layers:,} layers on {points:,} frequencies exceed "
                     f"{MAX_LAYER_POINTS:,} layer-frequency points")
@@ -236,7 +229,7 @@ class Scenario:
         # finite and nonzero. The free-space loss with both dish gains and
         # the thermal noise each fall with frequency, so the ends of the
         # grid and of the band bound every point.
-        freqs = np.array([grid[0], grid[-1], band[0], band[-1]])
+        freqs = np.array([grid[0], grid[-1], tx.band[0], tx.band[-1]])
         keys = ("f_min_ghz", "f_max_ghz") + ("center_frequency_ghz",) * 2
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             loss = total_path_loss(freqs, distance, 1.0,
@@ -264,7 +257,13 @@ class Scenario:
             raise ConfigError(f"must be in (0, 90], got {degrees:g}",
                               field="elevation_deg")
         rho = central_angle_for_elevation(*self.endpoints(), psi)
-        return dataclasses.replace(self, central_angle=rho)
+        try:
+            return dataclasses.replace(self, central_angle=rho)
+        except ConfigError as exc:
+            if exc.field != "central_angle_deg":   # derived from ``degrees``
+                raise
+            raise ConfigError(f"{degrees:g} deg is too close to the horizon",
+                              field="elevation_deg") from None
 
     def _altitude(self, letter: str) -> float:
         """Altitude of the terminal a kind names by ``letter``."""
@@ -296,17 +295,11 @@ class Scenario:
         return slant_range(ends), elevation_angle(ends)
 
 
+# Default of each config key: those outside _SCENARIO_KEYS, then its own.
 _DEFAULTS: dict[str, float | str | None] = {
     "kind": "A2S",
-    "h_airplane_km": 11.0,
-    "h_satellite_km": 500.0,
-    "h_ground_m": 0.0,
     "central_angle_deg": 0.0,
     "elevation_deg": None,
-    "link_distance_m": 100.0,
-    "f_min_ghz": 100.0,
-    "f_max_ghz": 400.0,
-    "f_step_ghz": 1.0,
     "tx_power_mw": 1.0,
     "bandwidth_ghz": 5.0,
     "center_frequency_ghz": 300.0,
@@ -316,19 +309,8 @@ _DEFAULTS: dict[str, float | str | None] = {
     "tx_dish_efficiency": 1.0,
     "rx_dish_diameter_m": 1.0,
     "rx_dish_efficiency": 1.0,
-    "rain_rate_mm_h": 0.0,
-    "rain_base_km": 0.0,
-    "rain_thickness_km": 0.0,
-    "cloud_density_g_m3": 0.0,
-    "cloud_base_km": 0.7,
-    "cloud_thickness_km": 1.0,
-    "layer_resolution_m": DEFAULT_LAYER_RESOLUTION,
-    "atmosphere_top_km": 500.0,
-    "ground_humidity_vmr": DEFAULT_GROUND_HUMIDITY,
-    "water_scale_height_m": DEFAULT_WATER_SCALE_HEIGHT,
     "catalog_path": "bundled",
-    "wing_cutoff_ghz": DEFAULT_WING_CUTOFF / _GHZ,
-}
+} | {key: default for key, (_, _, default) in _SCENARIO_KEYS.items()}
 
 
 def parse_config(path) -> Scenario:
@@ -401,7 +383,7 @@ def build_scenario(values: dict, seen: dict[str, int] | None = None) -> Scenario
         fail("elevation_deg",
              "give either elevation_deg or central_angle_deg, not both")
 
-    fields = {name: si(key) for key, (name, _) in _SCENARIO_KEYS.items()}
+    fields = {name: si(key) for key, (name, _, _) in _SCENARIO_KEYS.items()}
     fields.update(
         kind=str(values["kind"]).upper(),
         central_angle=0.0 if elevation is not None
@@ -436,12 +418,6 @@ def make_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
     """Uniform frequency grid from f_min to at most f_max, inclusive."""
     span = _grid_span(f_min, f_max, f_step)
     return f_min + f_step * np.arange(int(math.floor(span)) + 1)
-
-
-def capacity_band(tx: TransceiverConfig) -> np.ndarray:
-    """The :data:`BAND_POINTS` frequencies the capacity integral runs over."""
-    return np.linspace(tx.center_frequency - tx.bandwidth / 2.0,
-                       tx.center_frequency + tx.bandwidth / 2.0, BAND_POINTS)
 
 
 class SpectrumCache:
@@ -693,10 +669,7 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         cache = SpectrumCache()
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
     tx = scenario.transceiver
-    grid = survey
-    if with_capacity:
-        band = capacity_band(tx)
-        grid = np.union1d(survey, band)
+    grid = np.union1d(survey, tx.band) if with_capacity else survey
     if catalog is None:
         catalog = load_scenario_catalog(scenario, grid)
     part = np.searchsorted(grid, survey)
@@ -719,12 +692,12 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
     path_loss = total_path_loss(grid, r_as, tau, g_tx, g_rx,
                                 rain_db=rain_db, cloud_db=cloud_db)
     noise = total_noise_psd(grid, sky, tx)
-    snr_values = compute_snr(grid, path_loss, noise, tx)
+    snr_values = compute_snr(path_loss, noise, tx)
 
     capacity = float("nan")
     if with_capacity:
         capacity = shannon_capacity(
-            band, snr_values[np.searchsorted(grid, band)])
+            tx.band, snr_values[np.searchsorted(grid, tx.band)])
 
     return ResolvedLink(
         scenario=scenario,

@@ -54,7 +54,7 @@ from thzlink.errors import (
     UnknownSpecies,
     UnknownSpeciesMass,
 )
-from thzlink.scenario import capacity_band, load_scenario_catalog, make_grid
+from thzlink.scenario import load_scenario_catalog, make_grid
 
 P0 = STANDARD_PRESSURE
 T0 = STANDARD_TEMPERATURE
@@ -417,6 +417,11 @@ class TestAbsorptionCoefficient:
             absorption_coefficient(mini_catalog, state,
                                    np.array([2e11, 1e11]))
 
+    def test_grid_must_not_be_empty(self, mini_catalog):
+        with pytest.raises(ValueError, match="non-empty"):
+            absorption_coefficient(mini_catalog, profile_at(0.0),
+                                   np.array([]))
+
 
 def line_intensity(line, t, f_c=None):
     """Intensity of one line at ``t`` through the kernel's
@@ -560,7 +565,7 @@ def default_stack(default_scenario):
     E2S stack, on the survey grid merged with the capacity band."""
     scenario = dataclasses.replace(default_scenario, kind="E2S")
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
-    grid = np.union1d(survey, capacity_band(scenario.transceiver))
+    grid = np.union1d(survey, scenario.transceiver.band)
     catalog = load_scenario_catalog(scenario, survey)
     stack = build_layers(0.0, scenario.atmosphere_top,
                          scenario.layer_resolution,
@@ -647,7 +652,7 @@ class TestKernelBitIdentity:
     def test_seeded_dense_catalog_on_a_short_stack(self, default_scenario):
         catalog = dense_catalog(random.Random(20260808), 800)
         survey = make_grid(100e9, 400e9, 1e9)
-        grid = np.union1d(survey, capacity_band(default_scenario.transceiver))
+        grid = np.union1d(survey, default_scenario.transceiver.band)
         stack = build_layers(0.0, 11e3, 500.0)
         assert len(stack) == 22
         states = [layer.state for layer in stack]
@@ -893,7 +898,7 @@ class TestNoPerElementCalls:
                                              default_scenario):
         catalog = dense_catalog(random.Random(20260808), 800)
         survey = make_grid(100e9, 400e9, 1e9)
-        grid = np.union1d(survey, capacity_band(default_scenario.transceiver))
+        grid = np.union1d(survey, default_scenario.transceiver.band)
         states = [layer.state for layer in build_layers(0.0, 11e3, 500.0)]
         calls = []
         for module, name in ((math, "exp"), (math, "expm1"), (math, "tanh"),

@@ -17,6 +17,7 @@ from thzlink.catalog import (
     wavenumber_to_frequency,
 )
 from thzlink.errors import (
+    CatalogError,
     EmptyCatalogWarning,
     IoFailure,
     UnknownIsotopologue,
@@ -72,6 +73,12 @@ class TestParseLineRecord:
         parsed = parse_line_record(make_record() + "\n")
         assert parsed.nu0 == pytest.approx(18.577)
 
+    def test_record_breaking_a_line_invariant_rejected(self):
+        record = make_record()
+        zero_nu0 = record[:3] + f"{0.0:12.6f}" + record[15:]
+        with pytest.raises(CatalogError, match="violates line invariants"):
+            parse_line_record(zero_nu0)
+
 
 class TestRoundTrip:
     PRECISION = {
@@ -112,6 +119,14 @@ class TestRoundTrip:
 
 
 class TestLoadCatalog:
+    def test_unreadable_stream_is_io_failure(self):
+        class Unreadable(io.RawIOBase):
+            def read(self, size=-1):
+                raise OSError("device gone")
+
+        with pytest.raises(IoFailure, match="cannot read stream"):
+            load_catalog(Unreadable(), 0.0, 50.0)
+
     def test_all_records_kept_and_sorted(self):
         records = [make_record(nu0=nu) for nu in (20.0, 5.0, 12.0)]
         cat = load_catalog("\n".join(records).encode(), 0.0, 50.0)

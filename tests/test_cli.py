@@ -284,6 +284,8 @@ class TestRunCommand:
         ("E2A", "layer_resolution_m", "0.001"),
         ("A2S", "tx_dish_efficiency", "1.5"),
         ("A2S", "rx_dish_diameter_m", "-1"),
+        # too close to the horizon for a positive elevation angle
+        ("A2S", "elevation_deg", "1e-300"),
     ] + [(kind, "f_min_ghz", "1e-300") for kind in KINDS])
     def test_dry_run_checks_every_rule(self, tmp_path, capsys, kind, key,
                                        value):
@@ -293,6 +295,18 @@ class TestRunCommand:
                      "--dry-run"])
         assert code == EXIT_CONFIG
         assert f"line 2: field {key!r}" in capsys.readouterr().err
+
+    def test_layer_count_over_the_bound_is_an_integer(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text("kind = E2S\nh_ground_m = 499999\n"
+                       "layer_resolution_m = 1e-9\n")
+        code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o"),
+                     "--dry-run"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 3: field 'layer_resolution_m'" in err
+        assert " 500,000,000,000,000 layers " in err
 
     @pytest.mark.parametrize("text, key", [
         ("kind = E2S\nh_ground_m = 600000\nh_satellite_km = 1000\n",
@@ -490,6 +504,16 @@ class TestSweepCommand:
         assert code == expected
         if expected == EXIT_CONFIG:
             assert f"elevation {value} deg" in capsys.readouterr().err
+
+    def test_elevation_at_the_horizon_names_elevation(self, quick_config,
+                                                       tmp_path, capsys):
+        code = main(["sweep", str(quick_config), "--axis", "elevation",
+                     "--from", "1e-300", "--to", "1", "--step", "1",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "elevation 1e-300 deg: field 'elevation_deg'" in err
+        assert "central_angle_deg" not in err
 
     @pytest.mark.parametrize("start, stop, step",
                              [("-10", "10", "10"), ("10", "20", "1e300"),

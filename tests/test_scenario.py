@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -642,6 +643,11 @@ class TestCrossover:
         assert h is not None
         assert 1_000.0 < h < 499_000.0
 
+    def test_no_sign_change_gives_none(self, default_scenario,
+                                       spectrum_cache):
+        assert crossover_altitude(default_scenario, 300e9, [1_000.0, 2_000.0],
+                                  spectrum_cache) is None
+
     def test_one_catalog_load_for_the_whole_search(
             self, default_scenario, monkeypatch, tmp_path, capsys):
         records = bundled_catalog_path().read_text().splitlines(True)
@@ -716,6 +722,24 @@ class TestLayersSharedAcrossPoints:
         # one state per distinct layer, and one cloud temperature per point
         assert calls["profile_at"] <= self.LAYERS + len(points)
         assert 0 < len(calls["keys"]) == len(set(calls["keys"])) <= self.LAYERS
+
+    def test_warm_altitude_sweep_builds_the_band_once(self, base,
+                                                      monkeypatch):
+        cache = SpectrumCache()
+        run_sweep(base, "altitude", 0.0, 24_000.0, 1_000.0, cache=cache)
+        builds = []
+        band = TransceiverConfig.band
+        counted = cached_property(
+            lambda tx: builds.append(tx) or band.func(tx))
+        counted.__set_name__(TransceiverConfig, "band")
+        monkeypatch.setattr(TransceiverConfig, "band", counted)
+        # a new transceiver, so its band is built and checked again
+        fresh = dataclasses.replace(base, transceiver=dataclasses.replace(
+            base.transceiver))
+        points, _ = run_sweep(fresh, "altitude", 0.0, 24_000.0, 1_000.0,
+                              cache=cache)
+        assert len(points) == 25
+        assert len(builds) == 1
 
     def test_crossover_builds_and_keys_each_layer_once(self, base, calls):
         altitudes = [1_000.0, 100_000.0, 190_000.0, 210_000.0, 300_000.0]

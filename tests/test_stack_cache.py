@@ -19,7 +19,6 @@ from thzlink.cli import EXIT_OK, main
 from thzlink.scenario import (
     SpectrumCache,
     _with_digest,
-    capacity_band,
     load_scenario_catalog,
     make_grid,
     parse_config,
@@ -51,7 +50,7 @@ def test_cold_run_keys_only_the_live_layers_above_the_airplane(tmp_path,
     scenario = parse_config(cfg)
     grid = np.union1d(
         make_grid(scenario.f_min, scenario.f_max, scenario.f_step),
-        capacity_band(scenario.transceiver))
+        scenario.transceiver.band)
     above = [profile_at(z, scenario.ground_humidity,
                         scenario.water_scale_height)
              for _, upper, z in layer_bounds(0.0, 500e3, 500.0)
