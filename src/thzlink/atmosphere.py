@@ -151,14 +151,14 @@ def water_vapor_vmr(
 
 def profile_at(
     altitude: float,
-    ground_humidity: float | None = None,
+    ground_humidity: float = DEFAULT_GROUND_HUMIDITY,
     water_scale_height: float = DEFAULT_WATER_SCALE_HEIGHT,
 ) -> AtmosphericState:
     """Standard-atmosphere state at a geometric altitude in [0, 500 km].
 
-    ``ground_humidity`` overrides the sea-level water vapor volume mixing
-    ratio (default 0.0078, moderate humidity). Dry constituents are scaled
-    by (1 - w) so the ratios stay normalized in moist air.
+    ``ground_humidity`` is the sea-level water vapor volume mixing ratio,
+    by default a moderate humidity. Dry constituents are scaled by (1 - w)
+    so the ratios stay normalized in moist air.
     """
     if not 0.0 <= altitude <= MAX_ALTITUDE:
         raise AltitudeOutOfRange(
@@ -169,8 +169,7 @@ def profile_at(
     else:
         pressure, temperature, n2, o2 = _interp_upper(altitude)
 
-    w0 = DEFAULT_GROUND_HUMIDITY if ground_humidity is None else ground_humidity
-    w = water_vapor_vmr(altitude, w0, water_scale_height)
+    w = water_vapor_vmr(altitude, ground_humidity, water_scale_height)
     dry = 1.0 - w
     ratios = {
         "H2O": w,
@@ -200,9 +199,12 @@ def layer_bounds(h_bottom: float, h_top: float,
         raise InvalidRange(f"need h_bottom < h_top, got {h_bottom} >= {h_top}")
     if resolution <= 0:
         raise InvalidRange(f"resolution must be positive, got {resolution}")
+    if not math.isfinite(count := layer_count(h_bottom, h_top, resolution)):
+        raise InvalidRange(f"{h_bottom} to {h_top} m in steps of "
+                           f"{resolution} m is not a finite number of layers")
     bounds = [(h_bottom + i * resolution,
                min(h_bottom + (i + 1) * resolution, h_top))
-              for i in range(layer_count(h_bottom, h_top, resolution))]
+              for i in range(count)]
     return [(lower, upper, 0.5 * (lower + upper)) for lower, upper in bounds]
 
 
@@ -210,7 +212,7 @@ def build_layers(
     h_bottom: float,
     h_top: float,
     resolution: float = DEFAULT_LAYER_RESOLUTION,
-    ground_humidity: float | None = None,
+    ground_humidity: float = DEFAULT_GROUND_HUMIDITY,
     water_scale_height: float = DEFAULT_WATER_SCALE_HEIGHT,
 ) -> LayerStack:
     """Discretize [h_bottom, h_top] into contiguous layers.

@@ -94,16 +94,9 @@ def _ray_lengths(h_start: float, psi: float, top):
     return -r * sin_psi + np.sqrt(r * r * sin_psi ** 2 + (b * b - r * r))
 
 
-def layer_path_segments(
-    h_start: float, psi: float, layers: LayerStack
-) -> tuple[tuple[int, float], ...]:
-    """Per-layer path lengths along the ray from ``h_start`` to the stack top.
-
-    Each segment is the layer's :func:`shell_path_length`, the difference of
-    :func:`atmospheric_path_length` taken to its upper and lower boundaries;
-    at zenith every segment equals the layer's (possibly partial) vertical
-    extent exactly.
-    """
+def _layers_above(h_start: float, layers: LayerStack):
+    """Index, lower and upper bounds of the layers that reach above
+    ``h_start``, which must be below the stack top."""
     top = layers.top_altitude
     if h_start >= top:
         raise GeometryError(
@@ -111,33 +104,34 @@ def layer_path_segments(
     lower, upper = np.array([(layer.lower, layer.upper)
                              for layer in layers.layers]).reshape(-1, 2).T
     index = np.flatnonzero(upper > h_start)
+    return index, lower[index], upper[index]
+
+
+def layer_path_segments(
+    h_start: float, psi: float, layers: LayerStack
+) -> tuple[tuple[int, float], ...]:
+    """Per-layer path lengths along the ray from ``h_start`` to the stack top.
+
+    Each segment is :func:`atmospheric_path_length` to the layer's upper
+    boundary, less that to its lower boundary where it is above
+    ``h_start``; at zenith every segment equals the layer's (possibly
+    partial) vertical extent exactly.
+    """
+    index, lower, upper = _layers_above(h_start, layers)
     if index.size:   # the rules on h_start and psi, as the first layer's
-        atmospheric_path_length(h_start, psi, float(upper[index[0]]))
-    lengths = _segment_lengths(h_start, psi, lower[index], upper[index])
+        atmospheric_path_length(h_start, psi, float(upper[0]))
+    lengths = _segment_lengths(h_start, psi, lower, upper)
     return tuple(zip(index.tolist(), lengths.tolist()))
 
 
 def _segment_lengths(h_start: float, psi: float, lower, upper) -> np.ndarray:
-    """Exact :func:`shell_path_length`s, unchecked, of shells above h_start."""
+    """Exact lengths, unchecked, of the ray from h_start inside shells that
+    reach above it; an empty shell has length 0."""
     lower = np.maximum(lower, h_start)
     to_upper, to_lower = _ray_lengths(h_start, psi, np.array([upper, lower]))
     lengths = to_upper - np.where(lower > h_start, to_lower, 0.0)
     lengths[upper <= lower] = 0.0
     return lengths
-
-
-def shell_path_length(h_start: float, psi: float, lower: float,
-                      upper: float) -> float:
-    """Length (m) of the ray from ``h_start`` inside the shell [lower, upper].
-
-    The part of the shell below ``h_start`` is not on the ray; a shell
-    entirely below it, or an empty one, has length 0.
-    """
-    if upper <= max(lower, h_start):
-        return 0.0
-    atmospheric_path_length(h_start, psi, upper)   # its rules
-    return float(_segment_lengths(h_start, psi, np.array([lower]),
-                                  np.array([upper]))[0])
 
 
 def plane_parallel_segments(
@@ -149,18 +143,9 @@ def plane_parallel_segments(
             "plane-parallel path diverges at zero or negative elevation")
     if psi > math.pi / 2:
         raise GeometryError(f"elevation must be in (0, pi/2], got {psi}")
-    top = layers.top_altitude
-    if h_start >= top:
-        raise GeometryError(
-            f"start altitude {h_start} m is above the stack top {top} m")
-    sin_psi = math.sin(psi)
-    segments = []
-    for index, layer in enumerate(layers.layers):
-        if layer.upper <= h_start:
-            continue
-        thickness = layer.upper - max(layer.lower, h_start)
-        segments.append((index, thickness / sin_psi))
-    return tuple(segments)
+    index, lower, upper = _layers_above(h_start, layers)
+    lengths = (upper - np.maximum(lower, h_start)) / math.sin(psi)
+    return tuple(zip(index.tolist(), lengths.tolist()))
 
 
 def central_angle_for_elevation(

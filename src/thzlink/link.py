@@ -179,15 +179,13 @@ def thermal_noise_psd(f, t: float, noise_figure_db: float = 0.0):
     return psd * 10.0 ** (noise_figure_db / 10.0)
 
 
-def total_noise_psd(f, sky: SkyPath | None, rx: TransceiverConfig):
+def total_noise_psd(f, sky: SkyPath, rx: TransceiverConfig):
     """Total noise density at the receiver, W/Hz.
 
     Antenna noise k_B T_b from the Planck-based sky brightness temperature
-    plus the receiver thermal term. ``sky`` None means a vacuum path.
+    plus the receiver thermal term. A sky with no layers emits nothing.
     """
     thermal = thermal_noise_psd(f, rx.rx_temperature, rx.noise_figure)
-    if sky is None:
-        return thermal
     t_b = brightness_temperature_planck(f, sky.temperatures,
                                         sky.transmittances,
                                         sky.transparent_temperature)

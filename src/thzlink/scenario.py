@@ -67,7 +67,6 @@ from .geometry import (
     central_angle_for_elevation,
     elevation_angle,
     layer_path_segments,  # noqa: F401  traced by this name, as build_layers is
-    shell_path_length,
     slant_range,
 )
 from .link import (
@@ -455,7 +454,8 @@ class SpectrumCache:
         return hasher.hexdigest()
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
-        """The valid disk entry of ``key``, else ``compute()``, saved."""
+        """The valid disk entry of ``key``, else ``compute()``, saved; a
+        lookup before any :meth:`stack` call is a miss."""
         if self.directory is None:
             return compute()
         path = self.directory / f"{key}.npy"
@@ -471,7 +471,8 @@ class SpectrumCache:
         # unique temp name per writer: processes sharing the directory may
         # race on the same key, and both replacements carry identical bytes
         tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-        tmp.write_bytes(_with_digest(key, header + kappa.tobytes()))
+        np.save(buffer := io.BytesIO(), kappa)
+        tmp.write_bytes(_with_digest(key, buffer.getvalue()))
         tmp.replace(path)
         return kappa
 
@@ -616,8 +617,11 @@ def _weather_paths(scenario: Scenario) -> tuple[float, float]:
                       and base <= scenario.h_airplane <= base + thickness)
             return scenario.link_distance if inside else 0.0
         h_low, h_high = scenario.endpoints()
-        return shell_path_length(h_low, scenario.line_of_sight[1], base,
-                                 min(base + thickness, h_high))
+        top = min(base + thickness, h_high)
+        if top <= max(base, h_low):   # missed; the shell must reach above
+            return 0.0
+        return float(_segment_lengths(h_low, scenario.line_of_sight[1],
+                                      np.array([base]), np.array([top]))[0])
 
     return (through(scenario.rain_base, scenario.rain_thickness),
             through(scenario.cloud_base, scenario.cloud_thickness))
@@ -628,7 +632,7 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     """Transmittance and sky view for the scenario on a grid.
 
     Only the traversed layers with a live line reach the cache and the
-    kernel; the sky is None, the vacuum's, where no layer has one.
+    kernel; where no layer has one, the sky has no layers.
     """
     h_low, h_high = scenario.endpoints()
     kappa, stack, first = cache.stack(scenario, catalog, grid, h_low)
@@ -642,9 +646,6 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
                                 stack.lower[live], stack.upper[live]))
     layers = kappa[stack.row[live]]
     tau = np.exp(-_optical_depth(layers, lengths))
-    if not live.size:
-        return tau, None
-
     from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
     np.exp(np.negative(layers, out=layers), out=layers)
     # the transparent temperature depends on every traversed layer

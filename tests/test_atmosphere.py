@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from thzlink.atmosphere import (
     AtmosphericState,
     build_layers,
+    layer_bounds,
     profile_at,
     water_vapor_vmr,
 )
@@ -111,6 +114,15 @@ class TestBuildLayers:
             build_layers(1_000.0, 1_000.0, 500.0)
         with pytest.raises(InvalidRange):
             build_layers(0.0, 1_000.0, 0.0)
+
+    @pytest.mark.parametrize("h_top, resolution", [
+        (1.0, 5e-324), (math.inf, 1.0), (1.0, math.nan),
+    ], ids=["overflowing_ratio", "infinite_top", "nan_resolution"])
+    @pytest.mark.parametrize("make", [layer_bounds, build_layers])
+    def test_non_finite_layer_count_is_invalid_range(self, make, h_top,
+                                                     resolution):
+        with pytest.raises(InvalidRange):
+            make(0.0, h_top, resolution)
 
 
 class TestStateRules:

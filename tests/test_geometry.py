@@ -14,7 +14,6 @@ from thzlink.geometry import (
     elevation_angle,
     layer_path_segments,
     plane_parallel_segments,
-    shell_path_length,
     slant_range,
 )
 
@@ -159,7 +158,9 @@ class TestLayerPathSegments:
                                                    h_start):
         psi = math.radians(psi_deg)
         expected = tuple(
-            (index, shell_path_length(h_start, psi, layer.lower, layer.upper))
+            (index, atmospheric_path_length(h_start, psi, layer.upper)
+             - (atmospheric_path_length(h_start, psi, layer.lower)
+                if layer.lower > h_start else 0.0))
             for index, layer in enumerate(thin_stack.layers)
             if layer.upper > h_start)
         segments = layer_path_segments(h_start, psi, thin_stack)

@@ -143,7 +143,8 @@ class TestThermalNoise:
 class TestTotalNoise:
     def test_vacuum_path_is_thermal_only(self):
         rx = TransceiverConfig(1e-3, 5e9, 300e9, noise_figure=10.0)
-        got = total_noise_psd(300e9, None, rx)
+        vacuum = SkyPath(np.empty(0), np.empty((0, 1)), 296.0)
+        got = total_noise_psd(300e9, vacuum, rx)
         assert got == pytest.approx(
             thermal_noise_psd(300e9, 296.0, 10.0), rel=1e-12)
 
@@ -158,7 +159,8 @@ class TestTotalNoise:
         # 5 GHz, NF 10 dB, negligible sky: about kT * 10 * W = 2.04e-10 W
         rx = TransceiverConfig(1e-3, 5e9, 300e9, noise_figure=10.0)
         grid = np.linspace(297.5e9, 302.5e9, 65)
-        psd = total_noise_psd(grid, None, rx)
+        vacuum = SkyPath(np.empty(0), np.empty((0, grid.size)), 296.0)
+        psd = total_noise_psd(grid, vacuum, rx)
         power = float(np.trapezoid(psd, grid))
         assert power == pytest.approx(2.04e-10, rel=0.05)
         assert 10.0 * math.log10(power) == pytest.approx(-96.9, abs=0.3)

@@ -18,7 +18,12 @@ from thzlink.catalog import (
 )
 from thzlink.channel import AntennaConfig
 from thzlink.errors import ConfigError
-from thzlink.link import TransceiverConfig, total_noise_psd
+from thzlink.geometry import atmospheric_path_length
+from thzlink.link import (
+    TransceiverConfig,
+    thermal_noise_psd,
+    total_noise_psd,
+)
 from thzlink.scenario import (
     _DEFAULTS,
     Scenario,
@@ -322,6 +327,41 @@ class TestResolve:
         resolved_high = resolve(high, spectrum_cache)
         assert resolved_high.rain_path == 0.0
         assert np.all(resolved_high.rain_db == 0.0)
+
+    @pytest.mark.parametrize("kind, lower, upper", [
+        ("E2A", 2e3, 3e3), ("E2A", 10.5e3, 12e3), ("E2A", 12e3, 13e3),
+        ("A2S", 10e3, 12e3), ("A2S", 0.0, 1e3), ("A2S", 20e3, 25e3),
+    ])
+    def test_weather_decks_are_shells_of_the_slant_path(
+            self, default_scenario, spectrum_cache, kind, lower, upper):
+        # a deck, clipped at the higher terminal, is measured as a gas
+        # layer is: to its top, less to its base where the base is above
+        # the lower terminal; a deck the path misses has length 0.0
+        scenario = dataclasses.replace(
+            default_scenario, kind=kind, f_min=299e9, f_max=301e9,
+            f_step=1e9, rain_base=lower, rain_thickness=upper - lower,
+            cloud_base=lower, cloud_thickness=upper - lower,
+        ).at_elevation(30.0)
+        resolved = resolve(scenario, spectrum_cache, with_capacity=False)
+        h_low, h_high = scenario.endpoints()
+        top = min(upper, h_high)
+        expected = 0.0
+        if top > max(lower, h_low):
+            expected = atmospheric_path_length(h_low, resolved.psi, top)
+            if lower > h_low:
+                expected -= atmospheric_path_length(h_low, resolved.psi,
+                                                    lower)
+        assert resolved.rain_path == resolved.cloud_path == expected
+
+    def test_a_path_with_no_live_layer_has_the_thermal_noise_alone(
+            self, default_scenario, spectrum_cache):
+        scenario = dataclasses.replace(default_scenario, kind="A2S",
+                                       h_airplane=120e3)
+        resolved = resolve(scenario, spectrum_cache)
+        tx = scenario.transceiver
+        assert (resolved.noise_psd.tobytes()
+                == thermal_noise_psd(resolved.grid, tx.rx_temperature,
+                                     tx.noise_figure).tobytes())
 
     def test_weather_factorizes(self, default_scenario, spectrum_cache):
         dry = dataclasses.replace(default_scenario, kind="E2A", f_min=99e9,

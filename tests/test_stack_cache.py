@@ -115,6 +115,15 @@ def test_entry_is_np_save_bytes_then_the_digest(coarse_config, tmp_path):
         assert entry.read_bytes() == _with_digest(entry.stem, _npy(kappa))
 
 
+def test_an_entry_written_before_any_stack_is_np_save_bytes(tmp_path):
+    cache = SpectrumCache(tmp_path)
+    kappa = np.linspace(0.0, 1e-3, 7)
+    cache.get_or_compute("k", lambda: kappa)
+    entry = tmp_path / "k.npy"
+    np.testing.assert_array_equal(np.load(entry), kappa)
+    assert entry.read_bytes() == _with_digest("k", _npy(kappa))
+
+
 @pytest.mark.parametrize("forgery", {
     "shorter": lambda kappa: kappa[:-1],
     "column": lambda kappa: kappa.reshape(-1, 1),
