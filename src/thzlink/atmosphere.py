@@ -59,10 +59,10 @@ class AtmosphericState:
     mixing_ratios: Mapping[str, float]   # species name -> volume mixing ratio
 
     def __post_init__(self):
-        if self.pressure <= 0:
-            raise InvalidRange(f"nonpositive pressure {self.pressure}")
-        if self.temperature <= 0:
-            raise InvalidRange(f"nonpositive temperature {self.temperature}")
+        for name, value in (("pressure", self.pressure),
+                            ("temperature", self.temperature)):
+            if not 0.0 < value < math.inf:   # also false for NaN
+                raise InvalidRange(f"{name} {value} is not positive and finite")
         for name, vmr in self.mixing_ratios.items():
             if not 0.0 <= vmr <= 1.0:
                 raise InvalidRange(f"{name} mixing ratio {vmr} out of [0, 1]")

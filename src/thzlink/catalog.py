@@ -125,6 +125,9 @@ class SpectralLine:
     abundance: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nu0 <= 0.0:
             raise ValueError(f"line center must be positive, got {self.nu0}")
         if self.S0_ref < 0.0:
@@ -360,26 +363,8 @@ class LineCatalog:
         return self.source_id.rsplit("sha256:", 1)[-1]
 
 
-def _read_stream(source) -> tuple[bytes | str, str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
-        return data, str(path)
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source), "<bytes>"
-    try:
-        data = source.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read stream: {exc}") from exc
-    name = getattr(source, "name", "<stream>")
-    return data, str(name)
-
-
 def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
-    """Load and filter a fixed-width catalog from a path, bytes, or stream.
+    """Load and filter a fixed-width catalog from a path or bytes.
 
     Keeps lines with ``nu_min <= nu0 <= nu_max``. Zero-intensity lines are
     dropped; they cannot contribute to absorption. Records that fail to
@@ -388,11 +373,13 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
     """
     if not nu_min < nu_max:
         raise ValueError(f"nu_min ({nu_min}) must be < nu_max ({nu_max})")
-    data, name = _read_stream(source)
+    is_bytes = isinstance(source, (bytes, bytearray))
+    name = "<bytes>" if is_bytes else str(Path(source))
     try:
-        if isinstance(data, str):   # a text stream
-            data = data.encode("ascii")
+        data = bytes(source) if is_bytes else Path(source).read_bytes()
         text = data.decode("ascii")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {name}: {exc}") from exc
     except UnicodeError as exc:
         raise IoFailure(f"{name} is not ASCII text: {exc}") from exc
 

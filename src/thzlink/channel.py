@@ -120,8 +120,8 @@ def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
     1-1000 GHz; outside that band the edge value is used and the frequency
     is flagged extrapolated.
     """
-    if rain_rate < 0.0:
-        raise InvalidRange("rain_rate must be nonnegative")
+    if not 0.0 <= rain_rate < math.inf:
+        raise InvalidRange("rain_rate must be nonnegative and finite")
     f_ghz = np.asarray(f, dtype=float) / 1e9
     if rain_rate == 0.0 or path <= 0.0:
         return _no_attenuation(f_ghz)
@@ -160,8 +160,8 @@ def cloud_attenuation(f, density: float, path: float,
     underlying model is formally valid up to 200 GHz; higher frequencies
     get the computed value and are flagged extrapolated.
     """
-    if density < 0.0:
-        raise InvalidRange("cloud density must be nonnegative")
+    if not 0.0 <= density < math.inf:
+        raise InvalidRange("cloud density must be nonnegative and finite")
     f_ghz = np.asarray(f, dtype=float) / 1e9
     if density == 0.0 or path <= 0.0:
         return _no_attenuation(f_ghz)

@@ -17,14 +17,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, ThzLinkError
-from .scenario import (
-    SpectrumCache,
-    describe,
-    parse_config,
-    resolve,
-    write_outputs,
-)
-from .sweep import AXES, run_sweep, write_sweep_csv
+from .output import describe, write_outputs, write_sweep_csv
+from .scenario import SpectrumCache, parse_config, resolve
+from .sweep import AXES, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

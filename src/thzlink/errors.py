@@ -40,7 +40,7 @@ class UnknownIsotopologue(CatalogError):
 
 
 class IoFailure(ThzLinkError):
-    """Reading the catalog stream failed."""
+    """The catalog file cannot be read, or its data is not ASCII text."""
 
 
 class EmptyCatalogWarning(UserWarning):

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .constants import BOLTZMANN, PLANCK
 from .errors import ConfigError, UnsupportedScheme
@@ -212,7 +212,7 @@ class LinkBudget:
 
 
 def _q_function(x):
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def bit_error_probability(scheme: str, snr_linear: float) -> float:
@@ -234,14 +234,14 @@ def bit_error_probability(scheme: str, snr_linear: float) -> float:
 def modulation_threshold(scheme: str, target_bep: float) -> float:
     """Linear SNR at which the scheme's uncoded BEP reaches ``target_bep``.
 
-    Inverts :func:`bit_error_probability` in closed form: BPSK needs
-    erfcinv(2 p)^2, 16-QAM 10 erfcinv(2 p / 0.75)^2. Targets at or above the
-    zero-SNR error rate return 0 (no SNR needed).
+    Inverts :func:`bit_error_probability` in closed form with the normal
+    quantile z: BPSK needs z(p)^2 / 2, 16-QAM 5 z(p / 0.75)^2. Targets at or
+    above the zero-SNR error rate return 0 (no SNR needed).
     """
     if not 0.0 < target_bep <= 0.5:
         raise ValueError("target_bep must be in (0, 0.5]")
     if bit_error_probability(scheme, 0.0) <= target_bep:
         return 0.0
     if scheme.upper() == "BPSK":
-        return float(erfcinv(2.0 * target_bep) ** 2)
-    return float(10.0 * erfcinv(2.0 * target_bep / 0.75) ** 2)
+        return NormalDist().inv_cdf(target_bep) ** 2 / 2.0
+    return 5.0 * NormalDist().inv_cdf(target_bep / 0.75) ** 2

@@ -1,4 +1,4 @@
-"""Scenario configuration, resolution, and batch execution.
+"""Scenario configuration, the spectrum cache, and resolution.
 
 A scenario names a link kind (airplane/satellite/ground endpoints), a
 frequency grid, antennas, transceiver, weather, and atmosphere controls.
@@ -74,11 +74,12 @@ from .link import (
     SkyPath,
     TransceiverConfig,
     capacity as shannon_capacity,
-    modulation_threshold,
     snr as compute_snr,
     thermal_noise_psd,
     total_noise_psd,
 )
+from .output import parse_error_warning
+from .output import write_outputs  # noqa: F401  criterion 7 imports it from here
 
 KINDS = ("A2S", "S2A", "E2A", "A2E", "E2S", "S2E", "A2A")
 
@@ -599,14 +600,8 @@ def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
     nu_max = frequency_to_wavenumber(float(grid[-1]) + scenario.wing_cutoff)
     catalog = load_catalog(path, nu_min, nu_max)
     if catalog.parse_errors:
-        print(_parse_error_warning(catalog), file=sys.stderr)
+        print(parse_error_warning(catalog), file=sys.stderr)
     return catalog
-
-
-def _parse_error_warning(catalog: LineCatalog) -> str:
-    issues = catalog.parse_errors
-    return (f"warning: {len(issues)} catalog record(s) failed to parse and "
-            f"were skipped, the first at line {issues[0].line_number}")
 
 
 def _weather_paths(scenario: Scenario) -> tuple[float, float]:
@@ -716,85 +711,3 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         snr=snr_values[part],
         budget=LinkBudget(capacity),
     )
-
-
-def describe(scenario: Scenario) -> str:
-    """Human-readable dump of a resolved scenario."""
-    lines = [f"scenario {scenario.kind}"]
-    for field in dataclasses.fields(scenario):
-        value = getattr(scenario, field.name)
-        lines.append(f"  {field.name} = {value}")
-    return "\n".join(lines)
-
-
-def _texts(column: np.ndarray) -> list[str]:
-    """The values of ``column`` at ``.10g``, as the CSVs write numbers."""
-    return list(map("%.10g".__mod__, column.tolist()))
-
-
-def _rows(template: str, *columns: list):
-    """One ``%``-``template`` line per row of the lists ``columns``. Python
-    floats format faster than numpy scalars, and ``"%.10g" % x`` gives the
-    text of ``f"{x:.10g}"``."""
-    return map(template.__mod__, zip(*columns))
-
-
-def _write_csv(path: Path, provenance: str, header: str, rows) -> None:
-    """Write a ``# provenance`` comment, the header row, then ``rows``, each
-    already formatted and ending in a newline."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {provenance}\n{header}\n")
-        fh.writelines(rows)
-
-
-def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
-    """Write path-loss, SNR, and capacity CSVs plus a summary. Returns paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prov = resolved.provenance
-    scenario = resolved.scenario
-    paths = [out_dir / name for name in ("path_loss.csv", "snr.csv",
-                                         "capacity.csv", "summary.txt")]
-
-    freqs = _texts(resolved.grid)
-    _write_csv(paths[0], prov,
-               "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db",
-               _rows("%s,%.10g,%.10g,%.10g,%.10g,%.10g\n", freqs,
-                     *(column.tolist() for column in (
-                         resolved.path_loss_db, resolved.tau,
-                         resolved.fspl_db, resolved.rain_db,
-                         resolved.cloud_db))))
-
-    with np.errstate(divide="ignore"):
-        noise_db = 10.0 * np.log10(resolved.noise_psd)
-    _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
-               _rows("%s,%.10g,%.10g\n", freqs, resolved.snr_db.tolist(),
-                     noise_db.tolist()))
-
-    tx = scenario.transceiver
-    bpsk = modulation_threshold("BPSK", 1e-6)
-    qam16 = modulation_threshold("16QAM", 1e-6)
-    _write_csv(paths[2], prov, "quantity,value", [
-        f"capacity_bit_s,{resolved.budget.capacity:.10g}\n",
-        f"center_frequency_hz,{tx.center_frequency:.10g}\n",
-        f"bandwidth_hz,{tx.bandwidth:.10g}\n",
-        f"bpsk_snr_db_for_bep_1e-6,{10 * math.log10(bpsk):.10g}\n",
-        f"qam16_snr_db_for_bep_1e-6,{10 * math.log10(qam16):.10g}\n",
-    ])
-
-    with paths[3].open("w") as fh:
-        fh.write(f"{prov}\n\n{describe(scenario)}\n\n")
-        fh.write(f"slant range: {resolved.r_as:.3f} m\n")
-        fh.write(f"elevation angle: {math.degrees(resolved.psi):.4f} deg\n")
-        fh.write(f"in-atmosphere rain path: {resolved.rain_path:.1f} m, "
-                 f"cloud path: {resolved.cloud_path:.1f} m\n")
-        if resolved.weather_extrapolated:
-            fh.write("warning: weather attenuation extrapolated beyond its "
-                     "table's formal frequency range\n")
-        if resolved.catalog.parse_errors:
-            fh.write(f"{_parse_error_warning(resolved.catalog)}\n")
-        pl_db = resolved.path_loss_db
-        fh.write(f"path loss over grid: min {pl_db.min():.2f} dB, "
-                 f"max {pl_db.max():.2f} dB\n")
-        fh.write(f"band capacity: {resolved.budget.capacity / 1e9:.3f} Gbit/s\n")
-    return paths

@@ -1,10 +1,9 @@
 """Parameter sweeps over frequency, altitude, or elevation.
 
-A sweep re-resolves the scenario at each axis point and emits one long-format
-CSV, ``axis_value,frequency_hz,metric,value``, with a deterministic row
-order (axis ascending, then metric name, then frequency). Sweep points run
-one after another over one spectrum cache that holds each layer stack as
-arrays: a point adds at most a truncated top layer and reads its live rows.
+A sweep re-resolves the scenario at each axis point; :mod:`thzlink.output`
+writes the results as one long-format CSV. Sweep points run one after
+another over one spectrum cache that holds each layer stack as arrays: a
+point adds at most a truncated top layer and reads its live rows.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-from itertools import groupby
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
@@ -21,9 +19,6 @@ from .scenario import (
     Scenario,
     SpectrumCache,
     _grid_span,
-    _rows,
-    _texts,
-    _write_csv,
     make_grid,
     resolve,
 )
@@ -108,47 +103,6 @@ def run_sweep(
         points = sweep_points(start, stop, step)
         scenarios = [_scenario_at(base, axis, value) for value in points]
     return points, list(_resolved(scenarios, cache, axis != "frequency"))
-
-
-def write_sweep_csv(path, axis: str, points: Iterable[float],
-                    results: list[ResolvedLink]) -> None:
-    """Long-format CSV: axis_value,frequency_hz,metric,value.
-
-    A frequency sweep is one result whose rows take their frequency in GHz
-    as the axis value, and it has no capacity row.
-    """
-
-    def rows():
-        for value, resolved in zip(points, results):
-            freqs = _texts(resolved.grid)
-            metrics = (("path_loss_db", resolved.path_loss_db.tolist()),
-                       ("snr_db", resolved.snr_db.tolist()))
-            if axis == "frequency":
-                # distinct frequencies can share one GHz axis value; the rows
-                # of such a run list its path losses, then its SNRs
-                ghz = resolved.grid / 1e9
-                at = _texts(ghz)
-                start = 0
-                for _, run in groupby(ghz.tolist()):
-                    stop = start + sum(1 for _ in run)
-                    for metric, values in metrics:
-                        yield from _rows(f"%s,%s,{metric},%.10g\n",
-                                         at[start:stop], freqs[start:stop],
-                                         values[start:stop])
-                    start = stop
-            else:
-                # a point's rows, capacity first, are already in metric,
-                # then frequency order
-                at = "%.10g" % value
-                yield "%s,%.10g,capacity_bit_s,%.10g\n" % (
-                    at, resolved.scenario.transceiver.center_frequency,
-                    resolved.budget.capacity)
-                for metric, values in metrics:
-                    yield from _rows(f"{at},%s,{metric},%.10g\n", freqs,
-                                     values)
-
-    _write_csv(path, results[0].provenance,
-               "axis_value,frequency_hz,metric,value", rows())
 
 
 def crossover_altitude(

@@ -133,7 +133,12 @@ class TestStateRules:
         (0.0, 288.0, {"H2O": 0.01}),
         (101_325.0, -1.0, {"H2O": 0.01}),
         (101_325.0, 288.0, {"H2O": 1.5}),
-    ], ids=["pressure", "temperature", "mixing_ratio"])
+        (math.nan, 288.0, {"H2O": 0.01}),
+        (math.inf, 288.0, {"H2O": 0.01}),
+        (101_325.0, math.nan, {"H2O": 0.01}),
+        (101_325.0, math.inf, {"H2O": 0.01}),
+    ], ids=["pressure", "temperature", "mixing_ratio", "nan_pressure",
+            "inf_pressure", "nan_temperature", "inf_temperature"])
     def test_each_rule_raises_invalid_range(self, pressure, temperature,
                                             ratios):
         with pytest.raises(InvalidRange) as caught:

@@ -212,6 +212,16 @@ class TestWeatherRules:
         assert isinstance(caught.value, ThzLinkError)
         assert isinstance(caught.value, ValueError)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rain_rate(self, value):
+        with pytest.raises(InvalidRange, match="finite"):
+            rain_attenuation(np.array([100e9]), value, 1_000.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cloud_density(self, value):
+        with pytest.raises(InvalidRange, match="finite"):
+            cloud_attenuation(np.array([100e9]), value, 1_000.0, 280.0)
+
 
 class TestCloudAttenuation:
     def test_no_cloud_no_loss(self):

@@ -197,6 +197,31 @@ class TestRunCommand:
         assert err == [warning]
         assert warning in (out / "summary.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_record_is_skipped_with_the_warning(self, tmp_path,
+                                                          capsys, text):
+        records = bundled_catalog_path().read_text().splitlines(True)
+        index = next(i for i, record in enumerate(records)
+                     if record[3:15] == "    6.114600")   # water, 183 GHz
+        record = records[index]
+        records[index] = record[:15] + text.rjust(10) + record[25:]
+        catalog = tmp_path / "non_finite.par"
+        catalog.write_text("".join(records))
+        cfg = tmp_path / "e2a.cfg"
+        cfg.write_text("kind = E2A\nf_min_ghz = 150\nf_max_ghz = 250\n"
+                       "layer_resolution_m = 1000\n"
+                       f"catalog_path = {catalog}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        warning = ("warning: 1 catalog record(s) failed to parse and were "
+                   f"skipped, the first at line {index + 1}")
+        assert capsys.readouterr().err.splitlines() == [warning]
+        assert warning in (out / "summary.txt").read_text().splitlines()
+        for name in ("path_loss.csv", "snr.csv", "capacity.csv"):
+            values = np.loadtxt(out / name, delimiter=",", skiprows=2,
+                                usecols=1)
+            assert values.size and np.isfinite(values).all(), name
+
     @pytest.mark.parametrize("corruption",
                              ["text", "pickled", "wrong_length", "nan",
                               "changed_value", "swapped", "truncated"])
@@ -452,6 +477,34 @@ class TestSweepCommand:
         assert lines[1] == "axis_value,frequency_hz,metric,value"
         metrics = {line.split(",")[2] for line in lines[2:]}
         assert metrics == {"capacity_bit_s", "path_loss_db", "snr_db"}
+
+    def test_one_point_sweep_writes_the_numbers_of_a_run(self, tmp_path):
+        cfg = tmp_path / "a2s.cfg"
+        cfg.write_text("kind = A2S\nh_airplane_km = 11\nelevation_deg = 60\n"
+                       "f_min_ghz = 280\nf_max_ghz = 320\nf_step_ghz = 5\n"
+                       "layer_resolution_m = 10000\n")
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", str(cfg), "--out-dir", str(run)]) == EXIT_OK
+        assert main(["sweep", str(cfg), "--axis", "altitude", "--from",
+                     "11000", "--to", "11000", "--step", "1",
+                     "--out-dir", str(sweep)]) == EXIT_OK
+
+        def read(path):
+            lines = path.read_text().splitlines()
+            return lines[0], [line.split(",") for line in lines[2:]]
+
+        provenance, swept = read(sweep / "sweep.csv")
+        prov, quantities = read(run / "capacity.csv")
+        assert prov == provenance
+        values = dict(quantities)
+        expected = [["11000", values["center_frequency_hz"],
+                     "capacity_bit_s", values["capacity_bit_s"]]]
+        for name, metric in (("path_loss.csv", "path_loss_db"),
+                             ("snr.csv", "snr_db")):
+            prov, table = read(run / name)
+            assert prov == provenance and len(table) == 9
+            expected += [["11000", f, metric, value] for f, value, *_ in table]
+        assert swept == expected
 
     def test_empty_range_is_config_error(self, quick_config, tmp_path,
                                          capsys):

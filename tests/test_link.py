@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc, erfcinv
 
 from thzlink.constants import BOLTZMANN, PLANCK
 from thzlink.errors import UnsupportedScheme
@@ -210,6 +211,21 @@ class TestModulationThresholds:
         assert qam > bpsk
         assert bit_error_probability("16QAM", qam) == pytest.approx(
             1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.1, 0.3])
+    def test_thresholds_match_scipys_erfcinv(self, p):
+        # the closed forms of the standard library's normal quantile
+        assert modulation_threshold("BPSK", p) == pytest.approx(
+            erfcinv(2.0 * p) ** 2, rel=1e-14)
+        assert modulation_threshold("16QAM", p) == pytest.approx(
+            10.0 * erfcinv(2.0 * p / 0.75) ** 2, rel=1e-14)
+
+    def test_bep_matches_scipys_erfc(self):
+        for x in np.linspace(0.0, 8.0, 801).tolist():
+            snr_linear = x * x / 2.0
+            assert bit_error_probability("BPSK", snr_linear) == pytest.approx(
+                0.5 * erfc(math.sqrt(2.0 * snr_linear) / math.sqrt(2.0)),
+                rel=1e-14)
 
     def test_half_bep_degenerates_to_zero_snr(self):
         assert modulation_threshold("BPSK", 0.5) == 0.0

@@ -24,12 +24,12 @@ from thzlink.link import (
     thermal_noise_psd,
     total_noise_psd,
 )
+from thzlink.output import describe, write_sweep_csv
 from thzlink.scenario import (
     _DEFAULTS,
     Scenario,
     SpectrumCache,
     build_scenario,
-    describe,
     make_grid,
     parse_config,
     resolve,
@@ -40,7 +40,6 @@ from thzlink.sweep import (
     crossover_altitude,
     run_sweep,
     sweep_points,
-    write_sweep_csv,
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data" / "configs"
