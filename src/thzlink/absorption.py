@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import wofz
 
 from .atmosphere import AtmosphericState
 from .catalog import (
@@ -40,7 +39,12 @@ from .constants import (
     STANDARD_PRESSURE,
     STANDARD_TEMPERATURE,
 )
-from .errors import TemperatureOutOfFitRange, UnknownSpecies, UnknownSpeciesMass
+from .errors import (
+    NonFiniteAbsorption,
+    TemperatureOutOfFitRange,
+    UnknownSpecies,
+    UnknownSpeciesMass,
+)
 
 _LN2 = math.log(2.0)
 _WAVENUMBER_TO_HZ = 100.0 * SPEED_OF_LIGHT
@@ -135,7 +139,11 @@ def voigt_shape(f, f_c: float, alpha_l: float, alpha_d: float):
 
     Evaluated through the Faddeeva function; relative error is far below
     the 1e-4 contract checked against direct quadrature in the test suite.
+    scipy is imported here, not with the module, so that a run which
+    evaluates no Voigt-branch line never loads it.
     """
+    from scipy.special import wofz
+
     scale = math.sqrt(_LN2) / alpha_d
     z = (np.asarray(f, dtype=float) - f_c + 1j * alpha_l) * scale
     return wofz(z).real * (scale / math.sqrt(math.pi))
@@ -248,6 +256,7 @@ def _line_windows(columns: LineColumns, p, t, mu, grid: np.ndarray,
                        (lo < hi) & ~(mu <= 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def absorbing_layers(catalog: LineCatalog,
                      states: Sequence[AtmosphericState], grid: np.ndarray,
                      wing_cutoff: float = DEFAULT_WING_CUTOFF) -> np.ndarray:
@@ -282,6 +291,7 @@ class AbsorptionSpectrum:
     state: AtmosphericState
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def absorption_coefficient(
     catalog: LineCatalog,
     state: AtmosphericState,
@@ -305,6 +315,12 @@ def absorption_coefficient(
     number of lines. Each line's row is then added over its own window in
     catalog order, so every element sums in the same order as a loop over
     lines. The catalog is only read.
+
+    Numpy's floating-point warnings are silenced here and one check stands
+    in for them: a kappa that is not finite raises
+    :class:`NonFiniteAbsorption`, naming the first line in catalog order
+    whose contribution makes it so, as a half-width or strength out of
+    floating-point range does.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -312,6 +328,36 @@ def absorption_coefficient(
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
 
+    kappa = _kappa(catalog, state, grid, wing_cutoff)
+    finite = np.isfinite(kappa)
+    if not finite.all():
+        # Bisect for the shortest catalog prefix whose kappa is not finite at
+        # the first such point. The point has the same bytes on a one-point
+        # grid, and a sum once inf or NaN stays so as lines are added.
+        i = int(finite.argmin())
+        good, bad = 0, len(catalog)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            prefix = LineCatalog(catalog.lines[:mid], catalog.source_id)
+            if np.isfinite(_kappa(prefix, state, grid[i:i + 1],
+                                  wing_cutoff)[0]):
+                good = mid
+            else:
+                bad = mid
+        line = catalog.lines[good]
+        name = MOLECULE_NAMES.get(line.molecule_id, line.molecule_id)
+        raise NonFiniteAbsorption(
+            f"catalog line of {name} (molecule {line.molecule_id}, "
+            f"isotopologue {line.isotopologue_id}) at {line.nu0} 1/cm makes "
+            f"kappa {kappa[i]} at {grid[i]:.10g} Hz, p = "
+            f"{state.pressure:.6g} Pa, T = {state.temperature:.6g} K")
+    return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+
+
+def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
+           wing_cutoff: float) -> np.ndarray:
+    """kappa in 1/m on a checked ``grid``, as :func:`absorption_coefficient`
+    describes it."""
     p, t = state.pressure, state.temperature
     columns = catalog.columns
     mu = columns.mixing_ratios(state.mixing_ratios)
@@ -319,7 +365,7 @@ def absorption_coefficient(
     live = np.flatnonzero(w.live)
     kappa = np.zeros_like(grid)
     if live.size == 0:
-        return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+        return kappa
 
     # columns over the live lines, one row per line
     f_c, alpha_l, alpha_d = (x[live][:, None] for x in (w.f_c, w.alpha_l,
@@ -356,7 +402,7 @@ def absorption_coefficient(
         # catalog order, so each element sums as a loop over lines would
         for j, row in enumerate(own, start):
             kappa[lo[j]:hi[j]] += row
-    return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+    return kappa
 
 
 def _strengths(catalog: LineCatalog, live: np.ndarray, f_c: np.ndarray,

@@ -71,6 +71,10 @@ class TemperatureOutOfFitRange(ThzLinkError):
     pass
 
 
+class NonFiniteAbsorption(ThzLinkError):
+    """A catalog line whose absorption in a layer is not finite."""
+
+
 # --- geometry ------------------------------------------------------------
 
 class GeometryError(ThzLinkError):

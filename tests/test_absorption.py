@@ -49,6 +49,7 @@ from thzlink.constants import (
     STANDARD_TEMPERATURE,
 )
 from thzlink.errors import (
+    NonFiniteAbsorption,
     TemperatureOutOfFitRange,
     ThzLinkError,
     UnknownSpecies,
@@ -410,6 +411,40 @@ class TestAbsorptionCoefficient:
         hot = AtmosphericState(0.0, P0, 3200.0, {"H2O": 0.01})
         with pytest.raises(TemperatureOutOfFitRange):
             absorption_coefficient(cat, hot, np.array([300e9, 310e9]))
+
+    # finite as parsed, but past what the line formulas can carry: the
+    # intensity's Boltzmann ratio is 0/0, the collision width overflows
+    @pytest.mark.parametrize("field, value", [
+        ("E_lower", 1e300), ("gamma_t", 9e99), ("alpha_air", 9e300)])
+    def test_line_out_of_range_names_the_line(self, sample_line, field,
+                                              value):
+        line = dataclasses.replace(sample_line, **{field: value})
+        cat = LineCatalog((line,), "one-line")
+        cold = AtmosphericState(0.0, P0, 250.0, {"H2O": 0.0078})
+        grid = np.linspace(550e9, 560e9, 11)
+        # the stack pass marks the layer without a floating-point warning
+        assert absorbing_layers(cat, [cold], grid).tolist() == [True]
+        with pytest.raises(NonFiniteAbsorption,
+                           match=r"^catalog line of H2O \(molecule 1, "
+                                 r"isotopologue 1\) at 18\.577339 1/cm makes "
+                                 r"kappa nan at 5\.5e\+11 Hz, p = 101325 Pa, "
+                                 r"T = 250 K$"):
+            absorption_coefficient(cat, cold, grid)
+
+    def test_kappa_overflow_names_the_line(self, sample_line):
+        # every quantity of the first line is finite, but its collision
+        # shape's factor (f / f_c) tanh(hf/2kT) / tanh(hf_c/2kT) overflows
+        tiny = dataclasses.replace(sample_line, nu0=1e-300, delta_air=0.0)
+        cat = LineCatalog((tiny, sample_line), "two-line")
+        state = AtmosphericState(0.0, P0, T0, {"H2O": 0.0078})
+        with pytest.raises(NonFiniteAbsorption,
+                           match=r"^catalog line of H2O \(molecule 1, "
+                                 r"isotopologue 1\) at 1e-300 1/cm makes "
+                                 r"kappa inf at 5\.5e\+11 Hz, p = 101325 Pa"):
+            absorption_coefficient(cat, state, np.linspace(550e9, 560e9, 11))
+        # beyond its 750 GHz window the line is not evaluated
+        far = absorption_coefficient(cat, state, np.array([760e9, 770e9]))
+        assert np.isfinite(far.kappa).all() and far.kappa.all()
 
     def test_grid_must_increase(self, mini_catalog):
         state = profile_at(0.0)

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ from thzlink.catalog import bundled_catalog_path
 from thzlink.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from thzlink.scenario import _DEFAULTS, KINDS
 
-CONFIG_DIR = Path(__file__).parent.parent / "src" / "thzlink" / "data" / "configs"
+SRC = Path(__file__).parent.parent / "src"
+CONFIG_DIR = SRC / "thzlink" / "data" / "configs"
 
 
 @pytest.fixture()
@@ -45,6 +49,11 @@ NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in ("kind", "catalog_path"))
 # linear factor
 OVERFLOWING = [("noise_figure_db", "1e6"), ("f_max_ghz", "1e300"),
                ("center_frequency_ghz", "1e300")]
+
+
+def output_bytes(directory):
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()
+            if p.is_file()}
 
 
 def file_hashes(directory):
@@ -222,6 +231,36 @@ class TestRunCommand:
                                 usecols=1)
             assert values.size and np.isfinite(values).all(), name
 
+    # finite as parsed, but past what the line formulas can carry: the
+    # intensity's Boltzmann ratio is 0/0, the collision width overflows
+    @pytest.mark.parametrize("field, start, text", [
+        ("E_lower", 45, "1.000E+300"), ("gamma_t", 55, "9e99"),
+        ("alpha_air", 35, "9e300")])
+    def test_line_with_non_finite_absorption_is_computation_error(
+            self, tmp_path, capsys, field, start, text):
+        records = bundled_catalog_path().read_text().splitlines(True)
+        index = next(i for i, record in enumerate(records)
+                     if record[3:15] == "    6.114600")   # water, 183 GHz
+        record = records[index]
+        records[index] = record[:start] + text + record[start + len(text):]
+        catalog = tmp_path / f"{field}.par"
+        catalog.write_text("".join(records))
+        cfg = tmp_path / "e2a.cfg"
+        cfg.write_text("kind = E2A\nf_min_ghz = 150\nf_max_ghz = 250\n"
+                       "layer_resolution_m = 1000\n"
+                       f"catalog_path = {catalog}\n")
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        code = main(["run", str(cfg), "--out-dir", str(out),
+                     "--cache-dir", str(cache)])
+        assert code == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith(f"computation error (run {cfg}): catalog line "
+                              "of H2O (molecule 1, isotopologue 1) at 6.1146 "
+                              "1/cm makes kappa nan at 1.5e+11 Hz, p = ")
+        assert not out.exists()
+        # the ground layer, the first evaluated, already holds the line
+        assert list(cache.glob("*.npy")) == []
+
     @pytest.mark.parametrize("corruption",
                              ["text", "pickled", "wrong_length", "nan",
                               "changed_value", "swapped", "truncated"])
@@ -378,6 +417,64 @@ def test_unphysical_value_in_a_run_is_computation_error(quick_config,
     err = capsys.readouterr().err
     assert err.startswith("computation error (run ")
     assert "rain_rate must be nonnegative" in err
+
+
+# run in a fresh interpreter on src/: the exit code of main(argv), and
+# whether scipy was imported
+PROBE = """import sys
+from thzlink.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, "scipy" in sys.modules)
+"""
+
+
+def fresh_process(*argv, cwd):
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", PROBE, *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True)
+    code, scipy = done.stdout.splitlines()[-1].split()
+    return int(code), scipy == "True"
+
+
+class TestScipyOnlyForVoigtLines:
+    """scipy supplies only the Voigt shape, so a process that evaluates no
+    Voigt-branch line never imports it. The tests themselves import scipy,
+    hence the fresh interpreters."""
+
+    @pytest.fixture(scope="class")
+    def a2s_cold(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("a2s")
+        code = main(["run", str(CONFIG_DIR / "a2s_leo.cfg"), "--out-dir",
+                     str(root / "out"), "--cache-dir", str(root / "cache")])
+        assert code == EXIT_OK
+        return root
+
+    def test_importing_the_cli_does_not_import_scipy(self, tmp_path):
+        assert fresh_process(cwd=tmp_path) == (EXIT_OK, False)
+
+    def test_warm_a2s_run_does_not_import_scipy(self, a2s_cold, tmp_path):
+        assert fresh_process("run", str(CONFIG_DIR / "a2s_leo.cfg"),
+                             "--out-dir", str(tmp_path / "out"),
+                             "--cache-dir", str(a2s_cold / "cache"),
+                             cwd=tmp_path) == (EXIT_OK, False)
+        assert output_bytes(tmp_path / "out") == output_bytes(
+            a2s_cold / "out")
+
+    def test_cold_e2a_run_does_not_import_scipy(self, tmp_path):
+        assert fresh_process("run", str(CONFIG_DIR / "e2a_nimbostratus.cfg"),
+                             "--out-dir", str(tmp_path / "out"),
+                             "--cache-dir", str(tmp_path / "cache"),
+                             cwd=tmp_path) == (EXIT_OK, False)
+
+    def test_cold_a2s_run_imports_scipy_and_writes_the_same_bytes(
+            self, a2s_cold, tmp_path):
+        assert fresh_process("run", str(CONFIG_DIR / "a2s_leo.cfg"),
+                             "--out-dir", str(tmp_path / "out"),
+                             "--cache-dir", str(tmp_path / "cache"),
+                             cwd=tmp_path) == (EXIT_OK, True)
+        assert output_bytes(tmp_path / "out") == output_bytes(
+            a2s_cold / "out")
 
 
 class TestBenchmarkHooks:
