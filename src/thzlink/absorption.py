@@ -43,7 +43,6 @@ from .errors import (
     NonFiniteAbsorption,
     TemperatureOutOfFitRange,
     UnknownSpecies,
-    UnknownSpeciesMass,
 )
 
 _LN2 = math.log(2.0)
@@ -101,11 +100,7 @@ def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
 
 
 def doppler_halfwidth(line: SpectralLine | LineColumns, t: float):
-    """Thermal half-width at half maximum in Hz.
-
-    A :class:`SpectralLine` of unknown molar mass raises
-    :class:`UnknownSpeciesMass`; in :class:`LineColumns` its width is NaN.
-    """
+    """Thermal half-width at half maximum in Hz."""
     return (line.f0 / SPEED_OF_LIGHT) * np.sqrt(
         2.0 * _LN2 * BOLTZMANN * t / line.mass)
 
@@ -175,7 +170,8 @@ def _partition_fits():
 def partition_function(species, t: float) -> float:
     """Total internal partition sum Q(T) from bundled polynomial fits.
 
-    ``species`` is a molecule id or name. Valid from 70 K to 3000 K.
+    ``species`` is a molecule id or name. Valid from 70 K to 3000 K, which
+    each species' pieces cover with no gap.
     """
     name = MOLECULE_NAMES.get(species, species)
     fits = _partition_fits()
@@ -184,10 +180,8 @@ def partition_function(species, t: float) -> float:
     if not 70.0 <= t <= 3000.0:
         raise TemperatureOutOfFitRange(
             f"T = {t} K outside the fitted range [70, 3000] K")
-    for t_low, t_high, c in fits[name]:
-        if t_low <= t <= t_high:
-            return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
-    raise TemperatureOutOfFitRange(f"T = {t} K not covered by any fit piece")
+    c = next(c for _, t_high, c in fits[name] if t <= t_high)
+    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +260,8 @@ def absorbing_layers(catalog: LineCatalog,
     same :func:`_line_windows`; a state without one has kappa +0.0 at every
     grid point. The states are taken in blocks of at most
     ``_BLOCK_PAIRS`` line-layer pairs, so memory does not grow with the
-    number of states times the number of lines.
+    number of states times the number of lines. A line whose collision
+    half-width is not positive raises, live or not, as in the kernel.
     """
     columns = catalog.columns
     marks = np.zeros(len(states), dtype=bool)
@@ -278,6 +273,7 @@ def absorbing_layers(catalog: LineCatalog,
         mu = np.array([columns.mixing_ratios(s.mixing_ratios) for s in block],
                       dtype=float).reshape(len(block), len(catalog))
         windows = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+        _refuse_unbroadened(catalog, block, windows.alpha_l, mu)
         marks[start:start + len(block)] = windows.live.any(axis=1)
     return marks
 
@@ -307,20 +303,20 @@ def absorption_coefficient(
     exactly 0.0 in double precision. Lines of species absent from the
     state's mixing ratios contribute nothing. Centers, half-widths, shape
     kinds and windows are computed for all lines at once; intensities only
-    for lines with a grid point in their window, whose errors
-    (:class:`UnknownSpeciesMass`, :class:`TemperatureOutOfFitRange`) are
-    raised, and shapes for those lines in blocks of consecutive lines, one
-    array per shape kind over the block's grid span. A block holds at most
+    for lines with a grid point in their window, whose
+    :class:`TemperatureOutOfFitRange` is raised, and shapes for those lines
+    in blocks of consecutive lines, one array per shape kind over the
+    block's grid span. A block holds at most
     ``_BLOCK_ELEMENTS`` lines times span, so memory does not grow with the
     number of lines. Each line's row is then added over its own window in
     catalog order, so every element sums in the same order as a loop over
     lines. The catalog is only read.
 
-    Numpy's floating-point warnings are silenced here and one check stands
-    in for them: a kappa that is not finite raises
-    :class:`NonFiniteAbsorption`, naming the first line in catalog order
-    whose contribution makes it so, as a half-width or strength out of
-    floating-point range does.
+    Numpy's floating-point warnings are silenced here, and
+    :class:`NonFiniteAbsorption` names a line instead: one of a present
+    species whose collision half-width is not positive, in or out of its
+    window, or else the first in catalog order whose contribution makes a
+    kappa not finite, as a half-width or strength out of range does.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -344,14 +340,31 @@ def absorption_coefficient(
                 good = mid
             else:
                 bad = mid
-        line = catalog.lines[good]
-        name = MOLECULE_NAMES.get(line.molecule_id, line.molecule_id)
-        raise NonFiniteAbsorption(
-            f"catalog line of {name} (molecule {line.molecule_id}, "
-            f"isotopologue {line.isotopologue_id}) at {line.nu0} 1/cm makes "
-            f"kappa {kappa[i]} at {grid[i]:.10g} Hz, p = "
-            f"{state.pressure:.6g} Pa, T = {state.temperature:.6g} K")
+        raise _blame(catalog.lines[good], state,
+                     f"makes kappa {kappa[i]} at {grid[i]:.10g} Hz")
     return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
+
+
+def _blame(line: SpectralLine, state: AtmosphericState, what: str):
+    """A :class:`NonFiniteAbsorption` naming ``line``, ``what``, p and T."""
+    return NonFiniteAbsorption(
+        f"catalog line of {MOLECULE_NAMES[line.molecule_id]} (molecule "
+        f"{line.molecule_id}, isotopologue {line.isotopologue_id}) at "
+        f"{line.nu0} 1/cm {what}, p = {state.pressure:.6g} Pa, "
+        f"T = {state.temperature:.6g} K")
+
+
+def _refuse_unbroadened(catalog: LineCatalog,
+                        states: Sequence[AtmosphericState], alpha_l, mu):
+    """Raise for the first line, by state then catalog order, of a species
+    present in ``states`` whose collision half-width ``alpha_l`` (a row
+    over the lines per state, as ``mu``) is not positive: underflowed, as
+    by a far-out temperature exponent, it passes for a Doppler line."""
+    unbroadened = ~(alpha_l > 0.0) & (mu > 0.0)
+    if unbroadened.any():
+        row, j = divmod(k := int(unbroadened.argmax()), len(catalog))
+        raise _blame(catalog.lines[j], states[row],
+                     f"has collision half-width {alpha_l.flat[k]:.6g} Hz")
 
 
 def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
@@ -362,6 +375,7 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     columns = catalog.columns
     mu = columns.mixing_ratios(state.mixing_ratios)
     w = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+    _refuse_unbroadened(catalog, (state,), w.alpha_l, mu)
     live = np.flatnonzero(w.live)
     kappa = np.zeros_like(grid)
     if live.size == 0:
@@ -370,7 +384,7 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     # columns over the live lines, one row per line
     f_c, alpha_l, alpha_d = (x[live][:, None] for x in (w.f_c, w.alpha_l,
                                                         w.alpha_d))
-    strength = _strengths(catalog, live, f_c[:, 0], p, t, mu[live])[:, None]
+    strength = _strengths(columns, live, f_c[:, 0], p, t, mu[live])[:, None]
     collisional, thermal = w.collisional[live], w.thermal[live]
     if collisional.any():
         # tanh(hf/2kT) over the grid depends on the layer alone, and an
@@ -405,26 +419,17 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     return kappa
 
 
-def _strengths(catalog: LineCatalog, live: np.ndarray, f_c: np.ndarray,
+def _strengths(columns: LineColumns, live: np.ndarray, f_c: np.ndarray,
                p: float, t: float, mu: np.ndarray) -> np.ndarray:
-    """N_i S_i(T) in SI of the catalog's lines ``live``, centered at
-    ``f_c`` with mixing ratios ``mu``; Q(T) is computed once per species.
-
-    Raises as a loop over the lines in catalog order would: for the first
-    line whose molar mass or partition sum is missing.
-    """
-    columns = catalog.columns
+    """N_i S_i(T) in SI of the lines ``live``, centered at ``f_c`` with
+    mixing ratios ``mu``. Q(T) is computed once per species in catalog
+    order, so :class:`TemperatureOutOfFitRange` is raised as a loop over
+    the lines would raise it."""
     species = columns.species_index[live].tolist()
-    no_mass = np.isnan(columns.mass[live])
-    first_no_mass = int(no_mass.argmax()) if no_mass.any() else len(live)
-    q_ratio = {}
-    for s in dict.fromkeys(species[:first_no_mass]):
-        name = columns.species[s]
-        q_ratio[s] = _reference_partition(name) / partition_function(name, t)
-    if first_no_mass < len(live):
-        line = catalog.lines[live[first_no_mass]]
-        raise UnknownSpeciesMass(
-            f"no molar mass for molecule {line.molecule_id}")
+    names = columns.species
+    q_ratio = {s: (_reference_partition(names[s])
+                   / partition_function(names[s], t))
+               for s in dict.fromkeys(species)}
     intensity = _scaled_intensity(columns.S0_ref[live],
                                   columns.E_lower[live], t, f_c,
                                   np.array([q_ratio[s] for s in species]))

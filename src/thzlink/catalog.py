@@ -28,7 +28,6 @@ from .errors import (
     EmptyCatalogWarning,
     IoFailure,
     UnknownIsotopologue,
-    UnknownSpeciesMass,
     UnparseableField,
     WrongRecordLength,
 )
@@ -110,7 +109,8 @@ class SpectralLine:
 
     Units follow the catalog convention: wavenumbers in 1/cm, intensities in
     cm^-1/(molecule cm^-2) at the 296 K reference temperature, half-widths
-    and pressure shift in 1/cm per atm, lower-state energy in 1/cm.
+    and pressure shift in 1/cm per atm, lower-state energy in 1/cm. The
+    molecule is one :data:`MOLECULE_NAMES` names.
     """
 
     molecule_id: int
@@ -128,6 +128,8 @@ class SpectralLine:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.molecule_id not in MOLECULE_NAMES:
+            raise ValueError(f"unknown molecule {self.molecule_id}")
         if self.nu0 <= 0.0:
             raise ValueError(f"line center must be positive, got {self.nu0}")
         if self.S0_ref < 0.0:
@@ -147,12 +149,8 @@ class SpectralLine:
 
     @property
     def mass(self) -> float:
-        """Molecular mass in kg; :class:`UnknownSpeciesMass` if not tabulated."""
-        try:
-            return MOLAR_MASSES_U[self.molecule_id] * ATOMIC_MASS
-        except KeyError:
-            raise UnknownSpeciesMass(
-                f"no molar mass for molecule {self.molecule_id}") from None
+        """Molecular mass in kg."""
+        return MOLAR_MASSES_U[self.molecule_id] * ATOMIC_MASS
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +159,6 @@ class LineColumns:
 
     The names are those of :class:`SpectralLine`, so a line-parameter
     formula written for one line applies element-wise to every line.
-    ``mass`` is NaN for a molecule without a tabulated molar mass.
     """
 
     nu0: np.ndarray
@@ -174,7 +171,7 @@ class LineColumns:
     abundance: np.ndarray
     f0: np.ndarray
     mass: np.ndarray
-    species: tuple[str | None, ...]   # distinct names, None for an unnamed id
+    species: tuple[str, ...]          # distinct names, in catalog order
     species_index: np.ndarray         # each line's entry in ``species``
 
     @classmethod
@@ -183,7 +180,7 @@ class LineColumns:
             return np.array([getattr(ln, name) for ln in lines], dtype=float)
 
         nu0 = column("nu0")
-        names = [MOLECULE_NAMES.get(ln.molecule_id) for ln in lines]
+        names = [MOLECULE_NAMES[ln.molecule_id] for ln in lines]
         species = tuple(dict.fromkeys(names))
         return cls(
             nu0=nu0,
@@ -195,8 +192,7 @@ class LineColumns:
             E_lower=column("E_lower"),
             abundance=column("abundance"),
             f0=wavenumber_to_frequency(nu0),
-            mass=np.array([ln.mass if ln.molecule_id in MOLAR_MASSES_U
-                           else math.nan for ln in lines], dtype=float),
+            mass=column("mass"),
             species=species,
             species_index=np.array([species.index(n) for n in names],
                                    dtype=np.intp),

@@ -63,16 +63,13 @@ class UnknownSpecies(ThzLinkError):
     pass
 
 
-class UnknownSpeciesMass(ThzLinkError):
-    pass
-
-
 class TemperatureOutOfFitRange(ThzLinkError):
     pass
 
 
 class NonFiniteAbsorption(ThzLinkError):
-    """A catalog line whose absorption in a layer is not finite."""
+    """A catalog line whose absorption in a layer is not finite, or whose
+    collision half-width there is not positive (it underflowed)."""
 
 
 # --- geometry ------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from thzlink import absorption as absorption_module
-from thzlink import catalog as catalog_module
 from thzlink.absorption import (
     DEFAULT_WING_CUTOFF,
     DOPPLER_WINDOW,
@@ -17,6 +16,7 @@ from thzlink.absorption import (
     _dominance,
     _line_blocks,
     _line_windows,
+    _partition_fits,
     _reference_partition,
     _scaled_intensity,
     _vvh_shape,
@@ -34,6 +34,7 @@ from thzlink.absorption import (
 from thzlink.atmosphere import AtmosphericState, build_layers, profile_at
 from thzlink.catalog import (
     ISOTOPOLOGUE_ABUNDANCES,
+    MOLAR_MASSES_U,
     MOLECULE_NAMES,
     LineCatalog,
     SpectralLine,
@@ -53,7 +54,6 @@ from thzlink.errors import (
     TemperatureOutOfFitRange,
     ThzLinkError,
     UnknownSpecies,
-    UnknownSpeciesMass,
 )
 from thzlink.scenario import load_scenario_catalog, make_grid
 
@@ -120,9 +120,9 @@ class TestDopplerHalfwidth:
             4.04e5, rel=2e-3)
 
     def test_unknown_species(self, sample_line):
-        line = SpectralLine(**{**sample_line.__dict__, "molecule_id": 99})
-        with pytest.raises(UnknownSpeciesMass):
-            doppler_halfwidth(line, 296.0)
+        # a line's molecule is a named one, so every line has a mass
+        with pytest.raises(ValueError, match="unknown molecule 99"):
+            SpectralLine(**{**sample_line.__dict__, "molecule_id": 99})
 
 
 class TestShapes:
@@ -323,7 +323,6 @@ class TestPartitionFunction:
         assert partition_function(1, 296.0) == partition_function("H2O", 296.0)
 
     def test_continuous_at_piece_boundaries(self):
-        from thzlink.absorption import _partition_fits
         pieces = _partition_fits()["H2O"]
         boundaries = sorted({t_high for _, t_high, _ in pieces[:-1]})
         for t in boundaries:
@@ -332,6 +331,33 @@ class TestPartitionFunction:
             below = partition_function("H2O", t - 0.01)
             above = partition_function("H2O", t + 0.01)
             assert below == pytest.approx(above, rel=5e-3)
+
+    def test_the_species_tables_agree(self):
+        # a line's molecule is one MOLECULE_NAMES names; each such molecule
+        # has a mass, abundances and partition pieces over 70-3000 K
+        names = set(MOLECULE_NAMES.values())
+        assert len(names) == len(MOLECULE_NAMES)
+        assert set(MOLAR_MASSES_U) == set(MOLECULE_NAMES)
+        assert {m for m, _ in ISOTOPOLOGUE_ABUNDANCES} == set(MOLECULE_NAMES)
+        fits = _partition_fits()
+        assert set(fits) == names
+        for name, pieces in fits.items():
+            assert pieces[0][0] <= 70.0, name
+            reach = pieces[0][1]
+            for t_low, t_high, _ in pieces[1:]:
+                assert t_low <= reach, (name, t_low)   # no gap
+                reach = max(reach, t_high)
+            assert reach >= 3000.0, name
+
+    def test_each_temperature_takes_the_first_piece_that_holds_it(self):
+        for name, pieces in _partition_fits().items():
+            ends = [t for t_low, t_high, _ in pieces for t in (t_low, t_high)]
+            for t in sorted({*np.arange(70.0, 3000.0, 2.5).tolist(), 3000.0,
+                             *(t for t in ends if 70.0 <= t <= 3000.0)}):
+                c = next(c for t_low, t_high, c in pieces
+                         if t_low <= t <= t_high)
+                want = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+                assert partition_function(name, t) == want, (name, t)
 
 
 class TestNumberDensity:
@@ -430,6 +456,32 @@ class TestAbsorptionCoefficient:
                                  r"kappa nan at 5\.5e\+11 Hz, p = 101325 Pa, "
                                  r"T = 250 K$"):
             absorption_coefficient(cat, cold, grid)
+
+    # a temperature exponent far out of range underflows the collision
+    # width to 0.0: below 296 K when negative, above it when positive
+    @pytest.mark.parametrize("gamma_t, t", [
+        (-9e9, 250.0), (9e99, 300.0), (9e99, 1000.0)])
+    def test_underflowed_collision_width_names_the_line(self, sample_line,
+                                                        gamma_t, t):
+        line = dataclasses.replace(sample_line, gamma_t=gamma_t)
+        cat = LineCatalog((line,), "one-line")
+        state = AtmosphericState(0.0, 100.0, t, {"H2O": 0.0078})
+        dry = AtmosphericState(0.0, 100.0, t, {"N2": 0.78})
+        message = (r"^catalog line of H2O \(molecule 1, isotopologue 1\) at "
+                   r"18\.577339 1/cm has collision half-width 0 Hz, "
+                   rf"p = 100 Pa, T = {t:g} K$")
+        # a grid over the line, and one inside its wing cutoff but past
+        # the Doppler window the zero width would give it
+        f0 = line.f0
+        for grid in (np.linspace(550e9, 560e9, 11),
+                     np.array([f0 + 1e9, f0 + 2e9])):
+            with pytest.raises(NonFiniteAbsorption, match=message):
+                absorption_coefficient(cat, state, grid)
+            with pytest.raises(NonFiniteAbsorption, match=message):
+                absorbing_layers(cat, [dry, state], grid)
+            # where the species is absent the width does not matter
+            assert not absorption_coefficient(cat, dry, grid).kappa.any()
+            assert absorbing_layers(cat, [dry], grid).tolist() == [False]
 
     def test_kappa_overflow_names_the_line(self, sample_line):
         # every quantity of the first line is finite, but its collision
@@ -697,12 +749,11 @@ class TestKernelBitIdentity:
         assert len(lo) > 700
         assert len(list(_line_blocks(lo, hi))) < len(lo) / 10
 
-    @pytest.mark.parametrize("first", ["no mass", "too hot"])
-    def test_the_same_error_as_a_loop_over_lines(self, monkeypatch, first):
-        monkeypatch.delitem(catalog_module.MOLAR_MASSES_U, 7)
+    @pytest.mark.parametrize("first", ["o2 first", "h2o first"])
+    def test_the_same_error_as_a_loop_over_lines(self, first):
         o2 = [synthetic_line(7, 300.0e9 + i * 1e6) for i in range(3)]
         h2o = [synthetic_line(1, 300.01e9 + i * 1e6) for i in range(3)]
-        lines = o2 + h2o if first == "no mass" else h2o + o2
+        lines = o2 + h2o if first == "o2 first" else h2o + o2
         catalog = LineCatalog(tuple(lines), first)
         grid = FINE_GRID
         mixing = {"H2O": 0.01, "O2": 0.21}
@@ -712,13 +763,9 @@ class TestKernelBitIdentity:
             want = error_of(per_line_kappa, catalog, state, grid)
             got = error_of(absorption_coefficient, catalog, state, grid)
             assert got is want
-        # at 250 K only the missing mass raises; at 3,200 K the first line
-        # in catalog order decides which error
-        assert error_of(absorption_coefficient, catalog, hot, grid) is (
-            UnknownSpeciesMass if first == "no mass"
-            else TemperatureOutOfFitRange)
-        assert error_of(absorption_coefficient, LineCatalog(tuple(h2o), "ok"),
-                        mild, grid) is None
+        assert error_of(absorption_coefficient, catalog, mild, grid) is None
+        assert error_of(absorption_coefficient, catalog, hot, grid) is \
+            TemperatureOutOfFitRange
 
 
 class TestKernelMemory:
@@ -865,18 +912,18 @@ class TestAbsorbingLayers:
 
 class TestKernelErrors:
     """Errors of a line's intensity or width come only from lines with a
-    grid point in their window, since only those lines contribute."""
+    grid point in their window, since only those lines contribute; a
+    collision width that is not positive is the exception, refused for any
+    line (``test_underflowed_collision_width_names_the_line``)."""
 
-    def test_unknown_mass_of_a_contributing_line(self, monkeypatch,
-                                                 sample_line):
-        monkeypatch.delitem(catalog_module.MOLAR_MASSES_U, 1)
+    def test_temperature_out_of_fit_past_the_wing_cutoff(self, sample_line):
         cat = LineCatalog((sample_line,), "one-line")
-        state = AtmosphericState(0.0, P0, T0, {"H2O": 0.0078})
+        hot = AtmosphericState(0.0, P0, 3200.0, {"H2O": 0.0078})
         f0 = sample_line.nu0 * CM
-        with pytest.raises(UnknownSpeciesMass):
-            absorption_coefficient(cat, state, np.array([f0, f0 + 1e9]))
+        with pytest.raises(TemperatureOutOfFitRange):
+            absorption_coefficient(cat, hot, np.array([f0, f0 + 1e9]))
         beyond_wing = np.array([f0 + 800e9, f0 + 801e9])
-        kappa = absorption_coefficient(cat, state, beyond_wing).kappa
+        kappa = absorption_coefficient(cat, hot, beyond_wing).kappa
         assert not kappa.any()
 
     def test_temperature_out_of_fit_outside_the_doppler_window(

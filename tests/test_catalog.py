@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -77,6 +78,19 @@ class TestParseLineRecord:
         zero_nu0 = record[:3] + f"{0.0:12.6f}" + record[15:]
         with pytest.raises(CatalogError, match="violates line invariants"):
             parse_line_record(zero_nu0)
+
+
+class TestSpectralLineRules:
+    @pytest.mark.parametrize("field, value, message", [
+        ("molecule_id", 99, "unknown molecule 99"),
+        ("S0_ref", -1e-22, "intensity must be nonnegative"),
+        ("E_lower", -1.0, "lower-state energy must be nonnegative"),
+        ("abundance", 0.0, r"abundance must be in \(0, 1\]"),
+        ("abundance", -0.5, r"abundance must be in \(0, 1\]"),
+        ("abundance", 1.5, r"abundance must be in \(0, 1\]")])
+    def test_each_rule_raises(self, sample_line, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sample_line, **{field: value})
 
 
 class TestRoundTrip:

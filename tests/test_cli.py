@@ -261,6 +261,38 @@ class TestRunCommand:
         # the ground layer, the first evaluated, already holds the line
         assert list(cache.glob("*.npy")) == []
 
+    # the temperature exponent underflows the collision width to 0.0 where
+    # it is negative, below 296 K, and where it is large, above 296 K: an
+    # E2A stack is colder, and an A2S stack reaches the hot thermosphere
+    @pytest.mark.parametrize("kind, text, layer", [
+        ("E2A", "-9e9", "p = 95461.3 Pa, T = 284.9 K"),
+        ("A2S", "9e99", "p = 0.0040334 Pa, T = 306 K")])
+    def test_line_with_underflowed_collision_width_is_computation_error(
+            self, tmp_path, capsys, kind, text, layer):
+        records = bundled_catalog_path().read_text().splitlines(True)
+        index = next(i for i, record in enumerate(records)
+                     if record[3:15] == "    6.114600")   # water, 183 GHz
+        record = records[index]
+        assert record[55:59] == "0.74"
+        records[index] = record[:55] + text + record[59:]
+        catalog = tmp_path / "gamma_t.par"
+        catalog.write_text("".join(records))
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(f"kind = {kind}\nf_min_ghz = 150\nf_max_ghz = 250\n"
+                       "layer_resolution_m = 1000\n"
+                       f"catalog_path = {catalog}\n")
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        code = main(["run", str(cfg), "--out-dir", str(out),
+                     "--cache-dir", str(cache)])
+        assert code == EXIT_COMPUTE
+        assert capsys.readouterr().err == (
+            f"computation error (run {cfg}): catalog line of H2O (molecule "
+            "1, isotopologue 1) at 6.1146 1/cm has collision half-width 0 "
+            f"Hz, {layer}\n")
+        assert not out.exists()
+        # the stack pass refuses the line before any layer is computed
+        assert list(cache.glob("*.npy")) == []
+
     @pytest.mark.parametrize("corruption",
                              ["text", "pickled", "wrong_length", "nan",
                               "changed_value", "swapped", "truncated"])

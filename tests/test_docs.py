@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import thzlink
-from thzlink.catalog import PAR_2004
+from thzlink.catalog import MOLECULE_NAMES, PAR_2004
 from thzlink.scenario import _DEFAULTS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -57,6 +57,11 @@ def test_record_table_is_the_layout_table():
     assert all(a.stop == b.start for a, b in zip(PAR_2004, PAR_2004[1:]))
     assert "One record per line, 160 characters" in README
     assert PAR_2004[-1].stop == 160
+
+
+def test_molecule_numbering_is_the_code_numbering():
+    numbering = ", ".join(f"{k} {v}" for k, v in MOLECULE_NAMES.items())
+    assert f"\nMolecule numbering: {numbering}.\n" in README
 
 
 def test_export_list_is_the_package_exports():

@@ -173,6 +173,14 @@ class TestLayerPathSegments:
             layer = thin_stack[index]
             assert length > layer.upper - layer.lower
 
+    @pytest.mark.parametrize("segments", [layer_path_segments,
+                                          plane_parallel_segments])
+    @pytest.mark.parametrize("h_start", [5_000.0, 6_000.0])
+    def test_start_at_or_above_the_stack_top_rejected(self, thin_stack,
+                                                      segments, h_start):
+        with pytest.raises(GeometryError, match="above the stack top"):
+            segments(h_start, math.pi / 2, thin_stack)
+
     def test_curved_below_plane_parallel_pointwise(self, thin_stack):
         # flat layers overestimate every traversal length off zenith,
         # and the gap widens with altitude
@@ -215,6 +223,10 @@ class TestPlaneParallel:
         with pytest.raises(ZeroElevation):
             plane_parallel_segments(0.0, 0.0, thin_stack)
 
+    def test_elevation_past_zenith_rejected(self, thin_stack):
+        with pytest.raises(GeometryError, match=r"must be in \(0, pi/2\]"):
+            plane_parallel_segments(0.0, math.pi / 2 + 0.1, thin_stack)
+
 
 class TestHelpers:
     def test_central_angle_for_elevation_round_trip(self):
@@ -223,3 +235,12 @@ class TestHelpers:
             rho = central_angle_for_elevation(11e3, 500e3, psi)
             back = elevation_angle(LinkEndpoints(11e3, 500e3, rho))
             assert back == pytest.approx(psi, abs=1e-9)
+
+    @pytest.mark.parametrize("psi", [0.0, -0.1, math.pi / 2 + 0.1])
+    def test_central_angle_for_elevation_out_of_range(self, psi):
+        with pytest.raises(GeometryError, match=r"must be in \(0, pi/2\]"):
+            central_angle_for_elevation(11e3, 500e3, psi)
+
+    def test_central_angle_for_equal_altitudes(self):
+        with pytest.raises(DegenerateGeometry, match="equal endpoint"):
+            central_angle_for_elevation(11e3, 11e3, math.radians(30.0))

@@ -234,6 +234,15 @@ class TestModulationThresholds:
         with pytest.raises(UnsupportedScheme):
             modulation_threshold("1024QAM", 1e-6)
 
+    def test_negative_snr_rejected(self):
+        with pytest.raises(ValueError, match="SNR must be nonnegative"):
+            bit_error_probability("BPSK", -1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -0.1, 0.6])
+    def test_target_outside_the_range_rejected(self, target):
+        with pytest.raises(ValueError, match=r"must be in \(0, 0\.5\]"):
+            modulation_threshold("BPSK", target)
+
     def test_bep_monotone_in_snr(self):
         snrs = np.linspace(0.0, 30.0, 40)
         beps = [bit_error_probability("BPSK", s) for s in snrs]
