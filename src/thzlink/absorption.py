@@ -39,11 +39,7 @@ from .constants import (
     STANDARD_PRESSURE,
     STANDARD_TEMPERATURE,
 )
-from .errors import (
-    NonFiniteAbsorption,
-    TemperatureOutOfFitRange,
-    UnknownSpecies,
-)
+from .errors import InvalidRange, NonFiniteAbsorption
 
 _LN2 = math.log(2.0)
 _WAVENUMBER_TO_HZ = 100.0 * SPEED_OF_LIGHT
@@ -176,10 +172,9 @@ def partition_function(species, t: float) -> float:
     name = MOLECULE_NAMES.get(species, species)
     fits = _partition_fits()
     if name not in fits:
-        raise UnknownSpecies(f"no partition data for species {species!r}")
+        raise InvalidRange(f"no partition data for species {species!r}")
     if not 70.0 <= t <= 3000.0:
-        raise TemperatureOutOfFitRange(
-            f"T = {t} K outside the fitted range [70, 3000] K")
+        raise InvalidRange(f"T = {t} K outside the fitted range [70, 3000] K")
     c = next(c for _, t_high, c in fits[name] if t <= t_high)
     return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
 
@@ -303,10 +298,10 @@ def absorption_coefficient(
     exactly 0.0 in double precision. Lines of species absent from the
     state's mixing ratios contribute nothing. Centers, half-widths, shape
     kinds and windows are computed for all lines at once; intensities only
-    for lines with a grid point in their window, whose
-    :class:`TemperatureOutOfFitRange` is raised, and shapes for those lines
-    in blocks of consecutive lines, one array per shape kind over the
-    block's grid span. A block holds at most
+    for lines with a grid point in their window, so only those raise for a
+    temperature outside the partition fits, and shapes for those lines in
+    blocks of consecutive lines, one array per shape kind over the block's
+    grid span. A block holds at most
     ``_BLOCK_ELEMENTS`` lines times span, so memory does not grow with the
     number of lines. Each line's row is then added over its own window in
     catalog order, so every element sums in the same order as a loop over
@@ -423,8 +418,8 @@ def _strengths(columns: LineColumns, live: np.ndarray, f_c: np.ndarray,
                p: float, t: float, mu: np.ndarray) -> np.ndarray:
     """N_i S_i(T) in SI of the lines ``live``, centered at ``f_c`` with
     mixing ratios ``mu``. Q(T) is computed once per species in catalog
-    order, so :class:`TemperatureOutOfFitRange` is raised as a loop over
-    the lines would raise it."""
+    order, so a temperature outside the partition fits is raised as a loop
+    over the lines would raise it."""
     species = columns.species_index[live].tolist()
     names = columns.species
     q_ratio = {s: (_reference_partition(names[s])

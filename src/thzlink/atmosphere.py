@@ -18,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
-from .errors import AltitudeOutOfRange, InvalidRange
+from .errors import InvalidRange
 
 MAX_ALTITUDE = 500_000.0          # m, top of the modeled atmosphere
 DEFAULT_LAYER_RESOLUTION = 500.0  # m
@@ -161,7 +161,7 @@ def profile_at(
     so the ratios stay normalized in moist air.
     """
     if not 0.0 <= altitude <= MAX_ALTITUDE:
-        raise AltitudeOutOfRange(
+        raise InvalidRange(
             f"altitude {altitude} m outside [0, {MAX_ALTITUDE:.0f}] m")
     if altitude <= 86_000.0:
         pressure, temperature = _pressure_temperature_below_86km(altitude)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .absorption import AbsorptionSpectrum
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, InvalidRange, MisalignedLayers
+from .errors import ConfigError, InvalidRange
 
 RAIN_TABLE_RANGE_GHZ = (1.0, 1000.0)
 CLOUD_VALID_MAX_GHZ = 200.0
@@ -80,9 +80,9 @@ def transmittance(
     for row, (index, _) in zip(kappa, segments):
         spectrum = layer_spectra.get(index)
         if spectrum is None:
-            raise MisalignedLayers(f"no spectrum for layer {index}")
+            raise InvalidRange(f"no spectrum for layer {index}")
         if not np.array_equal(spectrum.grid, grid):
-            raise MisalignedLayers(
+            raise InvalidRange(
                 f"layer {index} spectrum grid differs from the path grid")
         row[:] = spectrum.kappa
     return np.exp(-_optical_depth(kappa, [length for _, length in segments]))

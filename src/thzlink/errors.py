@@ -47,24 +47,12 @@ class EmptyCatalogWarning(UserWarning):
     """Zero lines matched the load filter."""
 
 
-# --- atmosphere ----------------------------------------------------------
-
-class AltitudeOutOfRange(ThzLinkError):
-    pass
-
+# --- arguments and computation -------------------------------------------
 
 class InvalidRange(ThzLinkError, ValueError):
-    """A value outside the range its quantity allows."""
-
-
-# --- absorption ----------------------------------------------------------
-
-class UnknownSpecies(ThzLinkError):
-    pass
-
-
-class TemperatureOutOfFitRange(ThzLinkError):
-    pass
+    """A value outside the range its quantity allows, a value of a kind
+    that has no data (a species, a modulation scheme), or arguments that do
+    not match each other."""
 
 
 class NonFiniteAbsorption(ThzLinkError):
@@ -79,20 +67,6 @@ class GeometryError(ThzLinkError):
 
 
 class DegenerateGeometry(GeometryError):
-    pass
-
-
-class ZeroElevation(GeometryError):
-    pass
-
-
-# --- channel / link ------------------------------------------------------
-
-class MisalignedLayers(ThzLinkError):
-    pass
-
-
-class UnsupportedScheme(ThzLinkError):
     pass
 
 

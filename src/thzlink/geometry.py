@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EARTH_RADIUS
-from .errors import DegenerateGeometry, GeometryError, ZeroElevation
+from .errors import DegenerateGeometry, GeometryError
 from .atmosphere import LayerStack
 
 
@@ -125,9 +125,10 @@ def layer_path_segments(
 
 
 def _segment_lengths(h_start: float, psi: float, lower, upper) -> np.ndarray:
-    """Exact lengths, unchecked, of the ray from h_start inside shells that
-    reach above it; an empty shell has length 0."""
+    """Exact lengths, unchecked, of the ray from h_start inside shells; a
+    shell it does not cross, empty or below h_start, has length 0."""
     lower = np.maximum(lower, h_start)
+    upper = np.maximum(upper, lower)
     to_upper, to_lower = _ray_lengths(h_start, psi, np.array([upper, lower]))
     lengths = to_upper - np.where(lower > h_start, to_lower, 0.0)
     lengths[upper <= lower] = 0.0
@@ -138,10 +139,7 @@ def plane_parallel_segments(
     h_start: float, psi: float, layers: LayerStack
 ) -> tuple[tuple[int, float], ...]:
     """Flat-layer comparison model: thickness / sin(elevation) per layer."""
-    if psi <= 0.0:
-        raise ZeroElevation(
-            "plane-parallel path diverges at zero or negative elevation")
-    if psi > math.pi / 2:
+    if not 0.0 < psi <= math.pi / 2:   # the path diverges at psi <= 0
         raise GeometryError(f"elevation must be in (0, pi/2], got {psi}")
     index, lower, upper = _layers_above(h_start, layers)
     lengths = (upper - np.maximum(lower, h_start)) / math.sin(psi)

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .constants import BOLTZMANN, PLANCK
-from .errors import ConfigError, UnsupportedScheme
+from .errors import ConfigError, InvalidRange
 
 # frequencies of the capacity band, the Shannon integral's grid
 BAND_POINTS = 129
@@ -228,7 +228,7 @@ def bit_error_probability(scheme: str, snr_linear: float) -> float:
         return float(_q_function(math.sqrt(2.0 * snr_linear)))
     if scheme in ("16QAM", "16-QAM"):
         return float(0.75 * _q_function(math.sqrt(snr_linear / 5.0)))
-    raise UnsupportedScheme(f"unsupported modulation scheme {scheme!r}")
+    raise InvalidRange(f"unsupported modulation scheme {scheme!r}")
 
 
 def modulation_threshold(scheme: str, target_bep: float) -> float:

@@ -604,22 +604,19 @@ def load_scenario_catalog(scenario: Scenario, grid: np.ndarray) -> LineCatalog:
     return catalog
 
 
-def _weather_paths(scenario: Scenario) -> tuple[float, float]:
-    """Lengths in m of the line of sight inside the rain and the cloud."""
-    def through(base: float, thickness: float) -> float:
-        if scenario.kind == "A2A":
-            inside = (thickness > 0.0
-                      and base <= scenario.h_airplane <= base + thickness)
-            return scenario.link_distance if inside else 0.0
-        h_low, h_high = scenario.endpoints()
-        top = min(base + thickness, h_high)
-        if top <= max(base, h_low):   # missed; the shell must reach above
-            return 0.0
-        return float(_segment_lengths(h_low, scenario.line_of_sight[1],
-                                      np.array([base]), np.array([top]))[0])
-
-    return (through(scenario.rain_base, scenario.rain_thickness),
-            through(scenario.cloud_base, scenario.cloud_thickness))
+def _lengths(scenario: Scenario, lower, upper) -> np.ndarray:
+    """Lengths in m of the line of sight inside shells from ``lower`` to
+    ``upper``, measured between the terminals. An A2A link is level: it is
+    ``link_distance`` long inside a shell that holds the airplane."""
+    if scenario.kind == "A2A":
+        h = scenario.h_airplane
+        inside = (lower < upper) & (lower <= h) & (h <= upper)
+        return np.where(inside, scenario.link_distance, 0.0)
+    # both bounds at most h_high; _segment_lengths raises them to h_low
+    h_low, h_high = scenario.endpoints()
+    return _segment_lengths(h_low, scenario.line_of_sight[1],
+                            np.minimum(lower, h_high),
+                            np.minimum(upper, h_high))
 
 
 def _path_quantities(scenario: Scenario, catalog: LineCatalog,
@@ -635,10 +632,7 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     # optical depth, has tau 1.0 and emits nothing, and the sums and
     # products over layers run row by row, so leaving it out moves no byte.
     live = first + np.flatnonzero(stack.row[first:] >= 0)
-    lengths = (np.full(live.size, scenario.link_distance)
-               if scenario.kind == "A2A" else
-               _segment_lengths(h_low, scenario.line_of_sight[1],
-                                stack.lower[live], stack.upper[live]))
+    lengths = _lengths(scenario, stack.lower[live], stack.upper[live])
     layers = kappa[stack.row[live]]
     tau = np.exp(-_optical_depth(layers, lengths))
     from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
@@ -672,7 +666,10 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
 
     tau, sky = _path_quantities(scenario, catalog, grid, cache)
 
-    rain_path, cloud_path = _weather_paths(scenario)
+    rain_path, cloud_path = _lengths(
+        scenario, np.array([scenario.rain_base, scenario.cloud_base]),
+        np.array([scenario.rain_base + scenario.rain_thickness,
+                  scenario.cloud_base + scenario.cloud_thickness])).tolist()
     cloud_mid = scenario.cloud_base + 0.5 * scenario.cloud_thickness
     cloud_t = profile_at(min(cloud_mid, scenario.atmosphere_top),
                          scenario.ground_humidity,

@@ -49,12 +49,7 @@ from thzlink.constants import (
     STANDARD_PRESSURE,
     STANDARD_TEMPERATURE,
 )
-from thzlink.errors import (
-    NonFiniteAbsorption,
-    TemperatureOutOfFitRange,
-    ThzLinkError,
-    UnknownSpecies,
-)
+from thzlink.errors import InvalidRange, NonFiniteAbsorption, ThzLinkError
 from thzlink.scenario import load_scenario_catalog, make_grid
 
 P0 = STANDARD_PRESSURE
@@ -308,15 +303,17 @@ class TestPartitionFunction:
         assert ratio == pytest.approx(2.0, rel=0.1)
 
     def test_out_of_range(self):
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 50.0 K outside"):
             partition_function("H2O", 50.0)
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 3500.0 K outside"):
             partition_function("H2O", 3500.0)
 
     def test_unknown_species(self):
-        with pytest.raises(UnknownSpecies):
+        with pytest.raises(InvalidRange,
+                           match="no partition data for species 'XYZ'"):
             partition_function("XYZ", 296.0)
-        with pytest.raises(UnknownSpecies):
+        with pytest.raises(InvalidRange,
+                           match="no partition data for species 99"):
             partition_function(99, 296.0)
 
     def test_accepts_molecule_ids(self):
@@ -435,7 +432,7 @@ class TestAbsorptionCoefficient:
     def test_temperature_out_of_fit_propagates(self, sample_line):
         cat = LineCatalog((sample_line,), "one-line")
         hot = AtmosphericState(0.0, P0, 3200.0, {"H2O": 0.01})
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 3200.0 K outside"):
             absorption_coefficient(cat, hot, np.array([300e9, 310e9]))
 
     # finite as parsed, but past what the line formulas can carry: the
@@ -638,11 +635,12 @@ def dense_catalog(rng, n):
 
 
 def error_of(kernel, *args):
-    """The type of the thzlink error ``kernel(*args)`` raises, or None."""
+    """The type and message of the thzlink error ``kernel(*args)`` raises,
+    or None."""
     try:
         kernel(*args)
     except ThzLinkError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
 
 
@@ -762,10 +760,10 @@ class TestKernelBitIdentity:
         for state in (mild, hot):
             want = error_of(per_line_kappa, catalog, state, grid)
             got = error_of(absorption_coefficient, catalog, state, grid)
-            assert got is want
+            assert got == want
         assert error_of(absorption_coefficient, catalog, mild, grid) is None
-        assert error_of(absorption_coefficient, catalog, hot, grid) is \
-            TemperatureOutOfFitRange
+        assert error_of(absorption_coefficient, catalog, hot, grid) == (
+            InvalidRange, "T = 3200.0 K outside the fitted range [70, 3000] K")
 
 
 class TestKernelMemory:
@@ -920,7 +918,7 @@ class TestKernelErrors:
         cat = LineCatalog((sample_line,), "one-line")
         hot = AtmosphericState(0.0, P0, 3200.0, {"H2O": 0.0078})
         f0 = sample_line.nu0 * CM
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 3200.0 K outside"):
             absorption_coefficient(cat, hot, np.array([f0, f0 + 1e9]))
         beyond_wing = np.array([f0 + 800e9, f0 + 801e9])
         kappa = absorption_coefficient(cat, hot, beyond_wing).kappa
@@ -932,13 +930,13 @@ class TestKernelErrors:
         hot = AtmosphericState(0.0, 1e-3, 3200.0, {"H2O": 0.01})
         f0 = sample_line.nu0 * CM
         assert DOPPLER_WINDOW * doppler_halfwidth(sample_line, 3200.0) < 1e9
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 3200.0 K outside"):
             absorption_coefficient(cat, hot, np.array([f0, f0 + 1e6]))
         # inside the wing cutoff but past the exact Doppler window: the line
         # adds +0.0 everywhere, so it is not evaluated and cannot raise
         outside = np.array([f0 + 1e9, f0 + 2e9])
         assert not absorption_coefficient(cat, hot, outside).kappa.any()
-        with pytest.raises(TemperatureOutOfFitRange):
+        with pytest.raises(InvalidRange, match=r"T = 3200.0 K outside"):
             per_line_kappa(cat, hot, outside)
 
 

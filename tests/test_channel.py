@@ -22,7 +22,6 @@ from thzlink.channel import (
 from thzlink.errors import (
     ConfigError,
     InvalidRange,
-    MisalignedLayers,
     ThzLinkError,
 )
 from thzlink.geometry import atmospheric_path_length, layer_path_segments
@@ -71,10 +70,10 @@ class TestTransmittance:
     def test_misaligned_layers_rejected(self):
         grid = np.linspace(1e11, 2e11, 5)
         spectrum = self.make_uniform_spectrum(grid, 1e-3)
-        with pytest.raises(MisalignedLayers):
+        with pytest.raises(InvalidRange, match="no spectrum for layer 1"):
             transmittance(grid, [(0, 1.0), (1, 1.0)], {0: spectrum})
         other_grid = np.linspace(1e11, 2e11, 7)
-        with pytest.raises(MisalignedLayers):
+        with pytest.raises(InvalidRange, match="layer 0 spectrum grid differs"):
             transmittance(other_grid, [(0, 1.0)], {0: spectrum})
 
     def test_other_grid_objects_are_compared(self):
@@ -83,7 +82,7 @@ class TestTransmittance:
         tau = transmittance(grid, [(0, 1.0)], {0: spectrum})
         assert transmittance(grid.copy(), [(0, 1.0)],
                              {0: spectrum}).tobytes() == tau.tobytes()
-        with pytest.raises(MisalignedLayers):
+        with pytest.raises(InvalidRange, match="layer 0 spectrum grid differs"):
             transmittance(grid + 1.0, [(0, 1.0)], {0: spectrum})
 
     def test_refinement_convergence(self, mini_catalog):

@@ -293,6 +293,26 @@ class TestRunCommand:
         # the stack pass refuses the line before any layer is computed
         assert list(cache.glob("*.npy")) == []
 
+    def test_decks_far_above_the_path_are_missed_without_a_warning(
+            self, tmp_path):
+        # each deck is clipped to the terminals before the ray is measured
+        # to it, so no length is computed at 1e300 m
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("kind = E2A\nelevation_deg = 30\n"
+                       "layer_resolution_m = 2000\nf_min_ghz = 298\n"
+                       "f_max_ghz = 302\nrain_rate_mm_h = 5\n"
+                       "rain_base_km = 1e300\nrain_thickness_km = 2\n"
+                       "cloud_density_g_m3 = 0.5\ncloud_base_km = 1e300\n")
+        out = tmp_path / "out"
+        code, _ = fresh_process("run", str(cfg), "--out-dir", str(out),
+                                cwd=tmp_path)
+        assert code == EXIT_OK
+        rows = (out / "path_loss.csv").read_text().splitlines()
+        header = rows[1].split(",")
+        for row in rows[2:]:
+            values = dict(zip(header, row.split(",")))
+            assert values["rain_db"] == values["cloud_db"] == "0"
+
     @pytest.mark.parametrize("corruption",
                              ["text", "pickled", "wrong_length", "nan",
                               "changed_value", "swapped", "truncated"])

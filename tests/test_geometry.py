@@ -6,9 +6,11 @@ from scipy.optimize import brentq
 
 from thzlink.atmosphere import build_layers
 from thzlink.constants import EARTH_RADIUS
-from thzlink.errors import DegenerateGeometry, GeometryError, ZeroElevation
+from thzlink.errors import DegenerateGeometry, GeometryError
+from thzlink import geometry as geometry_module
 from thzlink.geometry import (
     LinkEndpoints,
+    _segment_lengths,
     atmospheric_path_length,
     central_angle_for_elevation,
     elevation_angle,
@@ -192,6 +194,51 @@ class TestLayerPathSegments:
         assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
+class TestSegmentLengths:
+    """Any shell, not only one reaching above the start: a shell the ray
+    does not cross has length 0.0, one it crosses the difference of the
+    ray's lengths to its ends, its base taken at the start when below it."""
+
+    H_START = 1_000.0
+    SHELLS = [
+        (0.0, 500.0),        # below the start
+        (0.0, 1_000.0),      # below, touching the start with its top
+        (500.0, 2_000.0),    # straddling the start
+        (1_000.0, 2_000.0),  # starting at the start
+        (2_000.0, 3_000.0),  # above the start
+        (2_000.0, 2_000.0),  # empty
+        (3_000.0, 2_000.0),  # upside down
+    ]
+
+    def expected(self, psi, lower, upper):
+        h = self.H_START
+        if upper <= max(lower, h):
+            return 0.0
+        to_lower = (atmospheric_path_length(h, psi, lower) if lower > h
+                    else 0.0)
+        return atmospheric_path_length(h, psi, upper) - to_lower
+
+    @pytest.mark.parametrize("psi_deg", [0.5, 30.0, 90.0])
+    def test_every_shell_is_zero_or_its_exact_difference(self, psi_deg,
+                                                         monkeypatch):
+        psi = math.radians(psi_deg)
+        tops = []
+        ray = geometry_module._ray_lengths
+
+        def spy(h_start, psi, top):
+            tops.append(np.min(top))
+            return ray(h_start, psi, top)
+
+        monkeypatch.setattr(geometry_module, "_ray_lengths", spy)
+        lower, upper = np.array(self.SHELLS).T
+        lengths = _segment_lengths(self.H_START, psi, lower, upper)
+        assert lengths.tolist() == [self.expected(psi, *shell)
+                                    for shell in self.SHELLS]
+        # the ray is never evaluated below its start, where it has no
+        # length and, near the horizon, no real solution
+        assert min(tops) >= self.H_START
+
+
 class TestPlaneParallel:
     def test_zenith_equals_thickness(self, thin_stack):
         for index, length in plane_parallel_segments(0.0, math.pi / 2,
@@ -220,8 +267,10 @@ class TestPlaneParallel:
         assert flat_total > curved_total
 
     def test_zero_elevation_rejected(self, thin_stack):
-        with pytest.raises(ZeroElevation):
-            plane_parallel_segments(0.0, 0.0, thin_stack)
+        for psi in (0.0, -0.1):
+            with pytest.raises(GeometryError,
+                               match=r"must be in \(0, pi/2\], got"):
+                plane_parallel_segments(0.0, psi, thin_stack)
 
     def test_elevation_past_zenith_rejected(self, thin_stack):
         with pytest.raises(GeometryError, match=r"must be in \(0, pi/2\]"):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfc, erfcinv
 
 from thzlink.constants import BOLTZMANN, PLANCK
-from thzlink.errors import UnsupportedScheme
+from thzlink.errors import InvalidRange
 from thzlink.link import (
     SkyPath,
     TransceiverConfig,
@@ -231,7 +231,8 @@ class TestModulationThresholds:
         assert modulation_threshold("BPSK", 0.5) == 0.0
 
     def test_unsupported_scheme(self):
-        with pytest.raises(UnsupportedScheme):
+        with pytest.raises(InvalidRange,
+                           match="unsupported modulation scheme '1024QAM'"):
             modulation_threshold("1024QAM", 1e-6)
 
     def test_negative_snr_rejected(self):

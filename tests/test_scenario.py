@@ -330,16 +330,20 @@ class TestResolve:
     @pytest.mark.parametrize("kind, lower, upper", [
         ("E2A", 2e3, 3e3), ("E2A", 10.5e3, 12e3), ("E2A", 12e3, 13e3),
         ("A2S", 10e3, 12e3), ("A2S", 0.0, 1e3), ("A2S", 20e3, 25e3),
+        ("E2A", 0.0, 400.0), ("E2A", 0.0, 2e3), ("E2A", 5e3, 5e3),
+        ("E2A", 1e300, 2e300),
     ])
     def test_weather_decks_are_shells_of_the_slant_path(
             self, default_scenario, spectrum_cache, kind, lower, upper):
-        # a deck, clipped at the higher terminal, is measured as a gas
-        # layer is: to its top, less to its base where the base is above
-        # the lower terminal; a deck the path misses has length 0.0
+        # a deck, clipped to the terminals, is measured as a gas layer is:
+        # to its top, less to its base where the base is above the lower
+        # terminal; a deck the path misses (below the ground terminal at
+        # 500 m, above the higher one, or empty) has length 0.0
         scenario = dataclasses.replace(
-            default_scenario, kind=kind, f_min=299e9, f_max=301e9,
-            f_step=1e9, rain_base=lower, rain_thickness=upper - lower,
-            cloud_base=lower, cloud_thickness=upper - lower,
+            default_scenario, kind=kind, h_ground=500.0, f_min=299e9,
+            f_max=301e9, f_step=1e9, rain_base=lower,
+            rain_thickness=upper - lower, cloud_base=lower,
+            cloud_thickness=upper - lower,
         ).at_elevation(30.0)
         resolved = resolve(scenario, spectrum_cache, with_capacity=False)
         h_low, h_high = scenario.endpoints()
@@ -351,6 +355,26 @@ class TestResolve:
                 expected -= atmospheric_path_length(h_low, resolved.psi,
                                                     lower)
         assert resolved.rain_path == resolved.cloud_path == expected
+
+    @pytest.mark.parametrize("base, thickness, inside", [
+        (10e3, 2e3, True),       # holds the airplane
+        (10e3, 1e3, True),       # touches it with its top
+        (11e3, 1e3, True),       # touches it with its base
+        (12e3, 1e3, False),      # misses it
+        (11e3, 1e-13, False),    # thinner than half an ulp of its base
+    ])
+    def test_an_a2a_link_runs_its_whole_length_in_a_deck_that_holds_it(
+            self, default_scenario, spectrum_cache, base, thickness, inside):
+        scenario = dataclasses.replace(
+            default_scenario, kind="A2A", h_airplane=11e3, f_min=299e9,
+            f_max=301e9, f_step=1e9, rain_rate=5.0, rain_base=base,
+            rain_thickness=thickness, cloud_density=0.5, cloud_base=base,
+            cloud_thickness=thickness)
+        resolved = resolve(scenario, spectrum_cache, with_capacity=False)
+        expected = scenario.link_distance if inside else 0.0
+        assert resolved.rain_path == resolved.cloud_path == expected
+        assert bool(resolved.rain_db.any()) is inside
+        assert bool(resolved.cloud_db.any()) is inside
 
     def test_a_path_with_no_live_layer_has_the_thermal_noise_alone(
             self, default_scenario, spectrum_cache):
@@ -371,6 +395,57 @@ class TestResolve:
         ratio = wet_resolved.path_loss / pl_dry
         np.testing.assert_allclose(
             ratio, 10.0 ** (wet_resolved.rain_db / 10.0), rtol=1e-12)
+
+
+class TestWeatherGridRelations:
+    """The cross-config checks of the benchmark's weather workload, in
+    memory: E2A and A2E see the same path loss, rain loss scales with the
+    slant path through the rain, and cloud loss with the cloud density."""
+
+    BASE = {"f_min_ghz": 100.0, "f_max_ghz": 520.0, "f_step_ghz": 0.05,
+            "rain_rate_mm_h": 10.0, "rain_thickness_km": 1.0,
+            "cloud_density_g_m3": 0.5}
+
+    @staticmethod
+    def slant_path(psi, r_ground, height):
+        """Length of the ray leaving the ground at elevation ``psi`` to
+        ``height`` above it, by the law of cosines on a sphere of radius
+        ``r_ground``."""
+        r_top = r_ground + height
+        return (-r_ground * math.sin(psi)
+                + math.sqrt((r_ground * math.sin(psi)) ** 2
+                            + r_top ** 2 - r_ground ** 2))
+
+    @pytest.mark.parametrize("elevation", [30.0, 57.0, 89.0])
+    def test_the_relations_hold(self, spectrum_cache, elevation):
+        def run(**changes):
+            scenario = build_scenario(
+                {**self.BASE, "elevation_deg": elevation, **changes})
+            return scenario, resolve(scenario, spectrum_cache)
+
+        e2a_scenario, e2a = run(kind="E2A")
+        assert e2a.grid.size == 8_401
+        _, a2e = run(kind="A2E")
+        assert e2a.path_loss_db.tobytes() == a2e.path_loss_db.tobytes()
+
+        # the elevation at the ground from the central angle, by plane
+        # trigonometry in the triangle of the Earth's center and the ends
+        r_ground = 6_371e3
+        r_air = r_ground + e2a_scenario.h_airplane
+        rho = e2a_scenario.central_angle
+        psi = math.atan2(r_air * math.cos(rho) - r_ground,
+                         r_air * math.sin(rho))
+        ratio = (self.slant_path(psi, r_ground, 2.3e3)
+                 / self.slant_path(psi, r_ground, 1e3))
+        _, thick = run(kind="A2E", rain_thickness_km=2.3)
+        assert (a2e.rain_db > 0.0).all()
+        np.testing.assert_allclose(thick.rain_db, ratio * a2e.rain_db,
+                                   rtol=5e-9, atol=0.0)
+
+        _, dense = run(kind="E2A", cloud_density_g_m3=1.2)
+        assert (e2a.cloud_db > 0.0).all()
+        np.testing.assert_allclose(dense.cloud_db, 2.4 * e2a.cloud_db,
+                                   rtol=5e-9, atol=0.0)
 
 
 def _water_line(f_ghz, delta_air):
