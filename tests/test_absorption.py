@@ -7,13 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from thzlink import absorption as absorption_module
 from thzlink.absorption import (
     DEFAULT_WING_CUTOFF,
     DOPPLER_WINDOW,
     AbsorptionSpectrum,
+    _LN2,
     _dominance,
+    _faddeeva_re,
     _line_blocks,
     _line_windows,
     _partition_fits,
@@ -198,6 +201,75 @@ class TestShapes:
                      + lorentz_shape(f + fc, al),
                      fc - 5000 * al, fc + 5000 * al, limit=400)[0]
         assert total == pytest.approx(1.0, abs=2e-2)
+
+
+# The Voigt branch's y = alpha_L sqrt(ln 2)/alpha_D, at half-width ratios of
+# 1/5 to 5, with points between.
+VOIGT_Y = (math.sqrt(_LN2) / 5.0, 0.5, 1.0, 2.5, 5.0 * math.sqrt(_LN2))
+
+
+def around(x, ulps=2):
+    """``x`` and its neighbours up to ``ulps`` doubles either side."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+class TestFaddeeva:
+    """The kernel's own Re w(x + iy) against scipy's ``wofz``, whose
+    branches and operation order it repeats away from the core |x| <= 6."""
+
+    @staticmethod
+    def wing_points(y):
+        x = [6.5, 10.0, 100.0, 3000.0,                      # continued fraction
+             4500.0, 1e5, 3e6, 9.9e6,                       # two terms
+             2e7, 1e10, 1e15]                               # one term
+        for edge in (4000.0, 1e7):
+            x += around(edge - y)
+        x += around(np.nextafter(6.0, np.inf))[2:]           # |x| just above 6
+        x = np.array(x)
+        return np.concatenate([x, -x])
+
+    def test_the_wings_have_wofz_bits(self):
+        for y in VOIGT_Y:
+            x = self.wing_points(y)
+            s = np.abs(x) + y
+            for edge in (4000.0, 1e7):
+                assert (s <= edge).any() and (s > edge).any()
+            want = wofz(x + 1j * y).real
+            got = _faddeeva_re(x, y)
+            assert got.tobytes() == want.tobytes(), y
+
+    def test_a_row_per_line_has_the_same_bits(self):
+        # as the kernel calls it: one row of x per line, y a column
+        y = np.array(VOIGT_Y)[:, None]
+        x = np.stack([self.wing_points(v) for v in VOIGT_Y])
+        want = wofz(x + 1j * y).real
+        assert _faddeeva_re(x, y).tobytes() == want.tobytes()
+
+    def test_the_core_within_1e_10(self):
+        x = np.concatenate([np.linspace(-6.0, 6.0, 2401), [0.0, 1e-300]])
+        for y in np.linspace(VOIGT_Y[0], VOIGT_Y[-1], 9):
+            want = wofz(x + 1j * y).real
+            got = _faddeeva_re(x, y)
+            assert np.max(np.abs(got - want) / want) < 1e-10, y
+
+    def test_a_scalar_f_gives_the_bytes_of_its_entry_in_a_column(self):
+        # x of 1.4 (core), 7.3 and 330 (continued fraction), 2.1e4 (two
+        # terms) and 1.2e7 (one term)
+        f_c = np.array([[300e9], [300.004e9], [300.2e9], [310e9], [20e9]])
+        alpha_l = np.array([[1e5], [3e5], [1e6], [5e5], [2e4]])
+        alpha_d = np.array([[3e5], [4e5], [5e5], [4e5], [2e4]])
+        f = 300.0005e9
+        column = voigt_shape(f, f_c, alpha_l, alpha_d)
+        assert column.shape == f_c.shape
+        for row, args in zip(column, zip(f_c[:, 0], alpha_l[:, 0],
+                                         alpha_d[:, 0])):
+            alone = voigt_shape(f, *args)
+            assert np.shape(alone) == ()
+            assert np.float64(alone).tobytes() == row[0].tobytes()
 
 
 def branch(alpha_l, alpha_d):

@@ -490,9 +490,10 @@ def fresh_process(*argv, cwd):
 
 
 class TestScipyOnlyForVoigtLines:
-    """scipy supplies only the Voigt shape, so a process that evaluates no
-    Voigt-branch line never imports it. The tests themselves import scipy,
-    hence the fresh interpreters."""
+    """scipy once supplied the Voigt shape alone; the kernel now has its own
+    Faddeeva function, so no process imports scipy, not even one that
+    evaluates Voigt-branch lines. The tests themselves import scipy, hence
+    the fresh interpreters."""
 
     @pytest.fixture(scope="class")
     def a2s_cold(self, tmp_path_factory):
@@ -519,14 +520,23 @@ class TestScipyOnlyForVoigtLines:
                              "--cache-dir", str(tmp_path / "cache"),
                              cwd=tmp_path) == (EXIT_OK, False)
 
-    def test_cold_a2s_run_imports_scipy_and_writes_the_same_bytes(
+    def test_cold_a2s_run_does_not_import_scipy_and_writes_the_same_bytes(
             self, a2s_cold, tmp_path):
         assert fresh_process("run", str(CONFIG_DIR / "a2s_leo.cfg"),
                              "--out-dir", str(tmp_path / "out"),
                              "--cache-dir", str(tmp_path / "cache"),
-                             cwd=tmp_path) == (EXIT_OK, True)
+                             cwd=tmp_path) == (EXIT_OK, False)
         assert output_bytes(tmp_path / "out") == output_bytes(
             a2s_cold / "out")
+
+    def test_cold_a2s_altitude_sweep_does_not_import_scipy(self, tmp_path):
+        # every point's stack reaches the Voigt-shaped upper atmosphere
+        assert fresh_process("sweep", str(CONFIG_DIR / "a2s_leo.cfg"),
+                             "--axis", "altitude", "--from", "0", "--to",
+                             "2000", "--step", "1000", "--out-dir",
+                             str(tmp_path / "out"), "--cache-dir",
+                             str(tmp_path / "cache"),
+                             cwd=tmp_path) == (EXIT_OK, False)
 
 
 class TestBenchmarkHooks:

@@ -14,6 +14,9 @@ RuntimeWarning.
 Regenerate the fixtures only for a change that is meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and measure how far it moves them with ``tools/golden_diff.py``, against
+the fixtures as they stood before.
 """
 
 from __future__ import annotations

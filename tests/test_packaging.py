@@ -1,6 +1,7 @@
 """Every bundled data file ships in the package, not only in the source
-tree the tests import from."""
+tree the tests import from, and the package needs numpy alone to run."""
 
+import re
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -25,3 +26,13 @@ def test_every_data_file_matches_a_package_data_glob():
     assert "data/configs/e2a_nimbostratus.cfg" in files
     assert [name for name in files
             if not any(matches(name, glob) for glob in globs)] == []
+
+
+def test_the_runtime_needs_numpy_alone():
+    # the kernel has its own Faddeeva function; scipy is a test dependency
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0]
+            for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
