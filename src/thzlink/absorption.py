@@ -165,18 +165,21 @@ def _faddeeva_re(x, y):
     within 1e-10 relative for y in [0.16, 4.2], the Voigt branch's range.
     The two-term form is computed everywhere, its overflow unwarned, and
     the few other elements, in a row of lines runs at its ends and around
-    its center, are recomputed in slices.
+    its center, are recomputed by their region's form in slices.
     """
     s = np.abs(x) + y
     if s.ndim == 0:
         return _faddeeva_re(np.atleast_1d(x), y)[0]
     if np.shape(x) != s.shape:
         x = np.broadcast_to(x, s.shape)
-    special = []
+    regions = []
     if not s.max() <= 1e7:
-        special.append((np.flatnonzero(s > 1e7), _faddeeva_re_far))
+        regions.append((np.flatnonzero(s > 1e7), _faddeeva_re_far))
     if not s.min() > 4000.0:
-        special.append((np.flatnonzero(s <= 4000.0), _faddeeva_re_near))
+        near = np.flatnonzero(s <= 4000.0)
+        wing = np.abs(x.flat[near]) > 6.0
+        regions += [(near[wing], _faddeeva_re_fraction),
+                    (near[~wing], _weideman_re)]
     del s
     dr = x * x
     dr -= y * y
@@ -190,7 +193,7 @@ def _faddeeva_re(x, y):
     di -= dr
     re *= di
     del dr, di
-    for k, form in special:
+    for k, form in regions:
         y_at = np.broadcast_to(y, re.shape).flat
         for start in range(0, k.size, _SPECIAL_SLICE):
             j = k[start:start + _SPECIAL_SLICE]
@@ -210,20 +213,13 @@ def _faddeeva_re_far(x, y):
     return re
 
 
-def _faddeeva_re_near(x, y):
-    """Re w(x + iy) of 1-D ``x`` and ``y`` whose |x| + y is at most 4000: the
-    continued fraction for |x| > 6, else Weideman's form."""
-    ax = np.abs(x)
-    if not ax.min() > 6.0:
-        wing = ax > 6.0
-        re = _weideman_re(x, y)
-        if wing.any():
-            re[wing] = _faddeeva_re_near(x[wing], y[wing])
-        return re
+def _faddeeva_re_fraction(x, y):
+    """Re w(x + iy) of 1-D ``x`` and ``y`` whose |x| + y is at most 4000 and
+    |x| above 6, by the continued fraction."""
     # w = i/(sqrt(pi) v), v = z - nu/v for nu from each element's first
     # down to 0.5 in halves, and v = z before; the elements run together
     # from the largest first nu, each joining once nu reaches its own
-    first = np.floor(3.9 + 11.398 / (0.08254 * ax + 0.1421 * y + 0.2023))
+    first = np.floor(3.9 + 11.398 / (0.08254 * abs(x) + 0.1421 * y + 0.2023))
     first = 0.5 * (first - 1.0)
     wr, wi = x.copy(), y.copy()
     nu = first.max()

@@ -103,6 +103,10 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
         if resolved.catalog.parse_errors:
             fh.write(f"{parse_error_warning(resolved.catalog)}\n")
         pl_db = resolved.path_loss_db
+        if pl_db.min() < 0.0:
+            fh.write("warning: path loss below 0 dB: the terminals are inside "
+                     "the dishes' far field, where boresight gains overstate "
+                     "the link\n")
         fh.write(f"path loss over grid: min {pl_db.min():.2f} dB, "
                  f"max {pl_db.max():.2f} dB\n")
         fh.write(f"band capacity: {resolved.budget.capacity / 1e9:.3f} Gbit/s\n")

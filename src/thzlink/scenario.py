@@ -318,7 +318,7 @@ def parse_config(path) -> Scenario:
     values: dict[str, float | str] = {}
     seen: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
@@ -423,22 +423,23 @@ def make_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
 class SpectrumCache:
     """Cache of layer stacks, live marks and absorption spectra.
 
-    In memory, under the stack-wide facts, each distinct layer has its
-    temperature and its row in one kappa matrix, and each stack its layers
-    as arrays, so the points of a sweep share layers and stacks. On disk,
-    keys combine the kernel version, the digest of the loaded lines, the
-    state, the grid, and the wing cutoff. An entry is the ``np.save`` bytes
-    of a float64 vector of the grid's length, then the SHA-256 of the key
-    and those bytes; any other entry is a miss, computed again and
-    rewritten. Values are exact, so caching never changes results.
+    In memory it keeps one layer table, that of the last stack-wide facts:
+    each layer's temperature and kappa row (-1: no live line), and each
+    stack's layers as arrays, which the points of a sweep share. A caller
+    that alternates grids reads its disk entries again or recomputes them.
+    On disk, keys combine the kernel version, the digest of the loaded
+    lines, the state, the grid, and the wing cutoff. An entry is the
+    ``np.save`` bytes of a float64 vector of the grid's length, then the
+    SHA-256 of the key and those bytes; any other entry is a miss, computed
+    again and rewritten. Values are exact, so caching never changes results.
     """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._facts: dict[tuple, _Facts] = {}
-        self._entry = b"", 0   # np.save header, data bytes: set per fill
+        self._facts = None     # of the layer table, which stack() starts
+        self._entry = b"", 0   # np.save header, data bytes: set per table
 
     @staticmethod
     def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
@@ -483,51 +484,45 @@ class SpectrumCache:
         filled from there up; only new layers get a state, mark and key."""
         w0, scale = scenario.ground_humidity, scenario.water_scale_height
         cutoff, sha = scenario.wing_cutoff, catalog.lines_sha256
-        facts_key = (sha, grid.tobytes(), cutoff, w0, scale)
-        if (facts := self._facts.get(facts_key)) is None:
-            facts = self._facts[facts_key] = _Facts(grid.size)
+        facts = (sha, grid.tobytes(), cutoff, w0, scale)
+        if facts != self._facts:
+            self._facts, self._layers, self._stacks = facts, {}, {}
+            self._kappa, self._count = np.empty((0, grid.size)), 0
+            np.lib.format.write_array_header_1_0(
+                header := io.BytesIO(),
+                np.lib.format.header_data_from_array_1_0(np.empty(grid.size)))
+            self._entry = header.getvalue(), grid.nbytes
         if scenario.kind == "A2A":
             # one homogeneous layer stands in for the constant-altitude path
             stack = _Stack([(h_start, h_start + 1.0, h_start)])
         else:
             shape = (scenario.stack_top, scenario.layer_resolution)
-            if (stack := facts.stacks.get(shape)) is None:
-                stack = facts.stacks[shape] = _Stack(layer_bounds(0.0, *shape))
+            if (stack := self._stacks.get(shape)) is None:
+                stack = self._stacks[shape] = _Stack(layer_bounds(0.0, *shape))
         first = int(np.searchsorted(stack.upper, h_start, side="right"))
         if first < stack.filled:
             spans = stack.bounds[first:stack.filled]
-            new = [span for span in spans if span not in facts.layers]
+            new = [span for span in spans if span not in self._layers]
             states = [profile_at(z, w0, scale) for _, _, z in new]
             live = absorbing_layers(catalog, states, grid, cutoff)
-            rows = facts.count + int(live.sum())
-            if rows > len(facts.kappa):   # grows at least twofold
-                facts.kappa = np.resize(facts.kappa, (
-                    max(rows, 2 * len(facts.kappa)), grid.size))
-            np.save(buffer := io.BytesIO(), np.zeros(grid.size))
-            self._entry = buffer.getvalue()[:-grid.nbytes], grid.nbytes
+            rows = self._count + int(live.sum())
+            if rows > len(self._kappa):   # grows at least twofold
+                self._kappa = np.resize(self._kappa, (
+                    max(rows, 2 * len(self._kappa)), grid.size))
             for span, state, on in zip(new, states, live):
                 if on:
-                    facts.kappa[facts.count] = self.get_or_compute(
+                    self._kappa[self._count] = self.get_or_compute(
                         self.key(sha, state, grid, cutoff),
                         lambda: absorption_coefficient(
                             catalog, state, grid, cutoff).kappa)
-                    facts.count += 1
-                facts.layers[span] = (state.temperature,
-                                      facts.count - 1 if on else -1)
+                    self._count += 1
+                self._layers[span] = (state.temperature,
+                                      self._count - 1 if on else -1)
             filled = slice(first, stack.filled)
             stack.temperature[filled], stack.row[filled] = zip(
-                *map(facts.layers.__getitem__, spans))
+                *map(self._layers.__getitem__, spans))
             stack.filled = first
-        return facts.kappa, stack, first
-
-
-class _Facts:
-    """Per set of stack-wide facts: each layer's temperature and kappa row
-    (-1: no live line), the live rows ``kappa[:count]``, and the stacks."""
-
-    def __init__(self, size: int):
-        self.layers, self.stacks = {}, {}
-        self.kappa, self.count = np.empty((0, size)), 0
+        return self._kappa, stack, first
 
 
 class _Stack:
@@ -659,7 +654,9 @@ def resolve(scenario: Scenario, cache: SpectrumCache | None = None,
         cache = SpectrumCache()
     survey = make_grid(scenario.f_min, scenario.f_max, scenario.f_step)
     tx = scenario.transceiver
-    grid = np.union1d(survey, tx.band) if with_capacity else survey
+    parts = (survey, tx.band) if with_capacity else (survey,)
+    grid = np.sort(np.concatenate(parts))   # np.union1d imports numpy.ma
+    grid = grid[np.diff(grid, prepend=-np.inf) > 0.0]
     if catalog is None:
         catalog = load_scenario_catalog(scenario, grid)
     part = np.searchsorted(grid, survey)

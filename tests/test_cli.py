@@ -472,21 +472,22 @@ def test_unphysical_value_in_a_run_is_computation_error(quick_config,
 
 
 # run in a fresh interpreter on src/: the exit code of main(argv), and
-# whether scipy was imported
+# whether the module was imported
 PROBE = """import sys
 from thzlink.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, "scipy" in sys.modules)
+print(code, {module!r} in sys.modules)
 """
 
 
-def fresh_process(*argv, cwd):
+def fresh_process(*argv, cwd, module="scipy"):
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", PROBE, *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         PROBE.format(module=module), *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True)
-    code, scipy = done.stdout.splitlines()[-1].split()
-    return int(code), scipy == "True"
+    code, imported = done.stdout.splitlines()[-1].split()
+    return int(code), imported == "True"
 
 
 class TestScipyOnlyForVoigtLines:
@@ -537,6 +538,14 @@ class TestScipyOnlyForVoigtLines:
                              str(tmp_path / "out"), "--cache-dir",
                              str(tmp_path / "cache"),
                              cwd=tmp_path) == (EXIT_OK, False)
+
+
+def test_cold_a2s_run_does_not_import_numpy_ma(tmp_path):
+    # np.union1d's np.unique imports numpy.ma, which a run does not need
+    assert fresh_process("run", str(CONFIG_DIR / "a2s_leo.cfg"),
+                         "--out-dir", str(tmp_path / "out"),
+                         "--cache-dir", str(tmp_path / "cache"),
+                         cwd=tmp_path, module="numpy.ma") == (EXIT_OK, False)
 
 
 class TestBenchmarkHooks:

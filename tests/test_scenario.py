@@ -139,6 +139,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        plain = write_config(tmp_path, MINIMAL)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(marked) == parse_config(plain)
+
     def test_bundled_configs_parse(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             scenario = parse_config(cfg)
@@ -574,6 +580,15 @@ class TestOutputs:
             lines = (tmp_path / name).read_text().splitlines()[2:]
             assert len(lines) == size
             assert lines == rows
+
+    def test_a_net_gain_is_flagged_in_the_summary(self, tmp_path):
+        # 100 m is inside the far field of the default 0.5 m and 1 m dishes
+        resolved = resolve(build_scenario({"kind": "A2A"}))
+        write_outputs(resolved, tmp_path)
+        assert resolved.path_loss_db.max() < 0.0
+        assert ("warning: path loss below 0 dB: the terminals are inside the "
+                "dishes' far field, where boresight gains overstate the link"
+                in (tmp_path / "summary.txt").read_text().splitlines())
 
     def test_describe_lists_fields(self, default_scenario):
         text = describe(default_scenario)

@@ -5,20 +5,26 @@ above its lower terminal and nothing below, and a later path that starts
 lower fills only the layers it adds. A disk entry is the bytes ``np.save``
 writes followed by a digest; an entry whose digest holds but whose header
 is not that of a float64 vector of the grid's length is computed again.
+A cache keeps one layer table, and a succession of scenarios that changes
+its grid and returns to it must still get a fresh cache's bytes each step.
 """
 
 import dataclasses
 import io
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thzlink.absorption import absorbing_layers
 from thzlink.atmosphere import layer_bounds, profile_at
 from thzlink.cli import EXIT_OK, main
 from thzlink.scenario import (
+    KINDS,
     SpectrumCache,
     _with_digest,
+    build_scenario,
     load_scenario_catalog,
     make_grid,
     parse_config,
@@ -139,3 +145,41 @@ def test_entry_with_its_digest_and_another_header_is_recomputed(
                                    _npy(forgery[1](np.load(entry)))))
     assert _run(coarse_config, tmp_path, "rerun") == clean
     assert entry.read_bytes() == good
+
+
+# two survey grids, so that a succession can leave a grid and come back
+GRIDS = ({"f_min_ghz": 298.0, "f_max_ghz": 302.0, "f_step_ghz": 2.0},
+         {"f_min_ghz": 299.0, "f_max_ghz": 301.5, "f_step_ghz": 0.5})
+# a band inside both grids, and one far outside them
+BANDS = ({"center_frequency_ghz": 300.0, "bandwidth_ghz": 1.0},
+         {"center_frequency_ghz": 320.0, "bandwidth_ghz": 2.0})
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(KINDS))
+    values = {"kind": kind,
+              "h_airplane_km": draw(st.sampled_from([1.0, 4.5, 11.0])),
+              "layer_resolution_m": draw(st.sampled_from([25e3, 60e3])),
+              **draw(st.sampled_from(GRIDS)), **draw(st.sampled_from(BANDS))}
+    if kind != "A2A":
+        values["elevation_deg"] = draw(st.sampled_from([15.0, 50.0, 90.0]))
+    return build_scenario(values)
+
+
+def _results(link):
+    return [getattr(link, name).tobytes()
+            for name in ("tau", "path_loss", "noise_psd", "snr")] + [
+        np.float64(link.budget.capacity).tobytes()]
+
+
+@settings(max_examples=60)
+@given(succession=st.lists(scenarios(), min_size=2, max_size=4))
+def test_a_shared_cache_gives_the_bytes_of_a_fresh_one(succession):
+    memory = SpectrumCache()
+    with tempfile.TemporaryDirectory() as tmp:
+        disk = SpectrumCache(tmp)
+        for step, scenario in enumerate(succession):
+            want = _results(resolve(scenario, SpectrumCache()))
+            assert _results(resolve(scenario, memory)) == want, step
+            assert _results(resolve(scenario, disk)) == want, step
