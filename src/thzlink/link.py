@@ -75,18 +75,18 @@ class TransceiverConfig:
 @dataclass(frozen=True)
 class SkyPath:
     """Atmosphere seen from the receiver: layer temperatures and
-    transmittances ordered nearest-to-farthest from the receiving antenna."""
+    emissivities ordered nearest-to-farthest from the receiving antenna."""
 
     temperatures: np.ndarray        # (n_layers,), K
-    transmittances: np.ndarray      # (n_layers,) or (n_layers, n_freq)
-    # K, taken where the path is transparent; None is the plain mean of
-    # ``temperatures``. A path without its non-absorbing layers passes the
-    # mean over every layer, so leaving them out changes nothing.
-    transparent_temperature: float | None = None
+    emissivities: np.ndarray        # (n_layers, n_freq), 1 - transmittance
+
+    @property
+    def transmittances(self) -> np.ndarray:
+        return 1.0 - self.emissivities
 
 
 def _normalize_sky(t_profile, tau_path):
-    """Shape per-layer temperatures (n,) and transmittances (n, n_freq).
+    """Per-layer temperatures (n,) and emissivities 1 - tau (n, n_freq).
 
     Accepts scalars (single uniform layer), per-layer 1-D transmittances,
     or a (n_layers, n_freq) array. Returns the arrays plus a flag telling
@@ -95,36 +95,47 @@ def _normalize_sky(t_profile, tau_path):
     temps = np.atleast_1d(np.asarray(t_profile, dtype=float))
     taus = np.asarray(tau_path, dtype=float)
     per_layer_scalars = taus.ndim <= 1
-    if taus.ndim == 0:
-        taus = taus.reshape(1, 1)
-    elif taus.ndim == 1:
+    if per_layer_scalars:
         taus = taus.reshape(-1, 1)
     if taus.shape[0] != temps.size:
         raise ValueError(
             f"{temps.size} layer temperatures but {taus.shape[0]} layer "
             f"transmittances")
-    return temps, taus, per_layer_scalars
+    # the comparisons are false for NaN, so they also reject it
+    for values, ok, rule in (
+            (taus, (taus >= 0.0) & (taus <= 1.0), "a transmittance in [0, 1]"),
+            (temps, (temps > 0.0) & (temps < math.inf),
+             "a positive and finite layer temperature in K")):
+        if not ok.all():
+            raise InvalidRange(f"{values[~ok][0]} is not {rule}")
+    return temps, 1.0 - taus, per_layer_scalars
 
 
-def _rayleigh_jeans(temps, taus):
-    """RJ brightness temperature of arrays shaped by :func:`_normalize_sky`."""
-    emitted = temps[:, None] * (1.0 - taus)
-    emitted[1:] *= np.cumprod(taus[:-1], axis=0)
-    return np.sum(emitted, axis=0)
+def _emission(temps, emissivities):
+    """Sum T_i a_i, the RJ brightness temperature, and sum a_i, the path
+    emissivity, over a_i = eps_i prod_{j<i} (1 - eps_j): the part of layer
+    i's emission that reaches the receiver, with the layers ordered from it.
+    Sum a_i equals 1 - prod (1 - eps_j) without its cancellation."""
+    reach = np.empty(emissivities.shape)
+    reach[:1] = 1.0
+    np.subtract(1.0, emissivities[:-1], out=reach[1:])
+    np.cumprod(reach, axis=0, out=reach)
+    np.multiply(reach, emissivities, out=reach)
+    emissivity = np.sum(reach, axis=0)
+    np.multiply(reach, temps[:, None], out=reach)
+    return np.sum(reach, axis=0), emissivity
 
 
-def _effective_temperature(temps, taus, transparent_temperature=None):
-    """T_eff and the emissivity 1 - tau_total of arrays shaped by
-    :func:`_normalize_sky`; a transparent path takes
-    ``transparent_temperature``, by default the mean of ``temps``."""
-    if transparent_temperature is None:
-        transparent_temperature = np.mean(temps)
-    emissivity = 1.0 - np.prod(taus, axis=0)
-    opaque = emissivity > 1e-12
-    t_eff = np.where(opaque, _rayleigh_jeans(temps, taus)
-                     / np.where(opaque, emissivity, 1.0),
-                     transparent_temperature)
-    return t_eff, emissivity
+def _planck(f, temps, emissivities):
+    """Planck brightness temperature of a sky shaped by :func:`_normalize_sky`
+    from the absorption-weighted mean layer temperature; 0 where none emits."""
+    t_rj, emissivity = _emission(temps, emissivities)
+    emits = emissivity > 0.0
+    t_eff = np.divide(t_rj, emissivity, out=np.zeros_like(t_rj), where=emits)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = PLANCK * f / (BOLTZMANN * t_eff)
+        t_b = (PLANCK * f / BOLTZMANN) / np.log1p(np.expm1(x) / emissivity)
+    return np.where(emits, t_b, 0.0)
 
 
 def brightness_temperature_rj(t_profile, tau_path):
@@ -132,38 +143,28 @@ def brightness_temperature_rj(t_profile, tau_path):
 
     ``t_profile`` holds per-layer temperatures; ``tau_path`` the matching
     per-layer transmittances (optionally per frequency along the second
-    axis), ordered from the receiver outward. Each layer's emission is
-    attenuated by the layers nearer the receiver; the result equals the
-    absorption-weighted mean path temperature times (1 - tau_total).
+    axis), ordered from the receiver outward. Each layer emits its
+    emissivity 1 - tau times its temperature, attenuated by the layers
+    nearer the receiver. Raises :class:`InvalidRange` for a transmittance
+    outside [0, 1] and a temperature that is not positive and finite.
     """
-    temps, taus, scalar_out = _normalize_sky(t_profile, tau_path)
-    t_b = _rayleigh_jeans(temps, taus)
+    temps, emissivities, scalar_out = _normalize_sky(t_profile, tau_path)
+    t_b = _emission(temps, emissivities)[0]
     return float(t_b[0]) if scalar_out else t_b
 
 
-def brightness_temperature_planck(f, t_profile, tau_path,
-                                  transparent_temperature=None):
+def brightness_temperature_planck(f, t_profile, tau_path):
     """Planck-law sky brightness temperature, K.
 
-    The blackbody-equivalent temperature of the path emission: for total
-    transmittance tau and effective path temperature T it solves
-    B(f, T_b) = (1 - tau) B(f, T). Returns T exactly for an opaque path
-    and 0 for a transparent one. Where the emissivity is positive but too
-    small to weight by, T is ``transparent_temperature``, by default the
-    mean of ``t_profile``.
+    The blackbody-equivalent temperature of the path emission: for path
+    emissivity e and the absorption-weighted mean path temperature T it
+    solves B(f, T_b) = e B(f, T). Returns T exactly for an opaque path and
+    0 for a transparent one. Takes and refuses what
+    :func:`brightness_temperature_rj` does.
     """
-    temps, taus, scalar_tau = _normalize_sky(t_profile, tau_path)
-    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    t_eff, emissivity = _effective_temperature(temps, taus,
-                                               transparent_temperature)
-    x = PLANCK * f_arr / (BOLTZMANN * t_eff)
-    with np.errstate(divide="ignore", over="ignore"):
-        t_b = (PLANCK * f_arr / BOLTZMANN) / np.log1p(
-            np.expm1(x) / np.where(emissivity > 0.0, emissivity, np.inf))
-    t_b = np.where(emissivity <= 0.0, 0.0, t_b)
-    if np.ndim(f) == 0 and scalar_tau:
-        return float(t_b.reshape(-1)[0])
-    return t_b
+    temps, emissivities, scalar_tau = _normalize_sky(t_profile, tau_path)
+    t_b = _planck(np.asarray(f, dtype=float), temps, emissivities)
+    return float(t_b[0]) if np.ndim(f) == 0 and scalar_tau else t_b
 
 
 def thermal_noise_psd(f, t: float, noise_figure_db: float = 0.0):
@@ -186,10 +187,8 @@ def total_noise_psd(f, sky: SkyPath, rx: TransceiverConfig):
     plus the receiver thermal term. A sky with no layers emits nothing.
     """
     thermal = thermal_noise_psd(f, rx.rx_temperature, rx.noise_figure)
-    t_b = brightness_temperature_planck(f, sky.temperatures,
-                                        sky.transmittances,
-                                        sky.transparent_temperature)
-    return BOLTZMANN * np.asarray(t_b) + thermal
+    return BOLTZMANN * _planck(np.asarray(f, dtype=float), sky.temperatures,
+                               sky.emissivities) + thermal
 
 
 def snr(path_loss, noise_psd, tx: TransceiverConfig):

@@ -631,10 +631,10 @@ def _path_quantities(scenario: Scenario, catalog: LineCatalog,
     layers = kappa[stack.row[live]]
     tau = np.exp(-_optical_depth(layers, lengths))
     from_rx = slice(None, None, -1 if scenario.rx_altitude >= h_high else 1)
-    np.exp(np.negative(layers, out=layers), out=layers)
-    # the transparent temperature depends on every traversed layer
-    sky = SkyPath(stack.temperature[live][from_rx], layers[from_rx],
-                  np.mean(stack.temperature[first:][from_rx]))
+    # each layer's emissivity, 1 - exp(-kappa * length)
+    np.expm1(np.negative(layers, out=layers), out=layers)
+    sky = SkyPath(stack.temperature[live][from_rx],
+                  np.negative(layers, out=layers)[from_rx])
     return tau, sky
 
 

@@ -621,6 +621,32 @@ class TestBenchmarkHooks:
         assert tracer.busy["channel.weather"] > 0.0
         assert tracer.counts["channel.weather_evals"] == 2
 
+    def test_noise_points_are_live_layers_times_grid(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the tracer counts the sky's transmittances; on a cold cache each
+        # live traversed layer is one computed spectrum
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).parent.parent / "perfbench"))
+        import layertrace
+
+        cfg = tmp_path / "e2s.cfg"
+        cfg.write_text("kind = E2S\n")   # 1,000 layers of 500 m
+        scenario = scenario_module.parse_config(cfg)
+        grid = np.union1d(scenario_module.make_grid(
+            scenario.f_min, scenario.f_max, scenario.f_step),
+            scenario.transceiver.band)
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            code = main(["run", str(cfg), "--out-dir", str(tmp_path / "o"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_OK, capsys.readouterr().err
+        spectra = tracer.counts["absorption.spectra"]
+        assert 0 < spectra < 1000
+        assert tracer.counts["link.noise_points"] == spectra * grid.size
+
 
 class TestSweepCommand:
     def test_dry_run_is_not_a_sweep_option(self, quick_config, tmp_path,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from thzlink.link import (
     bit_error_probability,
     brightness_temperature_planck,
     brightness_temperature_rj,
-    _effective_temperature,
+    _emission,
+    _planck,
     capacity,
     modulation_threshold,
     snr,
@@ -68,14 +70,17 @@ class TestBrightnessTemperatureRJ:
                 radiative_transfer_oracle(temps, taus[:, j]))
 
     def test_effective_temperature_definition(self):
+        # T_eff is the RJ sum over the path emissivity 1 - tau_total
         temps = [250.0, 290.0]
         taus = [0.7, 0.4]
-        t_eff, emissivity = _effective_temperature(np.array(temps),
-                                                   np.array([[0.7], [0.4]]))
+        t_rj, emissivity = _emission(np.array(temps),
+                                     1.0 - np.array([[0.7], [0.4]]))
         total_tau = 0.7 * 0.4
         assert emissivity[0] == pytest.approx(1.0 - total_tau, rel=1e-15)
-        assert t_eff[0] * (1.0 - total_tau) == pytest.approx(
+        assert t_rj[0] == pytest.approx(
             brightness_temperature_rj(temps, taus), rel=1e-12)
+        t_eff = t_rj[0] / emissivity[0]
+        assert 250.0 < t_eff < 290.0
 
     def test_layer_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +118,82 @@ class TestBrightnessTemperaturePlanck:
                 assert abs(planck - rj) / rj < 0.01
 
 
+# (temperatures, transmittances, the refused value as the message names it)
+BAD_SKIES = {
+    "tau_above_one": ([250.0, 290.0], [0.5, 1.2], "1.2"),
+    "tau_negative": ([250.0, 290.0], [[0.5], [-0.5]], "-0.5"),
+    "tau_nan": ([250.0, 290.0], [0.5, math.nan], "nan"),
+    "temperature_zero": ([250.0, 0.0], [0.5, 0.5], "0.0"),
+    "temperature_negative": ([-10.0, 290.0], [0.5, 0.5], "-10.0"),
+    "temperature_inf": ([250.0, math.inf], [0.5, 0.5], "inf"),
+    "temperature_nan": ([math.nan, 290.0], [0.5, 0.5], "nan"),
+}
+
+
+@pytest.mark.parametrize("function", [
+    brightness_temperature_rj,
+    lambda temps, taus: brightness_temperature_planck(300e9, temps, taus),
+], ids=["rj", "planck"])
+@pytest.mark.parametrize("case", sorted(BAD_SKIES))
+def test_bad_sky_is_invalid_range(function, case):
+    temps, taus, value = BAD_SKIES[case]
+    with pytest.raises(InvalidRange, match=re.escape(value)):
+        function(temps, taus)
+
+
+class TestNearTransparentSky:
+    # a hot layer that emits nothing among four that barely emit
+    TEMPS = np.array([220.0, 1000.0, 260.0, 300.0, 240.0])
+    SHAPE = np.array([3.0, 0.0, 1.0, 2.0, 5.0])
+
+    @staticmethod
+    def walk(temps, emissivities):
+        """Sum T_i a_i and sum a_i by a walk outward from the receiver."""
+        brightness = emissivity = 0.0
+        through = 1.0
+        for t, e in zip(temps, emissivities):
+            brightness += through * e * t
+            emissivity += through * e
+            through *= 1.0 - e
+        return brightness, emissivity
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", 10.0 ** -np.arange(8, 17))
+    def test_effective_temperature_is_continuous(self, scale):
+        # no threshold: below 1e-12 as above it, T_eff is the
+        # absorption-weighted mean, never the mean over every layer
+        eps = self.SHAPE * scale
+        t_rj, emissivity = _emission(self.TEMPS, eps[:, None])
+        t_eff = t_rj[0] / emissivity[0]
+        walk_rj, walk_emissivity = self.walk(self.TEMPS, eps)
+        assert t_eff == pytest.approx(walk_rj / walk_emissivity, rel=1e-12)
+        # attenuation moves each weight by at most the path's sum of eps
+        weighted = np.sum(self.TEMPS * eps) / np.sum(eps)
+        assert t_eff == pytest.approx(weighted, rel=1e-12 + eps.sum())
+        # the layer that emits nothing does not enter, bit for bit
+        emitting = self.SHAPE > 0.0
+        without = _emission(self.TEMPS[emitting], eps[emitting, None])
+        assert t_rj.tobytes() == without[0].tobytes()
+        assert emissivity.tobytes() == without[1].tobytes()
+        f = np.array([300e9])
+        x = PLANCK * f / (BOLTZMANN * t_eff)
+        expected = (PLANCK * f / BOLTZMANN) / np.log1p(
+            np.expm1(x) / emissivity)
+        np.testing.assert_allclose(_planck(f, self.TEMPS, eps[:, None]),
+                                   expected, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_or_silent_sky_is_thermal_noise_bit_for_bit(self):
+        rx = TransceiverConfig(1e-3, 5e9, 300e9, noise_figure=10.0)
+        grid = np.logspace(9, 13.5, 40)
+        thermal = thermal_noise_psd(grid, rx.rx_temperature, rx.noise_figure)
+        for sky in (SkyPath(np.empty(0), np.empty((0, grid.size))),
+                    SkyPath(self.TEMPS, np.zeros((self.TEMPS.size,
+                                                  grid.size)))):
+            got = total_noise_psd(grid, sky, rx)
+            assert got.tobytes() == thermal.tobytes()
+
+
 class TestThermalNoise:
     def test_rayleigh_jeans_limit_at_10ghz(self):
         got = thermal_noise_psd(10e9, 296.0)
@@ -144,14 +225,14 @@ class TestThermalNoise:
 class TestTotalNoise:
     def test_vacuum_path_is_thermal_only(self):
         rx = TransceiverConfig(1e-3, 5e9, 300e9, noise_figure=10.0)
-        vacuum = SkyPath(np.empty(0), np.empty((0, 1)), 296.0)
+        vacuum = SkyPath(np.empty(0), np.empty((0, 1)))
         got = total_noise_psd(300e9, vacuum, rx)
         assert got == pytest.approx(
             thermal_noise_psd(300e9, 296.0, 10.0), rel=1e-12)
 
     def test_opaque_sky_adds_antenna_temperature(self):
         rx = TransceiverConfig(1e-3, 5e9, 100e9, noise_figure=10.0)
-        sky = SkyPath(np.array([296.0]), np.array([[1e-12]]))
+        sky = SkyPath(np.array([296.0]), np.array([[1.0 - 1e-12]]))
         got = float(total_noise_psd(np.array([100e9]), sky, rx)[0])
         expected = BOLTZMANN * 296.0 + thermal_noise_psd(100e9, 296.0, 10.0)
         assert got == pytest.approx(expected, rel=1e-3)
@@ -160,7 +241,7 @@ class TestTotalNoise:
         # 5 GHz, NF 10 dB, negligible sky: about kT * 10 * W = 2.04e-10 W
         rx = TransceiverConfig(1e-3, 5e9, 300e9, noise_figure=10.0)
         grid = np.linspace(297.5e9, 302.5e9, 65)
-        vacuum = SkyPath(np.empty(0), np.empty((0, grid.size)), 296.0)
+        vacuum = SkyPath(np.empty(0), np.empty((0, grid.size)))
         psd = total_noise_psd(grid, vacuum, rx)
         power = float(np.trapezoid(psd, grid))
         assert power == pytest.approx(2.04e-10, rel=0.05)
@@ -170,7 +251,7 @@ class TestTotalNoise:
         rx = TransceiverConfig(1e-3, 5e9, 300e9)
         grid = np.logspace(10, 13, 50)
         sky = SkyPath(np.array([250.0]),
-                      np.tile(np.linspace(0.1, 1.0, 50), (1, 1)))
+                      1.0 - np.tile(np.linspace(0.1, 1.0, 50), (1, 1)))
         assert np.all(total_noise_psd(grid, sky, rx) > 0.0)
 
 
