@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import ATOMIC_MASS, SPEED_OF_LIGHT
 from .errors import (
@@ -359,6 +361,31 @@ class LineCatalog:
         return self.source_id.rsplit("sha256:", 1)[-1]
 
 
+_NUMERIC_FIELDS = tuple(f for f in PAR_2004 if f.descriptor[0] != "A")
+# Abundance by 10 * molecule_id + isotopologue_id (-90 to 999; a negative
+# key clips to 0); 0 for a pair with none. Every pair's molecule is named.
+_ABUNDANCE_TABLE = np.zeros(1000)
+_ABUNDANCE_TABLE[[10 * m + i for m, i in ISOTOPOLOGUE_ABUNDANCES]] = list(
+    ISOTOPOLOGUE_ABUNDANCES.values())
+
+
+def _read_field(block: np.ndarray, spec: FieldSpec):
+    """Read each row of a ``(records, width)`` block as ``int`` or ``float``
+    would, in one cast; returns the numbers and which rows read."""
+    column = np.ascontiguousarray(block).view(f"S{block.shape[1]}")[:, 0]
+    kind = int if spec.descriptor[0] == "I" else float
+    try:
+        with np.errstate(over="ignore"):  # "1e999" is inf, as float() says
+            return column.astype(kind), np.ones(column.size, dtype=bool)
+    except ValueError:  # read again row by row
+        numbers = np.zeros(column.size, dtype=kind)
+        read = np.zeros(column.size, dtype=bool)
+    for i, text in enumerate(column.tolist()):
+        with suppress(ValueError):
+            numbers[i], read[i] = kind(text), True
+    return numbers, read
+
+
 def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
     """Load and filter a fixed-width catalog from a path or bytes.
 
@@ -366,6 +393,9 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
     dropped; they cannot contribute to absorption. Records that fail to
     parse are collected on ``LineCatalog.parse_errors`` rather than silently
     skipped. Warns :class:`EmptyCatalogWarning` when nothing matches.
+
+    A record ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Records are read in
+    columns; only those the columns refuse go to :func:`parse_line_record`.
     """
     if not nu_min < nu_max:
         raise ValueError(f"nu_min ({nu_min}) must be < nu_max ({nu_max})")
@@ -373,36 +403,65 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
     name = "<bytes>" if is_bytes else str(Path(source))
     try:
         data = bytes(source) if is_bytes else Path(source).read_bytes()
-        text = data.decode("ascii")
+        data.decode("ascii")  # only to refuse a non-ASCII byte
     except OSError as exc:
         raise IoFailure(f"cannot read {name}: {exc}") from exc
     except UnicodeError as exc:
         raise IoFailure(f"{name} is not ASCII text: {exc}") from exc
 
     digest = hashlib.sha256(data).hexdigest()
-    kept: list[SpectralLine] = []
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(chars == 0x0A)
+    starts, stops = np.append(0, ends + 1), np.append(ends, chars.size)
+    full = np.flatnonzero(stops - starts == RECORD_LENGTH)
+    table = (sliding_window_view(chars, RECORD_LENGTH)[starts[full]]
+             if full.size else np.empty((0, RECORD_LENGTH), dtype=np.uint8))
+    # the parser takes control bytes: a cast drops the NULs float() refuses
+    ok = (table.min(axis=1) >= 0x20) & (table.max(axis=1) < 0x7F)
+    values = {}
+    for f in _NUMERIC_FIELDS:
+        block = table[:, f.start:f.stop]
+        if f.keep:
+            values[f.name], read = _read_field(block, f)
+            ok &= read
+        else:  # read where it is not blank
+            filled = (block != 0x20).any(axis=1)
+            ok[filled] &= _read_field(block[filled], f)[1]
+    nu0, s0 = values["nu0"], values["S0_ref"]
+    values["abundance"] = abundance = _ABUNDANCE_TABLE.take(
+        10 * values["molecule_id"] + values["isotopologue_id"], mode="clip")
+    ok &= np.isfinite([v for v in values.values() if v.dtype == float]).all(0)
+    ok &= ((abundance > 0.0) & (abundance <= 1.0) & (nu0 > 0.0) & (s0 >= 0.0)
+           & (values["alpha_air"] > 0.0) & (values["alpha_self"] > 0.0)
+           & (values["E_lower"] >= 0.0))
+    keep = ok & (s0 != 0.0) & (nu_min <= nu0) & (nu0 <= nu_max)
+
+    kept = [SpectralLine(*row) for row in zip(*(
+        values[f.name][keep].tolist() for f in dataclasses.fields(SpectralLine)))]
+    at = full[keep].tolist()
+    rejected = np.ones(starts.size, dtype=bool)
+    rejected[full[ok]] = False
     issues: list[ParseIssue] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+    for i in np.flatnonzero(rejected).tolist():
+        record = data[starts[i]:stops[i]].decode("ascii")
+        if not record.strip():
             continue
         try:
-            line = parse_line_record(raw)
+            line = parse_line_record(record)
         except CatalogError as exc:
-            issues.append(ParseIssue(lineno, str(exc)))
+            issues.append(ParseIssue(i + 1, str(exc)))
             continue
-        if line.S0_ref == 0.0:
-            continue
-        if not nu_min <= line.nu0 <= nu_max:
-            continue
-        kept.append(line)
+        if line.S0_ref != 0.0 and nu_min <= line.nu0 <= nu_max:
+            kept.append(line)
+            at.append(i)
 
-    kept.sort(key=lambda ln: ln.nu0)
+    order = np.lexsort((at, [line.nu0 for line in kept]))
+    kept = [kept[k] for k in order.tolist()]
     if not kept:
-        warnings.warn(
-            f"no catalog lines matched [{nu_min}, {nu_max}] cm^-1 in {name}",
-            EmptyCatalogWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"no catalog lines matched [{nu_min}, {nu_max}] cm^-1 "
+                      f"in {name}", EmptyCatalogWarning, stacklevel=2)
     return LineCatalog(tuple(kept), f"{name}#sha256:{digest}", tuple(issues))
 
 

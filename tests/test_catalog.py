@@ -1,13 +1,19 @@
 import dataclasses
 import hashlib
+import io
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import thzlink.catalog
 from thzlink.catalog import (
     ISOTOPOLOGUE_ABUNDANCES,
     PAR_2004,
     LineCatalog,
+    ParseIssue,
     SpectralLine,
     bundled_catalog_path,
     format_line_record,
@@ -221,6 +227,179 @@ class TestLoadCatalog:
         digest = hashlib.sha256(bundled_catalog_path().read_bytes())
         assert mini_catalog.file_sha256 == digest.hexdigest()
         assert mini_catalog.source_id.endswith(digest.hexdigest())
+
+    def test_form_feed_inside_a_record_does_not_end_it(self):
+        good = make_record()
+        cut = good[:100] + "\f" + good[100:]          # 161 characters
+        kept = good[:100] + "\f" + good[101:]         # in a text column
+        text = "\n".join([good, cut, kept, "xx"]) + "\n"
+        cat = load_catalog(text.encode(), 0.0, 50.0)
+        assert len(cat) == 2
+        assert [(i.line_number, i.reason) for i in cat.parse_errors] == [
+            (2, "record is 161 characters, expected 160"),
+            (4, "record is 2 characters, expected 160")]
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_cr_and_crlf_line_ends(self, end):
+        good = make_record()
+        text = end.join([good, "", good[:159], good, "xx"]) + end
+        cat = load_catalog(text.encode(), 0.0, 50.0)
+        assert len(cat) == 2
+        assert [i.line_number for i in cat.parse_errors] == [3, 5]
+        assert all("characters, expected 160" in i.reason
+                   for i in cat.parse_errors)
+
+
+class TestColumnarLoad:
+    """Clean records are read in columns; only the others are parsed one
+    by one, with the reasons and line numbers a per-record loop gives."""
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+        parse = thzlink.catalog.parse_line_record
+
+        def spy(record):
+            calls.append(record)
+            return parse(record)
+
+        monkeypatch.setattr(thzlink.catalog, "parse_line_record", spy)
+        return calls
+
+    def test_clean_records_skip_the_record_parser(self, monkeypatch):
+        records = [format_line_record(line) for line in _seeded_lines(3000)]
+        calls = self.count_parses(monkeypatch)
+        cat = load_catalog("\n".join(records).encode(), 0.0, 1e6)
+        assert calls == []
+        assert not cat.parse_errors
+        assert len(cat) == sum(parse_line_record(r).S0_ref != 0.0
+                               for r in records)
+
+    def test_only_bad_records_reach_the_record_parser(self, monkeypatch):
+        records = [format_line_record(line) for line in _seeded_lines(3000)]
+        records[10] = records[10][:3] + "abc".rjust(12) + records[10][15:]
+        records[1500] = records[1500][:2] + "9" + records[1500][3:]
+        records[2999] = records[2999][:35] + "0.000" + records[2999][40:]
+        calls = self.count_parses(monkeypatch)
+        cat = load_catalog("\n".join(records).encode(), 0.0, 1e6)
+        assert calls == [records[10], records[1500], records[2999]]
+        assert [i.line_number for i in cat.parse_errors] == [11, 1501, 3000]
+        assert "'nu0'" in cat.parse_errors[0].reason
+        assert "isotopologue 9" in cat.parse_errors[1].reason
+        assert "invariant" in cat.parse_errors[2].reason
+        assert len(cat) == sum(
+            parse_line_record(r).S0_ref != 0.0
+            for n, r in enumerate(records) if n not in (10, 1500, 2999))
+
+    def test_records_the_columns_refuse_are_parsed_in_place(self):
+        # a NUL reads in a numpy cast but not in float(); a form feed in a
+        # text column is a valid record the columns leave to the parser
+        good = [make_record(nu0=nu) for nu in (20.0, 5.0, 12.0)]
+        nul = good[0][:14] + "\0" + good[0][15:]
+        other = make_record(nu0=12.0, S0_ref=2e-22)
+        feed = other[:100] + "\f" + other[101:]
+        text = "\n".join([good[0], nul, feed, good[1], good[2]])
+        cat = load_catalog(text.encode(), 0.0, 50.0)
+        assert [i.line_number for i in cat.parse_errors] == [2]
+        assert "'nu0'" in cat.parse_errors[0].reason
+        assert [(ln.nu0, ln.S0_ref) for ln in cat] == [
+            (5.0, 1.5e-19), (12.0, 2e-22), (12.0, 1.5e-19), (20.0, 1.5e-19)]
+        assert list(cat) == _reference_load(text.encode(), 0.0, 50.0)[0]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_the_same_catalog_as_a_loop_over_records(self, data):
+        draw = data.draw
+        centers = [round(draw(st.floats(1e-3, 100.0)), 6) for _ in range(3)]
+        nu_min, nu_max = sorted(draw(st.sampled_from(centers + [0.0, 1e6]))
+                                for _ in range(2))
+        if nu_min == nu_max:
+            nu_max += 1.0
+        records = []
+        for _ in range(draw(st.integers(1, 40))):
+            records.append(draw(_drawn_records(centers, records)))
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(records), max_size=len(records)))
+        last = draw(st.sampled_from(["", ends[-1]]))
+        source = "".join(r + e for r, e in zip(records, ends))
+        source = (source[:-len(ends[-1])] + last).encode()
+
+        kept, issues = _reference_load(source, nu_min, nu_max)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cat = load_catalog(source, nu_min, nu_max)
+        assert [_field_bytes(ln) for ln in cat] == [_field_bytes(ln)
+                                                    for ln in kept]
+        assert list(cat.parse_errors) == issues
+        digest = hashlib.sha256(source).hexdigest()
+        assert cat.source_id == f"<bytes>#sha256:{digest}"
+        assert cat.lines_sha256 == LineCatalog(tuple(kept), "").lines_sha256
+        assert [w.category for w in caught] == (
+            [] if kept else [EmptyCatalogWarning])
+
+
+def _reference_load(source, nu_min, nu_max):
+    """The catalog loader as a loop that parses every record on its own."""
+    kept, issues = [], []
+    text = io.TextIOWrapper(io.BytesIO(source), "ascii", newline=None)
+    for number, raw in enumerate(text, start=1):
+        record = raw.removesuffix("\n")
+        if not record.strip():
+            continue
+        try:
+            line = parse_line_record(record)
+        except CatalogError as exc:
+            issues.append(ParseIssue(number, str(exc)))
+            continue
+        if line.S0_ref != 0.0 and nu_min <= line.nu0 <= nu_max:
+            kept.append(line)
+    return sorted(kept, key=lambda ln: ln.nu0), issues
+
+
+def _field_bytes(line):
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(line)]
+
+
+_NUMERIC_FIELDS = [f for f in PAR_2004 if f.descriptor[0] != "A"]
+_FIELD_TEXTS = ["", "nan", "inf", "1_0", "+.5", "1e5", "--1"]
+
+
+@st.composite
+def _drawn_records(draw, centers, earlier):
+    """One record: valid, or broken in one of the ways a catalog can be."""
+    kind = draw(st.sampled_from([
+        "valid", "field", "character", "length", "blank", "zero",
+        "isotopologue", "duplicate"]))
+    if kind == "duplicate" and earlier:
+        return draw(st.sampled_from(earlier))
+    if kind == "blank":
+        return draw(st.text(" \t\f\v\x1c\x1d\x1e\x1f", max_size=3))
+    key = draw(st.sampled_from(sorted(ISOTOPOLOGUE_ABUNDANCES)))
+    record = format_line_record(SpectralLine(
+        molecule_id=key[0], isotopologue_id=key[1],
+        nu0=draw(st.sampled_from(centers) | st.floats(1e-3, 200.0)),
+        S0_ref=0.0 if kind == "zero" else draw(st.floats(1e-30, 1e-18)),
+        alpha_air=draw(st.floats(1e-3, 0.99)),
+        alpha_self=draw(st.floats(1e-3, 0.99)),
+        E_lower=draw(st.floats(0.0, 9999.0)),
+        gamma_t=draw(st.floats(-0.99, 0.99)),
+        delta_air=draw(st.floats(-0.09, 0.09)),
+        abundance=1.0))
+    if kind == "field":
+        f = draw(st.sampled_from(_NUMERIC_FIELDS))
+        width = f.stop - f.start
+        text = draw(st.sampled_from(_FIELD_TEXTS)).rjust(width)[-width:]
+        record = record[:f.start] + text + record[f.stop:]
+    elif kind == "character":
+        column = draw(st.integers(0, len(record) - 1))
+        char = draw(st.characters(codec="ascii"))
+        record = record[:column] + char + record[column + 1:]
+    elif kind == "length":
+        record = draw(st.sampled_from([record[:-1], record + " "]))
+    elif kind == "isotopologue":
+        record = draw(st.sampled_from(["99", " 1"])) + "9" + record[3:]
+    return record
 
 
 class TestLinesDigest:
