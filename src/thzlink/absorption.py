@@ -48,7 +48,7 @@ DEFAULT_WING_CUTOFF = 750e9  # Hz, contributions farther from line center drop
 
 # Raised by any change that may move a bit of kappa, so that spectra cached on
 # disk by an older kernel miss instead of being served.
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 # Doppler half-widths from line center beyond which exp(-ln2 x^2) is exactly
 # 0.0 in double precision (it underflows past |x| of about 32.8).
@@ -109,10 +109,35 @@ def lorentz_shape(df, alpha_l: float):
 def _vvh_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
     """Collision shape with radiation-field (far-wing) adjustments, 1/Hz,
     given tanh(hf/2kT) at ``f`` and at ``f_c``. Centers and widths may be a
-    column, one row per line."""
-    prefactor = (f / f_c) * tanh_f / tanh_fc
-    return prefactor * (lorentz_shape(f - f_c, alpha_l)
-                        + lorentz_shape(f + f_c, alpha_l))
+    column, one row per line.
+
+    It is (f tanh_f)/(f_c tanh_fc) (alpha_l/pi) [1/A + 1/B], with A =
+    (f - f_c)^2 + alpha_l^2 and B = (f + f_c)^2 + alpha_l^2: two divisions
+    per element, in two buffers, then a factor per line and one per grid
+    point. Each reciprocal is taken on its own, not as (A + B)/(A B), whose
+    product overflows far below where A and B do.
+    """
+    a2 = alpha_l * alpha_l
+    shape = f - f_c
+    shape *= shape
+    shape += a2
+    np.divide(1.0, shape, out=shape)
+    mirror = f + f_c
+    mirror *= mirror
+    mirror += a2
+    np.divide(1.0, mirror, out=mirror)
+    shape += mirror
+    del mirror
+    per_line = np.divide(alpha_l / math.pi, f_c * tanh_fc)
+    if per_line.max() < math.inf:
+        shape *= per_line
+        shape *= f * tanh_f
+    else:
+        # a center within about 1e-143 Hz of 0, whose factor alone
+        # overflows: f/f_c and the tanh ratio instead
+        shape *= alpha_l / math.pi
+        shape *= (f / f_c) * tanh_f / tanh_fc
+    return shape
 
 
 def doppler_shape(f, f_c: float, alpha_d: float):
@@ -122,7 +147,11 @@ def doppler_shape(f, f_c: float, alpha_d: float):
     giving one row per line.
     """
     x = (f - f_c) / alpha_d
-    return math.sqrt(_LN2 / math.pi) / alpha_d * np.exp(-_LN2 * x * x)
+    t = x * -_LN2
+    t *= x
+    t = np.exp(t, out=t if isinstance(t, np.ndarray) else None)
+    t *= math.sqrt(_LN2 / math.pi) / alpha_d
+    return t
 
 
 def voigt_shape(f, f_c: float, alpha_l: float, alpha_d: float):
@@ -526,7 +555,8 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
                 shape = doppler_shape(f, f_c[k], alpha_d[k])
             else:
                 shape = voigt_shape(f, f_c[k], alpha_l[k], alpha_d[k])
-            for row, j in zip(strength[k] * shape, k.tolist()):
+            shape *= strength[k]
+            for row, j in zip(shape, k.tolist()):
                 own[j - start] = row[lo[j] - b0:hi[j] - b0]
         # catalog order, so each element sums as a loop over lines would
         for j, row in enumerate(own, start):

@@ -322,7 +322,9 @@ def parse_config(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # text mode has ended every line at \n, \r\n or a lone \r with \n;
+    # str.splitlines would also split at a form feed inside a comment
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ class TestShapes:
         total = sum(quad(lambda f: doppler_shape(f, fc, ad), a, b,
                          limit=400)[0] for a, b in spans)
         assert total == pytest.approx(1.0, abs=1e-2)
+
+    def test_doppler_shape_has_the_bytes_of_its_formula(self):
+        f = np.linspace(299.99e9, 300.01e9, 401)
+        f_c = np.array([[300e9], [300.002e9], [299.995e9]])
+        alpha_d = np.array([[3e5], [4e5], [5e5]])
+        x = (f - f_c) / alpha_d
+        want = math.sqrt(_LN2 / math.pi) / alpha_d * np.exp(-_LN2 * x * x)
+        assert doppler_shape(f, f_c, alpha_d).tobytes() == want.tobytes()
+        x = (300.0004e9 - 300e9) / 3e5
+        alone = doppler_shape(300.0004e9, 300e9, 3e5)
+        assert np.shape(alone) == ()
+        assert np.float64(alone).tobytes() == np.float64(
+            math.sqrt(_LN2 / math.pi) / 3e5 * np.exp(-_LN2 * x * x)).tobytes()
 
     def test_lorentz_pair_normalization(self):
         # the symmetric resonance pair under the asymmetric prefactor
@@ -596,6 +610,87 @@ def van_vleck_huber_shape(f, f_c, alpha_l, t):
     half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
     return _vvh_shape(f, np.tanh(half_quantum * f), f_c,
                       np.tanh(half_quantum * f_c), alpha_l)
+
+
+def two_lorentz_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
+    """The collision shape as kernel version 3 wrote it: the prefactor
+    times a pair of Lorentz profiles, four divisions per element."""
+    prefactor = (f / f_c) * tanh_f / tanh_fc
+    return prefactor * (lorentz_shape(f - f_c, alpha_l)
+                        + lorentz_shape(f + f_c, alpha_l))
+
+
+class TestVanVleckHuberShape:
+    """``_vvh_shape`` against exact arithmetic on its own arguments, and
+    against :func:`two_lorentz_shape` where values overflow or underflow."""
+
+    @staticmethod
+    def exact(f, tanh_f, f_c, tanh_fc, alpha_l):
+        """The shape in rational arithmetic, with pi as ``math.pi``."""
+        f, tanh_f, f_c, tanh_fc, alpha_l = map(
+            Fraction, (f, tanh_f, f_c, tanh_fc, alpha_l))
+        a2 = alpha_l * alpha_l
+        return (f * tanh_f / (f_c * tanh_fc) * alpha_l / Fraction(math.pi)
+                * (1 / ((f - f_c) ** 2 + a2) + 1 / ((f + f_c) ** 2 + a2)))
+
+    def test_within_4e_15_of_exact_arithmetic(self):
+        rng = np.random.default_rng(35)
+        n = 2000
+        f = 10.0 ** rng.uniform(9.0, 13.0, n)            # 1 GHz to 10 THz
+        f_c = 10.0 ** rng.uniform(9.0, 13.0, n)
+        near = rng.random(n) < 0.25                      # centers near f
+        f_c[near] = f[near] * (1.0 + rng.uniform(-1e-4, 1e-4, near.sum()))
+        alpha_l = 10.0 ** rng.uniform(4.0, 11.0, n)
+        half_quantum = PLANCK / (2.0 * BOLTZMANN
+                                 * rng.uniform(150.0, 350.0, n))
+        args = (f, np.tanh(half_quantum * f), f_c,
+                np.tanh(half_quantum * f_c), alpha_l)
+        # one row per draw, each argument a column
+        got = _vvh_shape(*(x[:, None] for x in args))[:, 0]
+        errors = [abs(Fraction(value) - want) / want for value, want
+                  in zip(got, map(self.exact, *args))]
+        assert max(errors) < Fraction(4e-15)
+
+    @pytest.mark.parametrize("t", [150.0, 296.0, 350.0])
+    def test_finite_and_zero_where_the_earlier_form_is(self, t):
+        # grids far above any band, where A and B overflow, and centers
+        # down to the smallest double, where f/f_c and 1/(f_c tanh_fc) do
+        half_quantum = PLANCK / (2.0 * BOLTZMANN * t)
+        cases = [(np.array([1e80, 1e160]), f_c)
+                 for f_c in (1e9, 3e11, 1e12, -3e11)]
+        cases += [(np.logspace(0.0, 13.0, 27), 10.0 ** -k)
+                  for k in range(324)]
+        cases += [(np.logspace(0.0, 13.0, 27), f_c)
+                  for f_c in (5e-324, 0.0, -1e-145)]
+        with np.errstate(all="ignore"):
+            for f, f_c in cases:
+                for alpha_l in (1e4, 1e7, 1e9, 1e11):
+                    args = (f, np.tanh(half_quantum * f),
+                            np.array([[f_c]]),
+                            np.tanh(half_quantum * np.array([[f_c]])),
+                            np.array([[alpha_l]]))
+                    got, before = _vvh_shape(*args), two_lorentz_shape(*args)
+                    assert not (np.isfinite(before)
+                                & ~np.isfinite(got)).any(), (f_c, alpha_l)
+                    assert not ((before == 0.0) & (got != 0.0)).any(), (
+                        f_c, alpha_l)
+
+    def test_a_call_holds_two_blocks(self):
+        # blocks of 2 MB, so that numpy's fixed iterator buffers, 64 kB
+        # each, count for little; the earlier form held five blocks
+        lines, points = 64, 4096
+        f = np.linspace(299e9, 301e9, points)
+        f_c = np.linspace(299.5e9, 300.5e9, lines)[:, None]
+        args = (f, np.tanh(1e-13 * f), f_c, np.tanh(1e-13 * f_c),
+                np.full((lines, 1), 1e9))
+        block = lines * points * 8
+        tracemalloc.start()
+        try:
+            _vvh_shape(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * block
 
 
 def per_line_kappa(catalog, state, grid, wing_cutoff=DEFAULT_WING_CUTOFF):

@@ -145,6 +145,28 @@ class TestConfigParsing:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_config(marked) == parse_config(plain)
 
+    @pytest.mark.parametrize("control", ["\f", "\v", "\x1c", "\x1d", "\x1e",
+                                         "\x85", "\u2028", "\u2029"])
+    def test_a_control_character_in_a_comment_does_not_end_its_line(
+            self, tmp_path, control):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(
+            f"kind = A2S # a{control}b\nrain_rate_mm_h = x\n".encode())
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert (err.value.field, err.value.line) == ("rain_rate_mm_h", 2)
+        assert err.value.message == "not a number: 'x'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_lf_crlf_or_a_lone_cr(self, tmp_path, end):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(end.join(["kind = A2S", "", "rain_rate_mm_h = x",
+                                   ""]).encode())
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert (err.value.field, err.value.line) == ("rain_rate_mm_h", 3)
+
     def test_bundled_configs_parse(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             scenario = parse_config(cfg)

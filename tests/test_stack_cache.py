@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from thzlink.absorption import absorbing_layers
 from thzlink.atmosphere import layer_bounds, profile_at
+from thzlink import scenario as scenario_module
 from thzlink.cli import EXIT_OK, main
 from thzlink.scenario import (
     KINDS,
@@ -88,10 +89,10 @@ def test_a_lower_start_fills_only_the_layers_it_adds(default_scenario,
                 == getattr(fresh, name).tobytes()), name
 
 
-def _run(config, tmp_path, name):
+def _run(config, tmp_path, name, cache="cache"):
     out = tmp_path / name
     code = main(["run", str(config), "--out-dir", str(out), "--cache-dir",
-                 str(tmp_path / "cache")])
+                 str(tmp_path / cache)])
     assert code == EXIT_OK
     return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
 
@@ -145,6 +146,43 @@ def test_entry_with_its_digest_and_another_header_is_recomputed(
                                    _npy(forgery[1](np.load(entry)))))
     assert _run(coarse_config, tmp_path, "rerun") == clean
     assert entry.read_bytes() == good
+
+
+def _entries(directory):
+    return {p.name: p.read_bytes() for p in directory.glob("*.npy")}
+
+
+def test_entries_of_another_kernel_version_are_recomputed(
+        coarse_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario_module, "KERNEL_VERSION", 3)
+    _run(coarse_config, tmp_path, "old")
+    monkeypatch.undo()
+    old = _entries(tmp_path / "cache")
+    assert old
+    computed = []
+    kernel = scenario_module.absorption_coefficient
+
+    def counted(catalog, state, grid, wing_cutoff):
+        computed.append(state)
+        return kernel(catalog, state, grid, wing_cutoff)
+
+    monkeypatch.setattr(scenario_module, "absorption_coefficient", counted)
+    rerun = _run(coarse_config, tmp_path, "rerun")
+    # every live layer is computed again and written under a new key, next
+    # to the old entries, which are left as they were
+    assert len(computed) == len(old)
+    entries = _entries(tmp_path / "cache")
+    assert {name: entries[name] for name in old} == old
+    new = {name: body for name, body in entries.items() if name not in old}
+    computed.clear()
+    fresh = _run(coarse_config, tmp_path, "fresh", cache="fresh_cache")
+    assert len(computed) == len(old)
+    assert new == _entries(tmp_path / "fresh_cache")
+    assert rerun == fresh
+    # and the entries of this version are read back
+    computed.clear()
+    assert _run(coarse_config, tmp_path, "again") == fresh
+    assert computed == []
 
 
 # two survey grids, so that a succession can leave a grid and come back
