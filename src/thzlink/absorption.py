@@ -63,10 +63,12 @@ SHAPE_SELECTION_RATIO = 5.0
 # smaller blocks were both slower.
 _BLOCK_PAIRS = 1 << 12
 
-# Elements, lines times grid points, of one block of line shapes in
-# :func:`absorption_coefficient`. Each of a block's temporaries then stays
-# near 128 kB, in cache; a line whose window alone is wider is a block of
-# its own.
+# Elements, lines times grid points, of one run of line shapes in
+# :func:`absorption_coefficient`. Each of a run's temporaries then stays
+# near 128 kB: in cache, and under the size from which glibc's malloc maps
+# fresh pages for each array, which longer runs were measured to pay for in
+# page faults. When the windows' union alone is wider, each line is a run
+# of its own.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -115,14 +117,21 @@ def _vvh_shape(f, tanh_f, f_c, tanh_fc, alpha_l):
     (f - f_c)^2 + alpha_l^2 and B = (f + f_c)^2 + alpha_l^2: two divisions
     per element, in two buffers, then a factor per line and one per grid
     point. Each reciprocal is taken on its own, not as (A + B)/(A B), whose
-    product overflows far below where A and B do.
+    product overflows far below where A and B do. For more than one line
+    the centers are repeated over the grid once, into the buffer that then
+    holds f + f_c: numpy takes a column against a row up to four times
+    longer than a full operand against a row once a block has many rows.
     """
     a2 = alpha_l * alpha_l
-    shape = f - f_c
+    if np.size(f_c) > 1:
+        mirror = np.repeat(f_c, np.shape(f)[-1], axis=-1)
+        shape = f - mirror
+        mirror += f
+    else:
+        shape, mirror = f - f_c, f + f_c
     shape *= shape
     shape += a2
     np.divide(1.0, shape, out=shape)
-    mirror = f + f_c
     mirror *= mirror
     mirror += a2
     np.divide(1.0, mirror, out=mirror)
@@ -449,12 +458,12 @@ def absorption_coefficient(
     kinds and windows are computed for all lines at once; intensities only
     for lines with a grid point in their window, so only those raise for a
     temperature outside the partition fits, and shapes for those lines in
-    blocks of consecutive lines, one array per shape kind over the block's
-    grid span. A block holds at most
-    ``_BLOCK_ELEMENTS`` lines times span, so memory does not grow with the
-    number of lines. Each line's row is then added over its own window in
-    catalog order, so every element sums in the same order as a loop over
-    lines. The catalog is only read.
+    runs of consecutive lines, one array per shape kind over the run's grid
+    span. A run holds at most ``_BLOCK_ELEMENTS`` lines times span, so
+    memory does not grow with the number of lines. Each run is one matrix
+    of its lines' rows in catalog order, +0.0 outside each line's window,
+    added to kappa in one reduction that sums row by row, so every element
+    sums in the same order as a loop over lines. The catalog is only read.
 
     Numpy's floating-point warnings are silenced here, and
     :class:`NonFiniteAbsorption` names a line instead: one of a present
@@ -539,13 +548,14 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     other = ~(collisional | thermal)
     branches = [(m, np.flatnonzero(m)) for m in (collisional, thermal, other)
                 if m.any()]
-    lo, hi = w.lo[live].tolist(), w.hi[live].tolist()
+    lo, hi = w.lo[live], w.hi[live]
     for start, stop, b0, b1 in _line_blocks(lo, hi):
         f = grid[b0:b1]
-        own = [None] * (stop - start)   # each line's row over its window
+        # each line's contribution over the run's span, in catalog order
+        rows = None
         for branch, members in branches:
-            k = members[np.searchsorted(members, start):
-                        np.searchsorted(members, stop)]
+            k = members[members.searchsorted(start):
+                        members.searchsorted(stop)]
             if k.size == 0:
                 continue
             if branch is collisional:
@@ -556,11 +566,38 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
             else:
                 shape = voigt_shape(f, f_c[k], alpha_l[k], alpha_d[k])
             shape *= strength[k]
-            for row, j in zip(shape, k.tolist()):
-                own[j - start] = row[lo[j] - b0:hi[j] - b0]
-        # catalog order, so each element sums as a loop over lines would
-        for j, row in enumerate(own, start):
-            kappa[lo[j]:hi[j]] += row
+            if k.size == stop - start:
+                rows = shape
+            else:
+                if rows is None:
+                    rows = np.empty((stop - start, b1 - b0))
+                rows[k - start] = shape
+        if stop - start == 1:
+            # a line alone, whose window is the run's span
+            kappa[b0:b1] += rows[0]
+            continue
+        row_lo, row_hi = lo[start:stop] - b0, hi[start:stop] - b0
+        if row_lo.any() or (row_hi < rows.shape[1]).any():
+            # +0.0 outside each window: the rows laid end to end alternate
+            # between outside and inside; not a multiply, since a shape
+            # outside its window may not be finite
+            base = np.arange(0, rows.size, rows.shape[1])
+            edges = np.empty(2 * base.size + 2, dtype=int)
+            edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = (
+                0, base + row_lo, base + row_hi, rows.size)
+            outside = np.zeros(edges.size - 1, dtype=bool)
+            outside[::2] = True
+            np.copyto(rows, 0.0, where=np.repeat(
+                outside, edges[1:] - edges[:-1]).reshape(rows.shape))
+        # kappa so far plus the first line, then row by row, so that each
+        # element sums in catalog order as a loop over lines would; kappa is
+        # never -0.0, so adding +0.0 keeps its bits. Numpy sums a single
+        # column pairwise, hence accumulate there.
+        np.add(kappa[b0:b1], rows[0], out=rows[0])
+        if b1 - b0 > 1:
+            np.add.reduce(rows, axis=0, out=kappa[b0:b1])
+        else:
+            kappa[b0] = np.add.accumulate(rows[:, 0])[-1]
     return kappa
 
 
@@ -582,17 +619,17 @@ def _strengths(columns: LineColumns, live: np.ndarray, f_c: np.ndarray,
             * INTENSITY_CM_TO_SI)
 
 
-def _line_blocks(lo: list[int], hi: list[int]):
-    """Runs of consecutive windows ``lo[j]:hi[j]`` whose line count times
-    the width of their union is at most ``_BLOCK_ELEMENTS``, as
-    ``(start, stop, union start, union stop)``; a window wider than that
-    is a run of its own."""
-    start, b0, b1 = 0, lo[0], hi[0]
-    for j in range(1, len(lo)):
-        u0 = lo[j] if lo[j] < b0 else b0
-        u1 = hi[j] if hi[j] > b1 else b1
-        if (j + 1 - start) * (u1 - u0) > _BLOCK_ELEMENTS:
-            yield start, j, b0, b1
-            start, u0, u1 = j, lo[j], hi[j]
-        b0, b1 = u0, u1
-    yield start, len(lo), b0, b1
+def _line_blocks(lo, hi):
+    """Runs of consecutive windows ``lo[j]:hi[j]``, as ``(start, stop,
+    union start, union stop)``: as few runs as hold at most
+    ``_BLOCK_ELEMENTS`` // the width of the union of all windows lines each,
+    at least one, their sizes differing by at most one line. A run's lines
+    times its width are then at most ``_BLOCK_ELEMENTS``, or it is one line
+    whose window alone is wider."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    most = max(1, _BLOCK_ELEMENTS // int(hi.max() - lo.min()))
+    runs = -(-lo.size // most)
+    starts = [j * lo.size // runs for j in range(runs)]
+    return zip(starts, starts[1:] + [lo.size],
+               np.minimum.reduceat(lo, starts).tolist(),
+               np.maximum.reduceat(hi, starts).tolist())

@@ -472,12 +472,22 @@ class SpectrumCache:
         if entry == _with_digest(key, header + data):
             return np.frombuffer(data)
         kappa = compute()
+        if (header and kappa.dtype == np.float64
+                and kappa.shape == (size // 8,)):
+            # np.save's bytes, from the header of the grid's length
+            body = header + kappa.tobytes()
+        else:
+            np.save(buffer := io.BytesIO(), kappa)
+            body = buffer.getvalue()
         # unique temp name per writer: processes sharing the directory may
         # race on the same key, and both replacements carry identical bytes
         tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
-        np.save(buffer := io.BytesIO(), kappa)
-        tmp.write_bytes(_with_digest(key, buffer.getvalue()))
-        tmp.replace(path)
+        try:
+            tmp.write_bytes(_with_digest(key, body))
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return kappa
 
     def stack(self, scenario: Scenario, catalog: LineCatalog,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -931,6 +932,85 @@ class TestKernelBitIdentity:
         assert error_of(absorption_coefficient, catalog, mild, grid) is None
         assert error_of(absorption_coefficient, catalog, hot, grid) == (
             InvalidRange, "T = 3200.0 K outside the fitted range [70, 3000] K")
+
+
+@st.composite
+def mixed_spectra(draw):
+    """A catalog of collision, Doppler and Voigt lines in any order around a
+    grid of 1 to 64 points near 300 GHz, a state and a wing cutoff: some
+    windows cover the grid, some end inside it, and some miss it."""
+    points = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)))
+    step = draw(st.sampled_from([0.25e6, 1e6, 4e6, 20e6]))
+    grid = 299.9e9 + draw(st.integers(0, 40)) * 2.5e6 + step * np.arange(
+        points)
+    span = grid[-1] - grid[0]
+    lines = draw(st.lists(st.builds(
+        lambda molecule, width, at, off: synthetic_line(
+            molecule, grid[0] + at * span + off, alpha_air=width,
+            alpha_self=width),
+        st.sampled_from([1, 7]),
+        st.sampled_from([0.5, 0.05, 0.004, 0.001]),   # 0.004: Doppler at 57 km
+        st.floats(0.0, 1.0),
+        st.floats(-30e6, 30e6)), min_size=1, max_size=24))
+    state = profile_at(draw(st.sampled_from([0.0, 20e3, 57e3, 90e3])))
+    wing_cutoff = draw(st.sampled_from([DEFAULT_WING_CUTOFF, 50e6, 5e6]))
+    return LineCatalog(tuple(lines), "drawn"), state, grid, wing_cutoff
+
+
+class TestRunReduction:
+    """What the kernel's bytes rest on: numpy's reduction over the rows of a
+    run adds them in order, and runs of every size give the loop's bytes."""
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 8, 9, 429, 9001])
+    def test_a_reduction_over_rows_adds_them_in_order(self, width):
+        rng = np.random.default_rng(width)
+        counts = [1, 2, 3, 8, 9, 16, 17, 37, 38, 128, 129, 300,
+                  *rng.integers(1, 301, 8).tolist()]
+        for rows in counts:
+            block = 10.0 ** rng.uniform(-30.0, 5.0, (rows, width))
+            want = block[0].copy()
+            for row in block[1:]:
+                want += row
+            got = np.empty(width)
+            np.add.reduce(block, axis=0, out=got)
+            assert got.tobytes() == want.tobytes(), rows
+
+    def test_a_column_adds_in_order_by_accumulate(self):
+        # numpy sums a single column pairwise, so the kernel accumulates it
+        rng = np.random.default_rng(1)
+        for rows in range(1, 301):
+            column = 10.0 ** rng.uniform(-30.0, 5.0, rows)
+            want = 0.0
+            for value in column.tolist():
+                want += value
+            assert np.add.accumulate(column)[-1] == want, rows
+
+    @settings(max_examples=300)
+    @given(mixed_spectra())
+    def test_runs_of_every_size_give_the_loops_bytes(self, spectrum):
+        want = per_line_kappa(*spectrum).kappa.tobytes()
+        default = absorption_module._BLOCK_ELEMENTS
+        try:
+            for cap in (1, 2, 37, 1 << 14):
+                absorption_module._BLOCK_ELEMENTS = cap
+                got = absorption_coefficient(*spectrum).kappa
+                assert got.tobytes() == want, cap
+        finally:
+            absorption_module._BLOCK_ELEMENTS = default
+
+    def test_one_point_grids_of_a_dense_catalog(self):
+        # the live lines are one run of width 1, the grid the bisection in
+        # absorption_coefficient uses; a point's loop sum is its entry in
+        # the loop over the whole grid
+        catalog = dense_catalog(random.Random(1), 800)
+        state = profile_at(3e3)
+        grid = np.linspace(100e9, 400e9, 50)
+        want = per_line_kappa(catalog, state, grid).kappa
+        _, lo, hi = live_kinds(catalog, state, grid[:1])
+        assert len(lo) > 500
+        for f, value in zip(grid, want):
+            got = absorption_coefficient(catalog, state, np.array([f])).kappa
+            assert got.tobytes() == value.tobytes(), f
 
 
 class TestKernelMemory:

@@ -10,8 +10,10 @@ its grid and returns to it must still get a fresh cache's bytes each step.
 """
 
 import dataclasses
+import errno
 import io
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from thzlink.absorption import absorbing_layers
 from thzlink.atmosphere import layer_bounds, profile_at
 from thzlink import scenario as scenario_module
-from thzlink.cli import EXIT_OK, main
+from thzlink.cli import EXIT_COMPUTE, EXIT_OK, main
 from thzlink.scenario import (
     KINDS,
     SpectrumCache,
@@ -183,6 +185,30 @@ def test_entries_of_another_kernel_version_are_recomputed(
     computed.clear()
     assert _run(coarse_config, tmp_path, "again") == fresh
     assert computed == []
+
+
+@pytest.mark.parametrize("failing", ["replace", "write_bytes"])
+def test_a_failed_cache_write_leaves_no_temp_file(coarse_config, tmp_path,
+                                                  monkeypatch, failing):
+    write_bytes = Path.write_bytes
+
+    def full_disk(self, *args):
+        if failing == "write_bytes":
+            write_bytes(self, args[0][:10])   # the disk fills mid-write
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, failing, full_disk)
+    code = main(["run", str(coarse_config), "--out-dir",
+                 str(tmp_path / "failed"), "--cache-dir",
+                 str(tmp_path / "cache")])
+    monkeypatch.undo()
+    assert code == EXIT_COMPUTE
+    assert list((tmp_path / "cache").iterdir()) == []
+    # a rerun on the same directory gives a fresh run's outputs and entries
+    rerun = _run(coarse_config, tmp_path, "rerun")
+    assert rerun == _run(coarse_config, tmp_path, "fresh",
+                         cache="fresh_cache")
+    assert _entries(tmp_path / "cache") == _entries(tmp_path / "fresh_cache")
 
 
 # two survey grids, so that a succession can leave a grid and come back
