@@ -23,12 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .atmosphere import AtmosphericState
-from .catalog import (
-    LineCatalog,
-    LineColumns,
-    MOLECULE_NAMES,
-    SpectralLine,
-)
+from .catalog import LineCatalog, MOLECULE_NAMES, SpectralLine
 from .constants import (
     AVOGADRO,
     BOLTZMANN,
@@ -72,16 +67,16 @@ _BLOCK_PAIRS = 1 << 12
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def line_center(line: SpectralLine | LineColumns, p: float):
+def line_center(line: SpectralLine | LineCatalog, p: float):
     """Pressure-shifted resonance frequency in Hz.
 
-    This and the half-widths take one :class:`SpectralLine` or a catalog's
-    :class:`LineColumns`, which gives an array over every line.
+    This and the half-widths take one :class:`SpectralLine`, or a
+    :class:`LineCatalog`, whose columns give an array over every line.
     """
     return (line.nu0 + line.delta_air * (p / STANDARD_PRESSURE)) * _WAVENUMBER_TO_HZ
 
 
-def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
+def lorentz_halfwidth(line: SpectralLine | LineCatalog, p: float, t: float,
                       mu_i):
     """Collision-broadened half-width in Hz.
 
@@ -97,7 +92,7 @@ def lorentz_halfwidth(line: SpectralLine | LineColumns, p: float, t: float,
     return alpha * _WAVENUMBER_TO_HZ
 
 
-def doppler_halfwidth(line: SpectralLine | LineColumns, t: float):
+def doppler_halfwidth(line: SpectralLine | LineCatalog, t: float):
     """Thermal half-width at half maximum in Hz."""
     return (line.f0 / SPEED_OF_LIGHT) * np.sqrt(
         2.0 * _LN2 * BOLTZMANN * t / line.mass)
@@ -380,7 +375,7 @@ class LineWindows(NamedTuple):
     live: np.ndarray           # bool, a present species with a window point
 
 
-def _line_windows(columns: LineColumns, p, t, mu, grid: np.ndarray,
+def _line_windows(catalog: LineCatalog, p, t, mu, grid: np.ndarray,
                  wing_cutoff: float) -> LineWindows:
     """Each line's center, half-widths, shape branch and window on ``grid``.
 
@@ -391,9 +386,9 @@ def _line_windows(columns: LineColumns, p, t, mu, grid: np.ndarray,
     for a Doppler-shaped line. Element by element the result is the same
     whether a layer is passed alone or in a block.
     """
-    f_c = line_center(columns, p)
-    alpha_l = lorentz_halfwidth(columns, p, t, mu)
-    alpha_d = doppler_halfwidth(columns, t)
+    f_c = line_center(catalog, p)
+    alpha_l = lorentz_halfwidth(catalog, p, t, mu)
+    alpha_d = doppler_halfwidth(catalog, t)
     collisional, thermal = _dominance(alpha_l, alpha_d)
     half = np.where(thermal, np.minimum(wing_cutoff, DOPPLER_WINDOW * alpha_d),
                     wing_cutoff)
@@ -416,16 +411,15 @@ def absorbing_layers(catalog: LineCatalog,
     number of states times the number of lines. A line whose collision
     half-width is not positive raises, live or not, as in the kernel.
     """
-    columns = catalog.columns
     marks = np.zeros(len(states), dtype=bool)
     rows = max(1, _BLOCK_PAIRS // max(1, len(catalog)))
     for start in range(0, len(states), rows):
         block = states[start:start + rows]
         p = np.array([[s.pressure] for s in block])
         t = np.array([[s.temperature] for s in block])
-        mu = np.array([columns.mixing_ratios(s.mixing_ratios) for s in block],
+        mu = np.array([catalog.mixing_ratios(s.mixing_ratios) for s in block],
                       dtype=float).reshape(len(block), len(catalog))
-        windows = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+        windows = _line_windows(catalog, p, t, mu, grid, wing_cutoff)
         _refuse_unbroadened(catalog, block, windows.alpha_l, mu)
         marks[start:start + len(block)] = windows.live.any(axis=1)
     return marks
@@ -487,13 +481,12 @@ def absorption_coefficient(
         good, bad = 0, len(catalog)
         while bad - good > 1:
             mid = (good + bad) // 2
-            prefix = LineCatalog(catalog.lines[:mid], catalog.source_id)
-            if np.isfinite(_kappa(prefix, state, grid[i:i + 1],
+            if np.isfinite(_kappa(catalog[:mid], state, grid[i:i + 1],
                                   wing_cutoff)[0]):
                 good = mid
             else:
                 bad = mid
-        raise _blame(catalog.lines[good], state,
+        raise _blame(catalog[good], state,
                      f"makes kappa {kappa[i]} at {grid[i]:.10g} Hz")
     return AbsorptionSpectrum(grid=grid, kappa=kappa, state=state)
 
@@ -516,7 +509,7 @@ def _refuse_unbroadened(catalog: LineCatalog,
     unbroadened = ~(alpha_l > 0.0) & (mu > 0.0)
     if unbroadened.any():
         row, j = divmod(k := int(unbroadened.argmax()), len(catalog))
-        raise _blame(catalog.lines[j], states[row],
+        raise _blame(catalog[j], states[row],
                      f"has collision half-width {alpha_l.flat[k]:.6g} Hz")
 
 
@@ -525,9 +518,8 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     """kappa in 1/m on a checked ``grid``, as :func:`absorption_coefficient`
     describes it."""
     p, t = state.pressure, state.temperature
-    columns = catalog.columns
-    mu = columns.mixing_ratios(state.mixing_ratios)
-    w = _line_windows(columns, p, t, mu, grid, wing_cutoff)
+    mu = catalog.mixing_ratios(state.mixing_ratios)
+    w = _line_windows(catalog, p, t, mu, grid, wing_cutoff)
     _refuse_unbroadened(catalog, (state,), w.alpha_l, mu)
     live = np.flatnonzero(w.live)
     kappa = np.zeros_like(grid)
@@ -537,7 +529,7 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     # columns over the live lines, one row per line
     f_c, alpha_l, alpha_d = (x[live][:, None] for x in (w.f_c, w.alpha_l,
                                                         w.alpha_d))
-    strength = _strengths(columns, live, f_c[:, 0], p, t, mu[live])[:, None]
+    strength = _strengths(catalog, live, f_c[:, 0], p, t, mu[live])[:, None]
     collisional, thermal = w.collisional[live], w.thermal[live]
     if collisional.any():
         # tanh(hf/2kT) over the grid depends on the layer alone, and an
@@ -601,21 +593,21 @@ def _kappa(catalog: LineCatalog, state: AtmosphericState, grid: np.ndarray,
     return kappa
 
 
-def _strengths(columns: LineColumns, live: np.ndarray, f_c: np.ndarray,
+def _strengths(catalog: LineCatalog, live: np.ndarray, f_c: np.ndarray,
                p: float, t: float, mu: np.ndarray) -> np.ndarray:
     """N_i S_i(T) in SI of the lines ``live``, centered at ``f_c`` with
     mixing ratios ``mu``. Q(T) is computed once per species in catalog
     order, so a temperature outside the partition fits is raised as a loop
     over the lines would raise it."""
-    species = columns.species_index[live].tolist()
-    names = columns.species
+    species = catalog.species_index[live].tolist()
+    names = catalog.species
     q_ratio = {s: (_reference_partition(names[s])
                    / partition_function(names[s], t))
                for s in dict.fromkeys(species)}
-    intensity = _scaled_intensity(columns.S0_ref[live],
-                                  columns.E_lower[live], t, f_c,
+    intensity = _scaled_intensity(catalog.S0_ref[live],
+                                  catalog.E_lower[live], t, f_c,
                                   np.array([q_ratio[s] for s in species]))
-    return (number_density(p, t, mu) * columns.abundance[live] * intensity
+    return (number_density(p, t, mu) * catalog.abundance[live] * intensity
             * INTENSITY_CM_TO_SI)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -155,58 +155,6 @@ class SpectralLine:
         return MOLAR_MASSES_U[self.molecule_id] * ATOMIC_MASS
 
 
-@dataclass(frozen=True, eq=False)
-class LineColumns:
-    """Per-line fields of a catalog as arrays, in catalog order.
-
-    The names are those of :class:`SpectralLine`, so a line-parameter
-    formula written for one line applies element-wise to every line.
-    """
-
-    nu0: np.ndarray
-    delta_air: np.ndarray
-    alpha_air: np.ndarray
-    alpha_self: np.ndarray
-    gamma_t: np.ndarray
-    S0_ref: np.ndarray
-    E_lower: np.ndarray
-    abundance: np.ndarray
-    f0: np.ndarray
-    mass: np.ndarray
-    species: tuple[str, ...]          # distinct names, in catalog order
-    species_index: np.ndarray         # each line's entry in ``species``
-
-    @classmethod
-    def of(cls, lines: tuple[SpectralLine, ...]) -> LineColumns:
-        def column(name: str) -> np.ndarray:
-            return np.array([getattr(ln, name) for ln in lines], dtype=float)
-
-        nu0 = column("nu0")
-        names = [MOLECULE_NAMES[ln.molecule_id] for ln in lines]
-        species = tuple(dict.fromkeys(names))
-        return cls(
-            nu0=nu0,
-            delta_air=column("delta_air"),
-            alpha_air=column("alpha_air"),
-            alpha_self=column("alpha_self"),
-            gamma_t=column("gamma_t"),
-            S0_ref=column("S0_ref"),
-            E_lower=column("E_lower"),
-            abundance=column("abundance"),
-            f0=wavenumber_to_frequency(nu0),
-            mass=column("mass"),
-            species=species,
-            species_index=np.array([species.index(n) for n in names],
-                                   dtype=np.intp),
-        )
-
-    def mixing_ratios(self, ratios: Mapping[str, float]) -> np.ndarray:
-        """Each line's volume mixing ratio; 0 for a species not in ``ratios``."""
-        by_species = np.array([ratios.get(name, 0.0) for name in self.species],
-                              dtype=float)
-        return by_species[self.species_index]
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """One field of a fixed-width record and its Fortran edit descriptor,
@@ -325,35 +273,84 @@ class ParseIssue:
     reason: str
 
 
-@dataclass(frozen=True)
+_FIELDS = tuple(f.name for f in dataclasses.fields(SpectralLine))
+_line_fields = attrgetter(*_FIELDS)
+
+
 class LineCatalog:
     """Immutable, wavenumber-sorted collection of spectral lines.
 
-    ``parse_errors`` reports records that failed to parse during loading.
+    The lines are one read-only float64 ``table``, a row per line in
+    :class:`SpectralLine` field order, and each field is a column of it
+    under its own name, so that a formula written for one line applies
+    element-wise to every line; ``f0``, ``mass``, the distinct molecule
+    names ``species`` and each line's entry in them, ``species_index``,
+    stand beside them. ``lines``, iteration and an index build
+    :class:`SpectralLine` objects on demand; a slice is a catalog of those
+    rows. ``parse_errors`` reports records that failed to parse.
     """
 
-    lines: tuple[SpectralLine, ...]
-    source_id: str
-    parse_errors: tuple[ParseIssue, ...] = field(default=())
+    def __init__(self, lines: Iterable[SpectralLine], source_id: str,
+                 parse_errors: tuple[ParseIssue, ...] = ()):
+        rows = [_line_fields(line) for line in lines]
+        self._hold(np.array(rows, dtype=float).reshape(-1, len(_FIELDS)),
+                   source_id, parse_errors)
+
+    @classmethod
+    def _of_table(cls, table, source_id, parse_errors=()) -> LineCatalog:
+        """A catalog of the rows of ``table``, which it takes as they are."""
+        catalog = cls.__new__(cls)
+        catalog._hold(table, source_id, parse_errors)
+        return catalog
+
+    def _hold(self, table, source_id, parse_errors):
+        table = np.asfortranarray(table)  # each column contiguous
+        table.flags.writeable = False     # and so each column
+        vars(self).update(zip(_FIELDS, table.T), table=table,
+                          source_id=source_id, parse_errors=tuple(parse_errors))
+        molecules, species_index = np.unique(self.molecule_id.astype(int),
+                                             return_inverse=True)
+        molecules = molecules.tolist()
+        mass = np.array([MOLAR_MASSES_U[m] for m in molecules]) * ATOMIC_MASS
+        derived = dict(f0=wavenumber_to_frequency(self.nu0),
+                       mass=mass[species_index], species_index=species_index)
+        for column in derived.values():
+            column.flags.writeable = False
+        vars(self).update(species=tuple(MOLECULE_NAMES[m] for m in molecules),
+                          **derived)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a LineCatalog is read-only; cannot set {name}")
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._of_table(self.table[index], self.source_id)
+        molecule_id, isotopologue_id, *rest = self.table[index].tolist()
+        return SpectralLine(int(molecule_id), int(isotopologue_id), *rest)
 
     def __iter__(self) -> Iterator[SpectralLine]:
-        return iter(self.lines)
+        return map(self.__getitem__, range(len(self)))
 
-    @cached_property
-    def columns(self) -> LineColumns:
-        """The lines as arrays, built on first use and kept with the catalog."""
-        return LineColumns.of(self.lines)
+    @property
+    def lines(self) -> tuple[SpectralLine, ...]:
+        """The lines as :class:`SpectralLine` objects, built on each call."""
+        return tuple(self)
+
+    def mixing_ratios(self, ratios: Mapping[str, float]) -> np.ndarray:
+        """Each line's volume mixing ratio; 0 for a species not in ``ratios``."""
+        by_species = np.array([ratios.get(name, 0.0) for name in self.species],
+                              dtype=float)
+        return by_species[self.species_index]
 
     @cached_property
     def lines_sha256(self) -> str:
-        """SHA-256 of every field of every line, in catalog order: catalogs
-        that hold the same lines share it, whatever file they came from."""
-        fields = attrgetter(*(f.name for f in dataclasses.fields(SpectralLine)))
-        table = np.array([fields(ln) for ln in self.lines], dtype=float)
-        return hashlib.sha256(table.tobytes()).hexdigest()
+        """SHA-256 of ``table``'s bytes, every field of every line in catalog
+        order: catalogs that hold the same lines share it, whatever file they
+        came from."""
+        return hashlib.sha256(self.table.tobytes()).hexdigest()
 
     @property
     def file_sha256(self) -> str:
@@ -438,9 +435,8 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
            & (values["E_lower"] >= 0.0))
     keep = ok & (s0 != 0.0) & (nu_min <= nu0) & (nu0 <= nu_max)
 
-    kept = [SpectralLine(*row) for row in zip(*(
-        values[f.name][keep].tolist() for f in dataclasses.fields(SpectralLine)))]
     at = full[keep].tolist()
+    rescued = []
     rejected = np.ones(starts.size, dtype=bool)
     rejected[full[ok]] = False
     issues: list[ParseIssue] = []
@@ -454,15 +450,18 @@ def load_catalog(source, nu_min: float, nu_max: float) -> LineCatalog:
             issues.append(ParseIssue(i + 1, str(exc)))
             continue
         if line.S0_ref != 0.0 and nu_min <= line.nu0 <= nu_max:
-            kept.append(line)
+            rescued.append(_line_fields(line))
             at.append(i)
 
-    order = np.lexsort((at, [line.nu0 for line in kept]))
-    kept = [kept[k] for k in order.tolist()]
-    if not kept:
+    table = np.concatenate((
+        np.stack([values[name][keep] for name in _FIELDS], axis=1, dtype=float),
+        np.reshape(rescued, (-1, len(_FIELDS)))))
+    table = table[np.lexsort((at, table[:, _FIELDS.index("nu0")]))]
+    if not at:
         warnings.warn(f"no catalog lines matched [{nu_min}, {nu_max}] cm^-1 "
                       f"in {name}", EmptyCatalogWarning, stacklevel=2)
-    return LineCatalog(tuple(kept), f"{name}#sha256:{digest}", tuple(issues))
+    return LineCatalog._of_table(table, f"{name}#sha256:{digest}",
+                                 tuple(issues))
 
 
 def wavenumber_to_frequency(nu):

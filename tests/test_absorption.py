@@ -775,9 +775,8 @@ MIXED_STATE = profile_at(57e3)
 
 def live_kinds(catalog, state, grid):
     """The shape kind ('c', 't' or 'v') and window of each live line."""
-    columns = catalog.columns
-    w = _line_windows(columns, state.pressure, state.temperature,
-                      columns.mixing_ratios(state.mixing_ratios), grid,
+    w = _line_windows(catalog, state.pressure, state.temperature,
+                      catalog.mixing_ratios(state.mixing_ratios), grid,
                       DEFAULT_WING_CUTOFF)
     live = np.flatnonzero(w.live)
     kinds = "".join("c" if c else "t" if t else "v" for c, t in
@@ -865,13 +864,6 @@ class TestKernelBitIdentity:
         assert_same_bytes(SYNTHETIC, dry, FINE_GRID)
         assert any(absorption_coefficient(SYNTHETIC, s, FINE_GRID).kappa.any()
                    for s in dry)
-
-    def test_columns_built_once_per_catalog(self):
-        catalog = LineCatalog(SYNTHETIC.lines, "copy")
-        columns = catalog.columns
-        absorption_coefficient(catalog, SYNTHETIC_STATES[0], FINE_GRID)
-        assert catalog.columns is columns
-        assert columns.nu0.tolist() == [ln.nu0 for ln in SYNTHETIC]
 
     @pytest.mark.parametrize("cap", [None, 5 * FINE_GRID.size, 2 * 801 + 1,
                                      1])
@@ -1067,11 +1059,10 @@ def assert_block_gives_the_kernels_windows(monkeypatch, catalog, states,
         patch.setattr(absorption_module, "_line_windows", recording)
         absorbing_layers(catalog, states, grid, wing_cutoff)
     rows = [np.concatenate(field) for field in zip(*blocks)]
-    columns = catalog.columns
     for row, state in enumerate(states):
         alone = _line_windows(
-            columns, state.pressure, state.temperature,
-            columns.mixing_ratios(state.mixing_ratios), grid, wing_cutoff)
+            catalog, state.pressure, state.temperature,
+            catalog.mixing_ratios(state.mixing_ratios), grid, wing_cutoff)
         for name, got, want in zip(alone._fields, rows, alone):
             assert got[row].tobytes() == want.tobytes(), (name, row)
 
@@ -1196,16 +1187,15 @@ class TestLoneLineAndColumn:
         catalog = LineCatalog(tuple(
             dataclasses.replace(line, gamma_t=gamma_t) for line in SYNTHETIC),
             f"gamma {gamma_t}")
-        columns = catalog.columns
         for state in SYNTHETIC_STATES:
             p, t = state.pressure, state.temperature
-            mu = columns.mixing_ratios(state.mixing_ratios)
-            f_c = line_center(columns, p)
-            widths = lorentz_halfwidth(columns, p, t, mu)
+            mu = catalog.mixing_ratios(state.mixing_ratios)
+            f_c = line_center(catalog, p)
+            widths = lorentz_halfwidth(catalog, p, t, mu)
             q_ratio = np.array([
                 _reference_partition(line.molecule_id)
                 / partition_function(line.molecule_id, t) for line in catalog])
-            intensities = _scaled_intensity(columns.S0_ref, columns.E_lower,
+            intensities = _scaled_intensity(catalog.S0_ref, catalog.E_lower,
                                             t, f_c, q_ratio)
             shapes = van_vleck_huber_shape(FINE_GRID, f_c[:, None],
                                            widths[:, None], t)

@@ -402,7 +402,65 @@ def _drawn_records(draw, centers, earlier):
     return record
 
 
+# lines_sha256 of the bundled catalog over [0, 400] 1/cm, which every disk
+# cache key of a run on it starts from
+BUNDLED_DIGEST = (
+    "fe94d48301dc60a779ccd91cb4497d19e3a038f791b7c930983d1f2cba051910")
+_READ_ONLY = [f.name for f in dataclasses.fields(SpectralLine)] + [
+    "f0", "mass", "species_index", "table"]
+
+
+class TestLineTable:
+    @pytest.mark.parametrize("make", ["loaded", "from_lines", "slice"])
+    @pytest.mark.parametrize("name", _READ_ONLY)
+    def test_a_write_into_a_column_raises(self, make, name):
+        catalog = load_catalog(bundled_catalog_path(), 0.0, 400.0)
+        if make == "from_lines":
+            catalog = LineCatalog(catalog.lines, catalog.source_id)
+        elif make == "slice":
+            catalog = catalog[:]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(catalog, name)[:] = 0.0
+        assert catalog.lines_sha256 == BUNDLED_DIGEST
+        assert all(line.S0_ref > 0.0 for line in catalog)
+
+    @pytest.mark.parametrize("name", _READ_ONLY + ["lines", "source_id"])
+    def test_an_attribute_cannot_be_replaced(self, mini_catalog, name):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(mini_catalog, name, None)
+
+    def test_an_index_a_slice_and_iteration_give_the_lines(self, mini_catalog):
+        lines = mini_catalog.lines
+        assert [mini_catalog[j] for j in range(len(lines))] == list(lines)
+        assert list(mini_catalog) == list(lines)
+        assert [_field_bytes(ln) for ln in lines] == [
+            _field_bytes(ln) for ln in LineCatalog(lines, "copy")]
+        part = mini_catalog[3:9]
+        assert part.lines == lines[3:9]
+        assert part.lines_sha256 == LineCatalog(lines[3:9], "").lines_sha256
+        assert part.f0.tolist() == [ln.f0 for ln in lines[3:9]]
+        assert part.mass.tolist() == [ln.mass for ln in lines[3:9]]
+
+
 class TestLinesDigest:
+    def test_the_bundled_catalogs_digest(self):
+        # a change of the table's layout, dtype or row order would miss
+        # every disk cache entry written before it
+        catalog = load_catalog(bundled_catalog_path(), 0.0, 400.0)
+        assert catalog.lines_sha256 == BUNDLED_DIGEST
+
+    def test_the_digest_of_read_and_parsed_records(self):
+        # rows read in columns, and one the parser takes in their midst
+        good = [make_record(nu0=nu) for nu in (20.0, 5.0, 12.0)]
+        nul = good[0][:14] + "\0" + good[0][15:]
+        other = make_record(nu0=12.0, S0_ref=2e-22)
+        feed = other[:100] + "\f" + other[101:]
+        text = "\n".join([good[0], nul, feed, good[1], good[2]])
+        cat = load_catalog(text.encode(), 0.0, 50.0)
+        assert [ln.S0_ref for ln in cat] == [1.5e-19, 2e-22, 1.5e-19, 1.5e-19]
+        assert cat.lines_sha256 == (
+            "34acefe1cbaa6adabec30d765fe05c8cd2eac734029dc921a188fb78899b50dc")
+
     def test_same_lines_share_it_whatever_the_source(self, mini_catalog):
         copy = LineCatalog(mini_catalog.lines, "elsewhere.par#sha256:0")
         assert copy.lines_sha256 == mini_catalog.lines_sha256

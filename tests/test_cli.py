@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,12 @@ import numpy as np
 import pytest
 
 from thzlink import scenario as scenario_module
-from thzlink.catalog import bundled_catalog_path
+from thzlink.catalog import (
+    SpectralLine,
+    bundled_catalog_path,
+    format_line_record,
+    load_catalog,
+)
 from thzlink.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from thzlink.scenario import _DEFAULTS, KINDS
 
@@ -785,3 +791,52 @@ class TestSweepCommand:
                      *(x for pair in argv.items() for x in pair),
                      "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+
+def spy_on_line_objects(monkeypatch):
+    """The list of every :class:`SpectralLine` built from here on."""
+    built = []
+    post_init = SpectralLine.__post_init__
+
+    def counting(line):
+        built.append(line)
+        post_init(line)
+
+    monkeypatch.setattr(SpectralLine, "__post_init__", counting)
+    return built
+
+
+class TestNoLineObjects:
+    """A run that raises no error keeps its catalog as a table from the
+    file to the kernel, and builds no :class:`SpectralLine`."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")),
+                             ids=lambda path: path.stem)
+    def test_a_bundled_run(self, monkeypatch, tmp_path, config):
+        built = spy_on_line_objects(monkeypatch)
+        assert main(["run", str(config), "--out-dir",
+                     str(tmp_path / "out")]) == EXIT_OK
+        assert built == []
+
+    def test_an_e2a_run_on_a_dense_catalog(self, monkeypatch, tmp_path):
+        rng = random.Random(20260808)
+        records = [format_line_record(SpectralLine(
+            molecule_id=1 if water else 7, isotopologue_id=1,
+            nu0=rng.uniform(0.5, 60.0),
+            S0_ref=10.0 ** rng.uniform(-28.0, -24.0),
+            alpha_air=rng.uniform(0.02, 0.1), alpha_self=rng.uniform(0.1, 0.5),
+            E_lower=rng.uniform(0.0, 2000.0), gamma_t=rng.uniform(0.5, 0.8),
+            delta_air=rng.uniform(-0.005, 0.005), abundance=1.0))
+            for water in (rng.random() < 0.6 for _ in range(1500))]
+        catalog = tmp_path / "dense.par"
+        catalog.write_text("\n".join(records) + "\n")
+        cfg = tmp_path / "e2a.cfg"
+        cfg.write_text("kind = E2A\nlayer_resolution_m = 1000\n"
+                       f"catalog_path = {catalog}\n")
+        built = spy_on_line_objects(monkeypatch)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"),
+                     "--cache-dir", str(tmp_path / "cache")]) == EXIT_OK
+        assert built == []
+        # the spy sees the lines that iteration builds on demand
+        loaded = list(load_catalog(catalog, 0.0, 100.0))
+        assert len(loaded) == len(records) and built == loaded
