@@ -13,11 +13,9 @@ public function returns SI.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +31,7 @@ from .constants import (
     SPEED_OF_LIGHT,
     STANDARD_PRESSURE,
     STANDARD_TEMPERATURE,
+    data_table,
 )
 from .errors import InvalidRange, NonFiniteAbsorption
 
@@ -304,13 +303,12 @@ def _dominance(alpha_l, alpha_d):
 
 @lru_cache(maxsize=1)
 def _partition_fits():
-    path = Path(__file__).parent / "data" / "partition_fits.csv"
+    table = data_table("partition_fits.csv")
     fits: dict[str, list[tuple[float, float, tuple[float, ...]]]] = {}
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-            coeffs = tuple(float(row[f"c{i}"]) for i in range(4))
-            fits.setdefault(row["species"], []).append(
-                (float(row["t_low"]), float(row["t_high"]), coeffs))
+    for species, *row in zip(*(table[name] for name in (
+            "species", "t_low", "t_high", "c0", "c1", "c2", "c3"))):
+        t_low, t_high, *coeffs = map(float, row)
+        fits.setdefault(species, []).append((t_low, t_high, tuple(coeffs)))
     for pieces in fits.values():
         pieces.sort()
     return fits

@@ -10,14 +10,13 @@ atmosphere itself is dry.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping
 
+from .constants import data_table
 from .errors import InvalidRange
 
 MAX_ALTITUDE = 500_000.0          # m, top of the modeled atmosphere
@@ -110,19 +109,9 @@ def _pressure_temperature_below_86km(z: float) -> tuple[float, float]:
 @lru_cache(maxsize=1)
 def _upper_atmosphere_table():
     """The table's altitudes, ascending, and its rows in the same order."""
-    path = Path(__file__).parent / "data" / "ussa1976_upper.csv"
-    rows = []
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(
-                r for r in fh if not r.startswith("#")):
-            rows.append((
-                float(row["altitude_m"]),
-                float(row["pressure_pa"]),
-                float(row["temperature_k"]),
-                float(row["n2_vmr"]),
-                float(row["o2_vmr"]),
-            ))
-    rows.sort()
+    table = data_table("ussa1976_upper.csv")
+    rows = sorted(zip(*(map(float, table[name]) for name in (
+        "altitude_m", "pressure_pa", "temperature_k", "n2_vmr", "o2_vmr"))))
     return [row[0] for row in rows], rows
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import ATOMIC_MASS, SPEED_OF_LIGHT
+from .constants import ATOMIC_MASS, DATA_DIR, SPEED_OF_LIGHT
 from .errors import (
     CatalogError,
     EmptyCatalogWarning,
@@ -476,4 +476,4 @@ def frequency_to_wavenumber(f):
 
 def bundled_catalog_path() -> Path:
     """Path of the small line-list subset shipped for tests and examples."""
-    return Path(__file__).parent / "data" / "mini_catalog.par"
+    return DATA_DIR / "mini_catalog.par"

@@ -1,26 +1,24 @@
 """Per-frequency channel losses: spreading, layered molecular transmittance,
 aperture antenna gains, and rain/cloud attenuation.
 
-Rain and cloud specific-attenuation coefficients come from bundled CSV
-tables (see ``data/rain_p838.csv`` and ``data/cloud_p840.csv``), interpolated
-log-log in frequency. Queries beyond a table's formal validity are clamped
-or computed and flagged as extrapolated rather than refused, since weather
+Rain and cloud specific-attenuation coefficients come from the bundled
+tables ``rain_p838.csv`` and ``cloud_p840.csv``, interpolated log-log in
+frequency. Queries beyond a table's formal validity are clamped or
+computed and flagged as extrapolated rather than refused, since weather
 loss above the models' formal band limits is still of qualitative interest.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .absorption import AbsorptionSpectrum
-from .constants import SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, data_table
 from .errors import ConfigError, InvalidRange
 
 RAIN_TABLE_RANGE_GHZ = (1.0, 1000.0)
@@ -97,14 +95,9 @@ def _optical_depth(layers: np.ndarray, lengths) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _rain_table():
     """Table frequencies in GHz, and the logs of frequency, k and alpha."""
-    path = Path(__file__).parent / "data" / "rain_p838.csv"
-    freqs, ks, alphas = [], [], []
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-            freqs.append(float(row["freq_ghz"]))
-            ks.append(float(row["k"]))
-            alphas.append(float(row["alpha"]))
-    freqs = np.array(freqs)
+    table = data_table("rain_p838.csv")
+    freqs, ks, alphas = (np.array([float(v) for v in table[name]])
+                         for name in ("freq_ghz", "k", "alpha"))
     return freqs, np.log(freqs), np.log(ks), np.log(alphas)
 
 
@@ -140,13 +133,9 @@ def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
 def _cloud_table():
     """Table frequencies in GHz and their logs, the temperatures in K, and
     the logs of K_l with one column per temperature."""
-    path = Path(__file__).parent / "data" / "cloud_p840.csv"
-    with path.open(newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        temps = np.array([float(name[3:-1]) for name in header[1:]])
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
+    table = data_table("cloud_p840.csv")
+    temps = np.array([float(name[3:-1]) for name in list(table)[1:]])
+    data = np.array([list(map(float, row)) for row in zip(*table.values())])
     return data[:, 0], np.log(data[:, 0]), temps, np.log(data[:, 1:])
 
 

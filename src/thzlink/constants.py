@@ -1,4 +1,8 @@
-"""Physical constants used throughout the package (SI units)."""
+"""Physical constants used throughout the package (SI units), and the
+reader of its bundled data tables."""
+
+import csv
+from pathlib import Path
 
 SPEED_OF_LIGHT = 299_792_458.0            # m/s
 PLANCK = 6.626_070_15e-34                 # J s
@@ -14,3 +18,14 @@ STANDARD_TEMPERATURE = 296.0              # K, spectroscopic reference
 # Conversion from catalog line intensities, cm^-1/(molecule cm^-2), to
 # SI intensity in Hz m^2 per molecule: 1 cm^-1 = 100*c Hz, 1 cm^2 = 1e-4 m^2.
 INTENSITY_CM_TO_SI = SPEED_OF_LIGHT / 100.0
+
+DATA_DIR = Path(__file__).parent / "data"   # the files shipped with thzlink
+
+
+def data_table(name: str) -> dict[str, list[str]]:
+    """Each column of the bundled table ``name``, as text under its header
+    name, in file order. A table's ``#`` lines are comments, then come a
+    header row and one row per entry."""
+    with (DATA_DIR / name).open(newline="") as fh:
+        header, *rows = csv.reader(r for r in fh if not r.startswith("#"))
+    return dict(zip(header, map(list, zip(*rows))))

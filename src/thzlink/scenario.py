@@ -458,32 +458,25 @@ class SpectrumCache:
         return hasher.hexdigest()
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
-        """The valid disk entry of ``key``, else ``compute()``, saved; a
-        lookup before any :meth:`stack` call is a miss."""
-        if self.directory is None:
+        """The valid disk entry of ``key``, else ``compute()``, saved. Before
+        any :meth:`stack` call fixes the grid, no file is read or written."""
+        header, size = self._entry
+        if self.directory is None or not header:
             return compute()
         path = self.directory / f"{key}.npy"
         try:
             entry = path.read_bytes()
         except OSError:
             entry = b""
-        header, size = self._entry
         data = entry[len(header):len(header) + size]
         if entry == _with_digest(key, header + data):
             return np.frombuffer(data)
         kappa = compute()
-        if (header and kappa.dtype == np.float64
-                and kappa.shape == (size // 8,)):
-            # np.save's bytes, from the header of the grid's length
-            body = header + kappa.tobytes()
-        else:
-            np.save(buffer := io.BytesIO(), kappa)
-            body = buffer.getvalue()
         # unique temp name per writer: processes sharing the directory may
         # race on the same key, and both replacements carry identical bytes
         tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npy")
         try:
-            tmp.write_bytes(_with_digest(key, body))
+            tmp.write_bytes(_with_digest(key, header + kappa.tobytes()))
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

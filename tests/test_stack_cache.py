@@ -124,13 +124,16 @@ def test_entry_is_np_save_bytes_then_the_digest(coarse_config, tmp_path):
         assert entry.read_bytes() == _with_digest(entry.stem, _npy(kappa))
 
 
-def test_an_entry_written_before_any_stack_is_np_save_bytes(tmp_path):
+def test_a_cache_before_any_stack_computes_every_call_and_writes_nothing(
+        tmp_path):
     cache = SpectrumCache(tmp_path)
-    kappa = np.linspace(0.0, 1e-3, 7)
-    cache.get_or_compute("k", lambda: kappa)
-    entry = tmp_path / "k.npy"
-    np.testing.assert_array_equal(np.load(entry), kappa)
-    assert entry.read_bytes() == _with_digest("k", _npy(kappa))
+    calls = []
+    for _ in range(3):
+        kappa = cache.get_or_compute(
+            "k", lambda: calls.append(1) or np.linspace(0.0, 1e-3, 7))
+        np.testing.assert_array_equal(kappa, np.linspace(0.0, 1e-3, 7))
+    assert len(calls) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("forgery", {
