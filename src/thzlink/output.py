@@ -1,13 +1,13 @@
 """Every file thzlink writes: the path-loss, SNR and capacity CSVs and the
 summary of a run, and the long-format CSV of a sweep. Each CSV starts with
-a ``# provenance`` comment and its header row, and writes numbers at ``.10g``.
+a ``# provenance`` comment and its header row, and writes numbers at ``.10g``,
+formatting a block of rows with one ``%``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -36,21 +36,37 @@ def parse_error_warning(catalog: LineCatalog) -> str:
             f"were skipped, the first at line {issues[0].line_number}")
 
 
+# The rows a writer formats with one ``%``, so the most text it holds.
+_BLOCK_ROWS = 1024
+
+
 def _texts(column: np.ndarray) -> list[str]:
     """The values of ``column`` at ``.10g``, as the CSVs write numbers."""
     return list(map("%.10g".__mod__, column.tolist()))
 
 
-def _rows(template: str, *columns: list):
-    """One ``%``-``template`` line per row of the lists ``columns``. Python
-    floats format faster than numpy scalars, and ``"%.10g" % x`` gives the
-    text of ``f"{x:.10g}"``."""
-    return map(template.__mod__, zip(*columns))
+def _lines(row: str, columns: list[list], start: int = 0,
+           stop: int | None = None):
+    """``row``, a template of whole lines, filled from entries ``start`` to
+    ``stop`` of the lists ``columns``, one list per ``%`` field. Each string
+    yielded is ``row`` repeated over about ``_BLOCK_ROWS`` lines and filled
+    with one ``%``. Python floats format faster than numpy scalars, and
+    ``"%.10g" % x`` gives the text of ``f"{x:.10g}"``."""
+    if stop is None:
+        stop = len(columns[0])
+    width = len(columns)
+    step = _BLOCK_ROWS // row.count("\n")
+    for first in range(start, stop, step):
+        last = min(first + step, stop)
+        values = [None] * (width * (last - first))
+        for j, column in enumerate(columns):
+            values[j::width] = column[first:last]
+        yield row * (last - first) % tuple(values)
 
 
 def _write_csv(path: Path, provenance: str, header: str, rows) -> None:
     """Write a ``# provenance`` comment, the header row, then ``rows``, each
-    already formatted and ending in a newline."""
+    a run of whole lines, as it is drawn."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# {provenance}\n{header}\n")
         fh.writelines(rows)
@@ -68,17 +84,16 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     freqs = _texts(resolved.grid)
     _write_csv(paths[0], prov,
                "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db",
-               _rows("%s,%.10g,%.10g,%.10g,%.10g,%.10g\n", freqs,
-                     *(column.tolist() for column in (
-                         resolved.path_loss_db, resolved.tau,
-                         resolved.fspl_db, resolved.rain_db,
-                         resolved.cloud_db))))
+               _lines("%s,%.10g,%.10g,%.10g,%.10g,%.10g\n", [freqs, *(
+                   column.tolist() for column in (
+                       resolved.path_loss_db, resolved.tau, resolved.fspl_db,
+                       resolved.rain_db, resolved.cloud_db))]))
 
     with np.errstate(divide="ignore"):
         noise_db = 10.0 * np.log10(resolved.noise_psd)
     _write_csv(paths[1], prov, "frequency_hz,snr_db,noise_psd_dbw_hz",
-               _rows("%s,%.10g,%.10g\n", freqs, resolved.snr_db.tolist(),
-                     noise_db.tolist()))
+               _lines("%s,%.10g,%.10g\n", [freqs, resolved.snr_db.tolist(),
+                                           noise_db.tolist()]))
 
     tx = scenario.transceiver
     bpsk = modulation_threshold("BPSK", 1e-6)
@@ -113,43 +128,71 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     return paths
 
 
+def _frequency_rows(ghz: np.ndarray, freqs: list[str], path_loss_db: list,
+                    snr_db: list):
+    """The rows of a frequency sweep, in GHz value, then metric, then
+    frequency order. A frequency with a GHz value of its own gives its path
+    loss row, then its SNR row; the frequencies of a run that shares one GHz
+    value give their path loss rows, then their SNR rows."""
+    at = _texts(ghz)
+    pair = "%s,%s,path_loss_db,%.10g\n%s,%s,snr_db,%.10g\n"
+    pairs = [at, freqs, path_loss_db, at, freqs, snr_db]
+    edges = np.concatenate(
+        ([0], np.flatnonzero(ghz[1:] != ghz[:-1]) + 1, [ghz.size]))
+    shared = np.flatnonzero(np.diff(edges) > 1)
+    done = 0
+    for start, stop in zip(edges[shared].tolist(),
+                           edges[shared + 1].tolist()):
+        yield from _lines(pair, pairs, done, start)
+        for metric, values in (("path_loss_db", path_loss_db),
+                               ("snr_db", snr_db)):
+            yield from _lines(f"%s,%s,{metric},%.10g\n", [at, freqs, values],
+                              start, stop)
+        done = stop
+    yield from _lines(pair, pairs, done)
+
+
 def write_sweep_csv(path, axis: str, points: Iterable[float],
                     results: list[ResolvedLink]) -> None:
     """Long-format CSV, ``axis_value,frequency_hz,metric,value``, in axis,
     then metric name, then frequency order.
 
     A frequency sweep is one result whose rows take their frequency in GHz
-    as the axis value, and it has no capacity row.
+    as the axis value, and it has no capacity row. Each grid's frequency
+    text is made once and kept while the next point's grid is the same.
+    Raises ``ValueError`` before the file is opened if ``results`` is empty
+    or ``points`` holds another number of values.
     """
+    points = list(points)
+    if not results:
+        raise ValueError("a sweep CSV needs at least one result")
+    if len(points) != len(results):
+        raise ValueError(f"{len(points)} sweep point(s) for "
+                         f"{len(results)} result(s)")
 
     def rows():
+        bits = None
         for value, resolved in zip(points, results):
-            freqs = _texts(resolved.grid)
-            metrics = (("path_loss_db", resolved.path_loss_db.tolist()),
-                       ("snr_db", resolved.snr_db.tolist()))
+            # a grid of the last one's bits has its text (np.array_equal
+            # takes -0.0 for 0.0)
+            if resolved.grid.tobytes() != bits:
+                bits, freqs = resolved.grid.tobytes(), _texts(resolved.grid)
+            path_loss_db = resolved.path_loss_db.tolist()
+            snr_db = resolved.snr_db.tolist()
             if axis == "frequency":
-                # distinct frequencies can share one GHz axis value; the rows
-                # of such a run list its path losses, then its SNRs
-                ghz = resolved.grid / 1e9
-                at = _texts(ghz)
-                start = 0
-                for _, run in groupby(ghz.tolist()):
-                    stop = start + sum(1 for _ in run)
-                    for metric, values in metrics:
-                        yield from _rows(f"%s,%s,{metric},%.10g\n",
-                                         at[start:stop], freqs[start:stop],
-                                         values[start:stop])
-                    start = stop
-            else:
-                # a point's rows, capacity first, are already in metric,
-                # then frequency order
-                at = "%.10g" % value
-                yield "%s,%.10g,capacity_bit_s,%.10g\n" % (
-                    at, resolved.scenario.transceiver.center_frequency,
-                    resolved.budget.capacity)
-                for metric, values in metrics:
-                    yield from _rows(f"{at},%s,{metric},%.10g\n", freqs,
-                                     values)
+                yield from _frequency_rows(resolved.grid / 1e9, freqs,
+                                           path_loss_db, snr_db)
+                continue
+            # a point's rows, capacity first, are already in metric, then
+            # frequency order
+            at = "%.10g" % value
+            yield "%s,%.10g,capacity_bit_s,%.10g\n" % (
+                at, resolved.scenario.transceiver.center_frequency,
+                resolved.budget.capacity)
+            for metric, values in (("path_loss_db", path_loss_db),
+                                   ("snr_db", snr_db)):
+                yield from _lines(f"{at},%s,{metric},%.10g\n",
+                                  [freqs, values])
 
     _write_csv(path, results[0].provenance,
                "axis_value,frequency_hz,metric,value", rows())

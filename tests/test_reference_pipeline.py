@@ -8,9 +8,11 @@ grids, keeps only the layers with a live line and works in place; none of
 that may move a byte.
 """
 
+import dataclasses
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thzlink.absorption import absorption_coefficient
@@ -32,6 +34,7 @@ from thzlink.scenario import (
     make_grid,
     resolve,
 )
+from thzlink.sweep import run_sweep
 
 CATALOG = load_catalog(bundled_catalog_path(), 0.0, 1e6)
 
@@ -138,3 +141,38 @@ def test_resolve_gives_the_bytes_of_the_public_stages(succession):
                 link = resolve(scenario, cache)
                 assert _bytes(link.tau, link.path_loss, link.noise_psd,
                               link.snr, link.budget.capacity) == want, step
+
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_sweep_point_gives_the_bytes_of_a_fresh_resolve(kind):
+    base = build_scenario({
+        "kind": kind, "h_ground_m": 350.0, "h_satellite_km": 120.0,
+        "layer_resolution_m": 2e3, "f_min_ghz": 100.0, "f_max_ghz": 400.0,
+        "f_step_ghz": 25.0, "center_frequency_ghz": 300.0,
+        "bandwidth_ghz": 5.0, "rain_rate_mm_h": 4.0, "rain_base_km": 0.7,
+        "rain_thickness_km": 3.0, "cloud_density_g_m3": 0.3,
+        "cloud_base_km": 3.0, "cloud_thickness_km": 9.5}
+        | ({} if kind == "A2A" else {"elevation_deg": 40.0}))
+    sweeps = []
+    if kind != "A2A":
+        sweeps.append(("elevation", 20.0, 90.0, 35.0))
+    if "A" in (kind[0], kind[2]):
+        sweeps.append(("altitude", 500.0, 12e3, 4e3))
+    # the sweeps of a kind share one cache, so each point after the first
+    # reads a stack that earlier points filled, and an altitude sweep from
+    # 500 m fills it further down than an elevation sweep from 11 km
+    shared = SpectrumCache()
+    with np.errstate(over="ignore", divide="ignore"):
+        for axis, start, stop, step in sweeps:
+            points, results = run_sweep(base, axis, start, stop, step,
+                                        cache=shared)
+            assert len(points) == len(results) == 3
+            for value, link in zip(points, results):
+                scenario = (dataclasses.replace(base, h_airplane=value)
+                            if axis == "altitude" else base.at_elevation(value))
+                fresh = resolve(scenario, SpectrumCache())
+                assert _bytes(link.tau, link.path_loss, link.noise_psd,
+                              link.snr, link.budget.capacity) == _bytes(
+                    fresh.tau, fresh.path_loss, fresh.noise_psd, fresh.snr,
+                    fresh.budget.capacity), (axis, value)

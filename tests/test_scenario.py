@@ -572,37 +572,6 @@ class TestOutputs:
         assert "catalog_sha256=" in header[0]
         assert header[1] == "frequency_hz,path_loss_db,tau,fspl_db,rain_db,cloud_db"
 
-    def test_rows_keep_the_f_string_text_of_every_value(
-            self, default_scenario, spectrum_cache, tmp_path):
-        scenario = dataclasses.replace(default_scenario, f_min=295e9,
-                                       f_max=305e9, f_step=1e9)
-        values = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324,
-                           1.7e308, -1.7e308, 0.1, 123456.7890123456])
-        size = values.size
-        columns = [np.roll(values, shift) for shift in range(8)]
-        resolved = dataclasses.replace(
-            resolve(scenario, spectrum_cache), grid=columns[0],
-            tau=columns[1], fspl_db=columns[2], rain_db=columns[3],
-            cloud_db=columns[4], path_loss=columns[5], noise_psd=columns[6],
-            snr=columns[7])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            write_outputs(resolved, tmp_path)
-            noise_db = 10.0 * np.log10(resolved.noise_psd)
-            path_loss_db = resolved.path_loss_db
-            snr_db = resolved.snr_db
-        path_loss_rows = [
-            f"{f:.10g},{pl:.10g},{t:.10g},{fs:.10g},{rn:.10g},{cl:.10g}"
-            for f, pl, t, fs, rn, cl in zip(*(c.tolist() for c in (
-                resolved.grid, path_loss_db, resolved.tau, resolved.fspl_db,
-                resolved.rain_db, resolved.cloud_db)))]
-        snr_rows = [f"{f:.10g},{s:.10g},{n:.10g}" for f, s, n in zip(
-            *(c.tolist() for c in (resolved.grid, snr_db, noise_db)))]
-        for name, rows in (("path_loss.csv", path_loss_rows),
-                           ("snr.csv", snr_rows)):
-            lines = (tmp_path / name).read_text().splitlines()[2:]
-            assert len(lines) == size
-            assert lines == rows
-
     def test_a_net_gain_is_flagged_in_the_summary(self, tmp_path):
         # 100 m is inside the far field of the default 0.5 m and 1 m dishes
         resolved = resolve(build_scenario({"kind": "A2A"}))
@@ -673,11 +642,22 @@ class TestSweep:
 
     def test_frequencies_sharing_a_ghz_value_keep_the_sorted_order(
             self, default_scenario, spectrum_cache, tmp_path):
-        # below 2**38 Hz, adjacent doubles can divide to one GHz value
-        top = 2.0 ** 38
-        grid = top - np.arange(7, -1, -1) * np.spacing(np.nextafter(top, 0))
+        # below 2**38 and 2**39 Hz, adjacent doubles can divide to one GHz
+        # value; runs of them sit among frequencies of a GHz value of their
+        # own, in a sweep of more than 1,024 frequencies and 2,048 rows
+        def adjacent(top):
+            return top - np.arange(8, 0, -1) * np.spacing(
+                np.nextafter(top, 0))
+
+        grid = np.concatenate((
+            np.linspace(100e9, 250e9, 509), adjacent(2.0 ** 38),
+            np.linspace(280e9, 500e9, 700), adjacent(2.0 ** 39),
+            np.linspace(600e9, 700e9, 30)))
         ghz = (grid / 1e9).tolist()
-        assert len(set(ghz)) < grid.size
+        shared = np.flatnonzero(np.diff(grid / 1e9) == 0.0)
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid.size > 1024 and shared.size > 1
+        assert shared.min() < 512 < 1024 < shared.max()
         scenario = dataclasses.replace(default_scenario, f_min=299e9,
                                        f_max=301e9, f_step=1e9)
         resolved = dataclasses.replace(
