@@ -21,7 +21,6 @@ from .absorption import AbsorptionSpectrum
 from .constants import SPEED_OF_LIGHT, data_table
 from .errors import ConfigError, InvalidRange
 
-RAIN_TABLE_RANGE_GHZ = (1.0, 1000.0)
 CLOUD_VALID_MAX_GHZ = 200.0
 
 
@@ -119,8 +118,7 @@ def rain_attenuation(f, rain_rate: float, path: float) -> Attenuation:
     if rain_rate == 0.0 or path <= 0.0:
         return _no_attenuation(f_ghz)
     freqs, log_freqs, log_ks, log_alphas = _rain_table()
-    low, high = RAIN_TABLE_RANGE_GHZ
-    extrapolated = ~((low <= f_ghz) & (f_ghz <= high))
+    extrapolated = ~((freqs[0] <= f_ghz) & (f_ghz <= freqs[-1]))
     log_f = np.log(np.clip(f_ghz, freqs[0], freqs[-1]))
     k = np.exp(np.interp(log_f, log_freqs, log_ks))
     alpha = np.exp(np.interp(log_f, log_freqs, log_alphas))

@@ -45,19 +45,17 @@ def _texts(column: np.ndarray) -> list[str]:
     return list(map("%.10g".__mod__, column.tolist()))
 
 
-def _lines(row: str, columns: list[list], start: int = 0,
-           stop: int | None = None):
-    """``row``, a template of whole lines, filled from entries ``start`` to
-    ``stop`` of the lists ``columns``, one list per ``%`` field. Each string
-    yielded is ``row`` repeated over about ``_BLOCK_ROWS`` lines and filled
-    with one ``%``. Python floats format faster than numpy scalars, and
-    ``"%.10g" % x`` gives the text of ``f"{x:.10g}"``."""
-    if stop is None:
-        stop = len(columns[0])
+def _lines(row: str, columns: list[list]):
+    """``row``, a template of whole lines, filled from the lists ``columns``,
+    one list per ``%`` field. Each string yielded is ``row`` repeated over
+    about ``_BLOCK_ROWS`` lines and filled with one ``%``. Python floats
+    format faster than numpy scalars, and ``"%.10g" % x`` gives the text of
+    ``f"{x:.10g}"``."""
+    size = len(columns[0])
     width = len(columns)
     step = _BLOCK_ROWS // row.count("\n")
-    for first in range(start, stop, step):
-        last = min(first + step, stop)
+    for first in range(0, size, step):
+        last = min(first + step, size)
         values = [None] * (width * (last - first))
         for j, column in enumerate(columns):
             values[j::width] = column[first:last]
@@ -128,40 +126,18 @@ def write_outputs(resolved: ResolvedLink, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _frequency_rows(ghz: np.ndarray, freqs: list[str], path_loss_db: list,
-                    snr_db: list):
-    """The rows of a frequency sweep, in GHz value, then metric, then
-    frequency order. A frequency with a GHz value of its own gives its path
-    loss row, then its SNR row; the frequencies of a run that shares one GHz
-    value give their path loss rows, then their SNR rows."""
-    at = _texts(ghz)
-    pair = "%s,%s,path_loss_db,%.10g\n%s,%s,snr_db,%.10g\n"
-    pairs = [at, freqs, path_loss_db, at, freqs, snr_db]
-    edges = np.concatenate(
-        ([0], np.flatnonzero(ghz[1:] != ghz[:-1]) + 1, [ghz.size]))
-    shared = np.flatnonzero(np.diff(edges) > 1)
-    done = 0
-    for start, stop in zip(edges[shared].tolist(),
-                           edges[shared + 1].tolist()):
-        yield from _lines(pair, pairs, done, start)
-        for metric, values in (("path_loss_db", path_loss_db),
-                               ("snr_db", snr_db)):
-            yield from _lines(f"%s,%s,{metric},%.10g\n", [at, freqs, values],
-                              start, stop)
-        done = stop
-    yield from _lines(pair, pairs, done)
-
-
 def write_sweep_csv(path, axis: str, points: Iterable[float],
                     results: list[ResolvedLink]) -> None:
-    """Long-format CSV, ``axis_value,frequency_hz,metric,value``, in axis,
-    then metric name, then frequency order.
+    """Long-format CSV, ``axis_value,frequency_hz,metric,value``.
 
-    A frequency sweep is one result whose rows take their frequency in GHz
-    as the axis value, and it has no capacity row. Each grid's frequency
-    text is made once and kept while the next point's grid is the same.
-    Raises ``ValueError`` before the file is opened if ``results`` is empty
-    or ``points`` holds another number of values.
+    An altitude or elevation sweep lists each point's capacity row, then its
+    path loss rows, then its SNR rows, in frequency order. A frequency sweep
+    is one result, with no capacity row, that lists each frequency's
+    ``path_loss_db`` row and then its ``snr_db`` row in grid order, with the
+    frequency in GHz as the axis value. Each grid's frequency text is made
+    once and kept while the next point's grid is the same. Raises
+    ``ValueError`` before the file is opened if ``results`` is empty or
+    ``points`` holds another number of values.
     """
     points = list(points)
     if not results:
@@ -180,11 +156,11 @@ def write_sweep_csv(path, axis: str, points: Iterable[float],
             path_loss_db = resolved.path_loss_db.tolist()
             snr_db = resolved.snr_db.tolist()
             if axis == "frequency":
-                yield from _frequency_rows(resolved.grid / 1e9, freqs,
-                                           path_loss_db, snr_db)
+                at = _texts(resolved.grid / 1e9)
+                yield from _lines(
+                    "%s,%s,path_loss_db,%.10g\n%s,%s,snr_db,%.10g\n",
+                    [at, freqs, path_loss_db, at, freqs, snr_db])
                 continue
-            # a point's rows, capacity first, are already in metric, then
-            # frequency order
             at = "%.10g" % value
             yield "%s,%.10g,capacity_bit_s,%.10g\n" % (
                 at, resolved.scenario.transceiver.center_frequency,

@@ -257,6 +257,20 @@ class TestFaddeeva:
             got = _faddeeva_re(x, y)
             assert got.tobytes() == want.tobytes(), y
 
+    def test_the_steep_far_wing_has_wofz_bits(self):
+        # |x| <= y with |x| + y above 1e7: the one-term form divided by y;
+        # x = 0 is left out, where the package gives erfcx(y) (the core)
+        y = np.array([5e6 + 1.0, 9.9e6, 1e7, 2e7, 1e10, 1e15, 1e300])
+        x = np.concatenate([y[:, None] * np.linspace(0.0, 1.0, 41)[1:],
+                            np.reshape([5e-324, 1.0, 6.0, *around(5e6)],
+                                       (1, -1)).repeat(y.size, 0)], axis=1)
+        x = np.concatenate([x, -x], axis=1)
+        y = np.broadcast_to(y[:, None], x.shape)
+        steep = (np.abs(x) <= y) & (np.abs(x) + y > 1e7)
+        assert steep.sum() > x.size // 2
+        want = wofz(x + 1j * y).real
+        assert _faddeeva_re(x, y).tobytes() == want.tobytes()
+
     def test_a_row_per_line_has_the_same_bits(self):
         # as the kernel calls it: one row of x per line, y a column
         y = np.array(VOIGT_Y)[:, None]
@@ -285,6 +299,19 @@ class TestFaddeeva:
             alone = voigt_shape(f, *args)
             assert np.shape(alone) == ()
             assert np.float64(alone).tobytes() == row[0].tobytes()
+
+    def test_a_row_of_f_gives_the_bytes_of_it_broadcast(self):
+        # offsets in the core, the continued fraction and the two- and
+        # one-term forms of a 1 MHz Doppler width, against a column of
+        # Lorentz widths
+        offsets = np.array([0.0, 1e6, 1e7, 4e8, 1e10, 2e13])
+        f = 100e9 + np.concatenate([offsets, -offsets[1:]])
+        alpha_l = np.array([[1e5], [1e6], [3e6]])
+        row = voigt_shape(f, 100e9, alpha_l, 1e6)
+        full = voigt_shape(np.broadcast_to(f, row.shape), 100e9, alpha_l,
+                           1e6)
+        assert row.shape == (3, f.size)
+        assert row.tobytes() == full.tobytes()
 
 
 def branch(alpha_l, alpha_d):

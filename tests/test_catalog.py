@@ -337,6 +337,36 @@ class TestColumnarLoad:
         assert [w.category for w in caught] == (
             [] if kept else [EmptyCatalogWarning])
 
+    @settings(max_examples=2000)
+    @given(st.data())
+    def test_a_mutated_bundled_record_reads_as_the_parser_reads_it(self,
+                                                                     data):
+        draw = data.draw
+        original = draw(st.sampled_from(_BUNDLED_RECORDS))
+        f = draw(st.sampled_from(PAR_2004))
+        record = original
+        for _ in range(draw(st.integers(1, 3))):
+            column = draw(st.integers(f.start, f.stop - 1))
+            record = (record[:column] + draw(st.sampled_from(_MUTANT_BYTES))
+                      + record[column + 1:])
+        nu0 = parse_line_record(original).nu0
+        nu_min, nu_max = draw(st.sampled_from(
+            [(0.0, 1e6), (0.0, nu0), (nu0, 1e6), (nu0 + 1.0, 1e6)]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyCatalogWarning)
+            cat = load_catalog(record.encode(), nu_min, nu_max)
+        try:
+            line = parse_line_record(record)
+        except CatalogError as exc:
+            assert (len(cat), list(cat.parse_errors)) == (
+                0, [ParseIssue(1, str(exc))])
+            return
+        assert not cat.parse_errors
+        kept = line.S0_ref != 0.0 and nu_min <= line.nu0 <= nu_max
+        assert [_field_bytes(ln) for ln in cat] == (
+            [_field_bytes(line)] if kept else [])
+
 
 def _reference_load(source, nu_min, nu_max):
     """The catalog loader as a loop that parses every record on its own."""
@@ -363,6 +393,12 @@ def _field_bytes(line):
 
 _NUMERIC_FIELDS = [f for f in PAR_2004 if f.descriptor[0] != "A"]
 _FIELD_TEXTS = ["", "nan", "inf", "1_0", "+.5", "1e5", "--1"]
+
+_BUNDLED_RECORDS = bundled_catalog_path().read_text().splitlines()
+# digits, signs, exponents and the bytes float() and a numpy cast may read
+# apart: whitespace controls, NUL and DEL
+_MUTANT_BYTES = list("0123456789+-.eE_n ") + ["\t", "\v", "\f", "\0",
+                                             "\x7f"]
 
 
 @st.composite

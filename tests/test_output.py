@@ -51,21 +51,14 @@ def point_rows(value, resolved):
 
 
 def frequency_rows(resolved):
-    """The rows of a frequency sweep, a value at a time: each run of
-    frequencies with one GHz value lists its path losses, then its SNRs."""
-    grid = resolved.grid.tolist()
-    ghz = (resolved.grid / 1e9).tolist()
-    rows, start = [], 0
-    while start < len(grid):
-        stop = start + 1
-        while stop < len(grid) and ghz[stop] == ghz[start]:
-            stop += 1
-        for metric, values in (("path_loss_db", resolved.path_loss_db),
-                               ("snr_db", resolved.snr_db)):
-            rows += [f"{ghz[j]:.10g},{grid[j]:.10g},{metric},"
-                     f"{values[j]:.10g}" for j in range(start, stop)]
-        start = stop
-    return rows
+    """The rows of a frequency sweep, a value at a time: each frequency's
+    path loss row, then its SNR row, in grid order."""
+    return [f"{ghz:.10g},{f:.10g},{metric},{value:.10g}"
+            for ghz, f, path_loss_db, snr_db in zip(*(c.tolist() for c in (
+                resolved.grid / 1e9, resolved.grid, resolved.path_loss_db,
+                resolved.snr_db)))
+            for metric, value in (("path_loss_db", path_loss_db),
+                                  ("snr_db", snr_db))]
 
 
 def written(path):
@@ -123,8 +116,8 @@ class TestBlocks:
     @pytest.mark.parametrize("size", sorted(
         {*SIZES, B // 2 - 1, B // 2, B // 2 + 1}))
     def test_frequency_rows_are_the_text_of_each_value(self, size, tmp_path):
-        # -0.0 Hz and 5e-324 Hz share the GHz value 0, so runs of two
-        # frequencies that share one fall between frequencies that do not
+        # -0.0 Hz and 5e-324 Hz share the GHz value 0, and each still
+        # gives its own two rows in turn
         result = stand_in(special(size), special(size, 1), special(size, 2))
         write_sweep_csv(tmp_path / "sweep.csv", "frequency", [0.0], [result])
         assert written(tmp_path / "sweep.csv") == frequency_rows(result)

@@ -253,6 +253,16 @@ class TestScenarioRules:
             configured.at_elevation(91.0)
         assert err.value.field == "elevation_deg"
 
+    def test_at_elevation_names_a_rule_the_angle_does_not_derive(self):
+        # dishes of 5.6e-76 m pass at zenith; at 1 deg the 2,464 km slant
+        # range makes the free-space loss inf, which the grid's rule names
+        scenario = build_scenario({
+            "kind": "E2S", "tx_dish_diameter_m": 5.6e-76,
+            "rx_dish_diameter_m": 5.6e-76, "elevation_deg": 90.0})
+        with pytest.raises(ConfigError) as err:
+            scenario.at_elevation(1.0)
+        assert err.value.field == "f_min_ghz"
+
 
 class TestMakeGrid:
     def test_inclusive_endpoints(self):
@@ -640,11 +650,12 @@ class TestSweep:
         assert len(lines) == 2 + 2 * 7
         assert lines[2].split(",")[2] == "capacity_bit_s"
 
-    def test_frequencies_sharing_a_ghz_value_keep_the_sorted_order(
+    def test_frequencies_sharing_a_ghz_value_keep_the_grid_order(
             self, default_scenario, spectrum_cache, tmp_path):
         # below 2**38 and 2**39 Hz, adjacent doubles can divide to one GHz
-        # value; runs of them sit among frequencies of a GHz value of their
-        # own, in a sweep of more than 1,024 frequencies and 2,048 rows
+        # value; each still gives its path loss row, then its SNR row, among
+        # frequencies of a GHz value of their own, in a sweep of more than
+        # 1,024 frequencies and 2,048 rows
         def adjacent(top):
             return top - np.arange(8, 0, -1) * np.spacing(
                 np.nextafter(top, 0))
@@ -666,14 +677,12 @@ class TestSweep:
             snr=np.geomspace(1e-2, 1e2, grid.size))
         out = tmp_path / "sweep.csv"
         write_sweep_csv(out, "frequency", [0.0], [resolved])
-        rows = [(v0, f, metric, value)
-                for v0, f, pl, s in zip(ghz, grid.tolist(),
-                                        resolved.path_loss_db.tolist(),
-                                        resolved.snr_db.tolist())
-                for metric, value in (("path_loss_db", pl), ("snr_db", s))]
         expected = [f"{v0:.10g},{f:.10g},{metric},{value:.10g}"
-                    for v0, f, metric, value in sorted(
-                        rows, key=lambda r: (r[0], r[2], r[1]))]
+                    for v0, f, pl, s in zip(ghz, grid.tolist(),
+                                            resolved.path_loss_db.tolist(),
+                                            resolved.snr_db.tolist())
+                    for metric, value in (("path_loss_db", pl),
+                                          ("snr_db", s))]
         assert out.read_text().splitlines()[2:] == expected
 
     def test_frequency_sweep_single_resolution(self, default_scenario,

@@ -242,7 +242,9 @@ def make_rain_table():
 CLOUD_TEMPS = (240.0, 250.0, 260.0, 270.0, 280.0, 290.0, 300.0, 310.0)
 
 
-def cloud_kl(f_ghz: float, t_k: float) -> float:
+def water_permittivity(f_ghz: float, t_k: float) -> tuple[float, float]:
+    """The real and imaginary parts, eps' and eps'', of liquid water's
+    double-Debye permittivity eps' - i eps''."""
     theta = 300.0 / t_k
     e0 = 77.66 + 103.3 * (theta - 1.0)
     e1 = 0.0671 * e0
@@ -253,6 +255,11 @@ def cloud_kl(f_ghz: float, t_k: float) -> float:
           + (e1 - e2) / (1.0 + (f_ghz / fs) ** 2) + e2)
     epp = (f_ghz * (e0 - e1) / (fp * (1.0 + (f_ghz / fp) ** 2))
            + f_ghz * (e1 - e2) / (fs * (1.0 + (f_ghz / fs) ** 2)))
+    return ep, epp
+
+
+def cloud_kl(f_ghz: float, t_k: float) -> float:
+    ep, epp = water_permittivity(f_ghz, t_k)
     eta = (2.0 + ep) / epp
     return 0.819 * f_ghz / (epp * (1.0 + eta * eta))
 
@@ -261,15 +268,7 @@ def make_cloud_table():
     # Rayleigh cross-check at 30 GHz / 273.15 K: the double-Debye K_l must
     # match 4.343 * (6 pi / lambda rho_w) Im[-(eps-1)/(eps+2)] per g/m^3.
     f, t = 30.0, 273.15
-    theta = 300.0 / t
-    e0 = 77.66 + 103.3 * (theta - 1.0)
-    e1, e2 = 0.0671 * e0, 3.52
-    fp = 20.20 - 146.0 * (theta - 1.0) + 316.0 * (theta - 1.0) ** 2
-    fs = 39.8 * fp
-    ep = ((e0 - e1) / (1 + (f / fp) ** 2) + (e1 - e2) / (1 + (f / fs) ** 2)
-          + e2)
-    epp = (f * (e0 - e1) / (fp * (1 + (f / fp) ** 2))
-           + f * (e1 - e2) / (fs * (1 + (f / fs) ** 2)))
+    ep, epp = water_permittivity(f, t)
     eps = complex(ep, -epp)
     lam_m = 299792458.0 / (f * 1e9)
     gamma = 4.343 * (6 * math.pi / (lam_m * 1e6)) * (
