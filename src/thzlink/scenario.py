@@ -429,32 +429,30 @@ class SpectrumCache:
     each layer's temperature and kappa row (-1: no live line), and each
     stack's layers as arrays, which the points of a sweep share. A caller
     that alternates grids reads its disk entries again or recomputes them.
-    On disk, keys combine the kernel version, the digest of the loaded
-    lines, the state, the grid, and the wing cutoff. An entry is the
-    ``np.save`` bytes of a float64 vector of the grid's length, then the
-    SHA-256 of the key and those bytes; any other entry is a miss, computed
-    again and rewritten. Values are exact, so caching never changes results.
+    One digest names the table; it hashes the kernel version, the loaded
+    lines' digest, the grid's bytes, the wing cutoff, the ground humidity
+    and the water scale height. A disk key hashes it and a layer's state.
+    An entry is the ``np.save`` bytes of a float64 vector of the grid's
+    length, then the SHA-256 of the key and those bytes; any other entry
+    is a miss, computed again and rewritten. Values are exact, so caching
+    never changes results.
     """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._facts = None     # of the layer table, which stack() starts
+        self._table = None     # the layer table's digest, set by stack()
         self._entry = b"", 0   # np.save header, data bytes: set per table
 
     @staticmethod
-    def key(lines_sha: str, state: AtmosphericState, grid: np.ndarray,
-            wing_cutoff: float) -> str:
-        hasher = hashlib.sha256(struct.pack("<q", KERNEL_VERSION))
-        hasher.update(lines_sha.encode())
+    def key(table: bytes, state: AtmosphericState) -> str:
+        hasher = hashlib.sha256(table)
         hasher.update(struct.pack("<ddd", state.altitude, state.pressure,
                                   state.temperature))
         for name in sorted(state.mixing_ratios):
             hasher.update(name.encode())
             hasher.update(struct.pack("<d", state.mixing_ratios[name]))
-        hasher.update(struct.pack("<d", wing_cutoff))
-        hasher.update(grid.tobytes())
         return hasher.hexdigest()
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
@@ -488,10 +486,12 @@ class SpectrumCache:
         """The kappa matrix, the stack, and its first layer above ``h_start``,
         filled from there up; only new layers get a state, mark and key."""
         w0, scale = scenario.ground_humidity, scenario.water_scale_height
-        cutoff, sha = scenario.wing_cutoff, catalog.lines_sha256
-        facts = (sha, grid.tobytes(), cutoff, w0, scale)
-        if facts != self._facts:
-            self._facts, self._layers, self._stacks = facts, {}, {}
+        cutoff = scenario.wing_cutoff
+        table = hashlib.sha256(
+            struct.pack("<qddd", KERNEL_VERSION, cutoff, w0, scale)
+            + catalog.lines_sha256.encode() + grid.tobytes()).digest()
+        if table != self._table:
+            self._table, self._layers, self._stacks = table, {}, {}
             self._kappa, self._count = np.empty((0, grid.size)), 0
             np.lib.format.write_array_header_1_0(
                 header := io.BytesIO(),
@@ -517,7 +517,7 @@ class SpectrumCache:
             for span, state, on in zip(new, states, live):
                 if on:
                     self._kappa[self._count] = self.get_or_compute(
-                        self.key(sha, state, grid, cutoff),
+                        self.key(table, state),
                         lambda: absorption_coefficient(
                             catalog, state, grid, cutoff).kappa)
                     self._count += 1

@@ -10,6 +10,7 @@ import pytest
 
 from thzlink import atmosphere as atmosphere_module
 from thzlink import scenario as scenario_module
+from thzlink.absorption import KERNEL_VERSION
 from thzlink.catalog import (
     SpectralLine,
     bundled_catalog_path,
@@ -29,7 +30,9 @@ from thzlink.scenario import (
     _DEFAULTS,
     Scenario,
     SpectrumCache,
+    _with_digest,
     build_scenario,
+    load_scenario_catalog,
     make_grid,
     parse_config,
     resolve,
@@ -521,32 +524,58 @@ class TestSpectrumCacheKey:
 
     def test_an_entry_of_an_unversioned_key_is_not_served(
             self, default_scenario, tmp_path, monkeypatch):
-        # a directory filled by a kernel whose keys carried no version holds
-        # valid spectra that may differ from this kernel's in the last bit;
-        # they stand in here as valid spectra twice this kernel's
+        # a directory filled by a kernel whose keys carried no version, or
+        # by one whose keys hashed the lines, grid and cutoff per layer,
+        # holds valid spectra that may differ from this kernel's in the last
+        # bit; they stand in here as valid spectra twice this kernel's
         scenario = dataclasses.replace(default_scenario, f_min=299e9,
                                        f_max=301e9, f_step=1e9)
         keys = []
         key = SpectrumCache.key
 
-        def recorded(*args):
-            keys.append((args, key(*args)))
+        def recorded(table, state):
+            keys.append((state, key(table, state)))
             return keys[-1][1]
 
         monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded))
         clean = write_outputs(resolve(scenario, SpectrumCache(
             tmp_path / "clean")), tmp_path / "clean_out")
         monkeypatch.undo()
+        grid = np.union1d(
+            make_grid(scenario.f_min, scenario.f_max, scenario.f_step),
+            scenario.transceiver.band)
+        lines_sha = load_scenario_catalog(scenario, grid).lines_sha256
         old = tmp_path / "old"
         old.mkdir()
-        for args, new_key in keys:
+        for state, new_key in keys:
             kappa = np.load(tmp_path / "clean" / f"{new_key}.npy")
+            args = lines_sha, state, grid, scenario.wing_cutoff
             np.save(old / f"{_unversioned_key(*args)}.npy", 2.0 * kappa)
+            # a whole entry, np.save bytes then the digest of its old key
+            entry = old / f"{_per_layer_key(*args)}.npy"
+            np.save(entry, 2.0 * kappa)
+            entry.write_bytes(_with_digest(entry.stem, entry.read_bytes()))
+        assert len(list(old.iterdir())) == 2 * len(keys)
         assert any(np.load(path).any() for path in old.iterdir())
         stale = write_outputs(resolve(scenario, SpectrumCache(old)),
                               tmp_path / "stale_out")
         for a, b in zip(clean, stale):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def _per_layer_key(lines_sha, state, grid, wing_cutoff):
+    """:meth:`SpectrumCache.key` as it was before one digest named each
+    layer table, when every layer's key hashed the lines, grid and cutoff."""
+    hasher = hashlib.sha256(struct.pack("<q", KERNEL_VERSION))
+    hasher.update(lines_sha.encode())
+    hasher.update(struct.pack("<ddd", state.altitude, state.pressure,
+                              state.temperature))
+    for name in sorted(state.mixing_ratios):
+        hasher.update(name.encode())
+        hasher.update(struct.pack("<d", state.mixing_ratios[name]))
+    hasher.update(struct.pack("<d", wing_cutoff))
+    hasher.update(grid.tobytes())
+    return hasher.hexdigest()
 
 
 def _unversioned_key(lines_sha, state, grid, wing_cutoff):
@@ -698,13 +727,13 @@ class TestSweep:
                                                       monkeypatch):
         # the band at 300 GHz lies inside the sweep but off its 10 GHz points
         grids = []
-        key = SpectrumCache.key
+        stack = SpectrumCache.stack
 
-        def recorded_key(lines_sha, state, grid, wing_cutoff):
+        def recorded_stack(cache, scenario, catalog, grid, h_start):
             grids.append(grid.copy())
-            return key(lines_sha, state, grid, wing_cutoff)
+            return stack(cache, scenario, catalog, grid, h_start)
 
-        monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded_key))
+        monkeypatch.setattr(SpectrumCache, "stack", recorded_stack)
         run_sweep(default_scenario, "frequency", 280.0, 320.0, 10.0,
                   cache=SpectrumCache())
         swept = make_grid(280e9, 320e9, 10e9)

@@ -4,7 +4,9 @@ A stack is filled only where a path runs: a cold run keys the live layers
 above its lower terminal and nothing below, and a later path that starts
 lower fills only the layers it adds. A disk entry is the bytes ``np.save``
 writes followed by a digest; an entry whose digest holds but whose header
-is not that of a float64 vector of the grid's length is computed again.
+is not that of a float64 vector of the grid's length is computed again,
+and so is any entry truncated, flipped, swapped or emptied. Each stack-wide
+fact is part of the digest that names a layer table on disk.
 A cache keeps one layer table, and a succession of scenarios that changes
 its grid and returns to it must still get a fresh cache's bytes each step.
 """
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from thzlink.absorption import absorbing_layers
 from thzlink.atmosphere import layer_bounds, profile_at
+from thzlink.catalog import bundled_catalog_path
 from thzlink import scenario as scenario_module
 from thzlink.cli import EXIT_COMPUTE, EXIT_OK, main
 from thzlink.scenario import (
@@ -41,9 +44,9 @@ def keyed_states(monkeypatch):
     states = []
     key = SpectrumCache.key
 
-    def recorded(lines_sha, state, grid, wing_cutoff):
+    def recorded(table, state):
         states.append(state)
-        return key(lines_sha, state, grid, wing_cutoff)
+        return key(table, state)
 
     monkeypatch.setattr(SpectrumCache, "key", staticmethod(recorded))
     return states
@@ -99,12 +102,14 @@ def _run(config, tmp_path, name, cache="cache"):
     return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
 
 
+COARSE = ("kind = E2A\nelevation_deg = 50\nlayer_resolution_m = 2000\n"
+          "f_min_ghz = 298\nf_max_ghz = 302\nf_step_ghz = 1\n")
+
+
 @pytest.fixture()
 def coarse_config(tmp_path):
     path = tmp_path / "coarse.cfg"
-    path.write_text("kind = E2A\nelevation_deg = 50\n"
-                    "layer_resolution_m = 2000\n"
-                    "f_min_ghz = 298\nf_max_ghz = 302\nf_step_ghz = 1\n")
+    path.write_text(COARSE)
     return path
 
 
@@ -157,6 +162,79 @@ def _entries(directory):
     return {p.name: p.read_bytes() for p in directory.glob("*.npy")}
 
 
+@pytest.fixture(scope="module")
+def coarse_clean(tmp_path_factory):
+    """A coarse E2A config, its outputs on a fresh cache, and its entries."""
+    tmp_path = tmp_path_factory.mktemp("coarse")
+    config = tmp_path / "coarse.cfg"
+    config.write_text(COARSE)
+    outputs = _run(config, tmp_path, "clean")
+    entries = _entries(tmp_path / "cache")
+    assert len(entries) >= 2
+    return config, outputs, entries
+
+
+# np.save headers of another dtype or shape, each written with its digest
+_FORGERIES = [(dtype, shape)
+              for dtype in ("<f8", "<f4", ">f8", "<i8")
+              for shape in ("same", "shorter", "longer", "column", "row")
+              if (dtype, shape) != ("<f8", "same")]
+
+
+def _forged(kappa, dtype, shape):
+    kappa = {"same": kappa, "shorter": kappa[:-1],
+             "longer": np.append(kappa, 0.0), "column": kappa[:, None],
+             "row": kappa[None, :]}[shape]
+    return _npy(kappa.astype(dtype))
+
+
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6),
+              st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 10**6),
+              st.integers(0, 7)),
+    st.tuples(st.just("swap"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("empty"), st.integers(0, 10**6)),
+    st.tuples(st.just("forge"), st.integers(0, 10**6),
+              st.sampled_from(_FORGERIES)))
+
+
+@settings(max_examples=60)
+@given(mutations=st.lists(_mutations, min_size=1, max_size=4))
+def test_mutated_entries_are_recomputed_and_rewritten(coarse_clean,
+                                                      mutations):
+    config, outputs, clean = coarse_clean
+    names = sorted(clean)
+    bodies = dict(clean)
+    for kind, index, *args in mutations:
+        name = names[index % len(names)]
+        body = bodies[name]
+        if kind == "truncate":
+            bodies[name] = body[:args[0] % len(body)] if body else body
+        elif kind == "flip" and body:
+            at = args[0] % len(body)
+            bodies[name] = (body[:at] + bytes([body[at] ^ 1 << args[1]])
+                            + body[at + 1:])
+        elif kind == "swap":
+            other = names[args[0] % len(names)]
+            bodies[name], bodies[other] = bodies[other], body
+        elif kind == "empty":
+            bodies[name] = b""
+        elif kind == "forge":
+            kappa = np.load(io.BytesIO(clean[name]))
+            bodies[name] = _with_digest(Path(name).stem,
+                                        _forged(kappa, *args[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cache").mkdir()
+        for name, body in bodies.items():
+            (tmp / "cache" / name).write_bytes(body)
+        assert _run(config, tmp, "rerun") == outputs
+        # every entry holds its clean bytes again, and nothing else is left
+        assert sorted(p.name for p in (tmp / "cache").iterdir()) == names
+        assert _entries(tmp / "cache") == clean
+
+
 def test_entries_of_another_kernel_version_are_recomputed(
         coarse_config, tmp_path, monkeypatch):
     monkeypatch.setattr(scenario_module, "KERNEL_VERSION", 3)
@@ -188,6 +266,77 @@ def test_entries_of_another_kernel_version_are_recomputed(
     computed.clear()
     assert _run(coarse_config, tmp_path, "again") == fresh
     assert computed == []
+
+
+@pytest.fixture()
+def computed(monkeypatch):
+    """The states the kernel is called with, in order."""
+    states = []
+    kernel = scenario_module.absorption_coefficient
+
+    def counted(catalog, state, grid, wing_cutoff):
+        states.append(state)
+        return kernel(catalog, state, grid, wing_cutoff)
+
+    monkeypatch.setattr(scenario_module, "absorption_coefficient", counted)
+    return states
+
+
+def _with_one_line_doubled(path):
+    """Write the bundled catalog to ``path`` with its 557 GHz water line's
+    intensity doubled."""
+    records = bundled_catalog_path().read_text().splitlines(keepends=True)
+    for i, record in enumerate(records):
+        if record.startswith(" 11   18.577339"):
+            intensity = 2.0 * float(record[15:25])
+            records[i] = f"{record[:15]}{intensity:10.3E}{record[25:]}"
+            break
+    else:
+        raise AssertionError("no 557 GHz water line in the bundled catalog")
+    path.write_text("".join(records))
+
+
+@pytest.mark.parametrize("change", {
+    "wing_cutoff": lambda doubled: COARSE + "wing_cutoff_ghz = 700\n",
+    "grid_step": lambda doubled: COARSE.replace("f_step_ghz = 1\n",
+                                                "f_step_ghz = 0.5\n"),
+    "line_intensity": lambda doubled: COARSE + f"catalog_path = {doubled}\n",
+}.items(), ids=lambda item: item[0])
+def test_each_stack_wide_fact_names_its_table_on_disk(tmp_path, computed,
+                                                      change):
+    # runs that differ in one fact share one directory: each computes all
+    # of its live layers once, and then reads them back
+    fact, changed = change
+    _with_one_line_doubled(tmp_path / "doubled.par")
+    configs = {"base": tmp_path / "base.cfg",
+               "changed": tmp_path / "changed.cfg"}
+    configs["base"].write_text(COARSE)
+    configs["changed"].write_text(changed(tmp_path / "doubled.par"))
+    base, other = (parse_config(path) for path in configs.values())
+    grids = [make_grid(s.f_min, s.f_max, s.f_step) for s in (base, other)]
+    digests = [load_scenario_catalog(s, grid).lines_sha256
+               for s, grid in zip((base, other), grids)]
+    # the change moves its own fact and no other
+    assert (base.wing_cutoff != other.wing_cutoff) == (fact == "wing_cutoff")
+    assert ((grids[0].tobytes() != grids[1].tobytes())
+            == (fact == "grid_step"))
+    assert (digests[0] != digests[1]) == (fact == "line_intensity")
+    fresh, live = {}, {}
+    for name, config in configs.items():
+        computed.clear()
+        fresh[name] = _run(config, tmp_path, f"fresh_{name}",
+                           cache=f"fresh_cache_{name}")
+        live[name] = len(computed)
+        written = _entries(tmp_path / f"fresh_cache_{name}")
+        assert live[name] == len(written) > 0
+    for name, config in configs.items():
+        computed.clear()
+        assert _run(config, tmp_path, name) == fresh[name]
+        assert len(computed) == live[name], name
+    for name, config in configs.items():
+        computed.clear()
+        assert _run(config, tmp_path, f"{name}_again") == fresh[name]
+        assert computed == [], name
 
 
 @pytest.mark.parametrize("failing", ["replace", "write_bytes"])
